@@ -5,8 +5,9 @@ Formatting policy, fixed per file type so golden files stay stable:
 * CSV: header ``t,x,z,X,Z`` exactly, one row per sample, every number
   printed with 17 significant digits (``%.17g``), comma separated, no
   locale formatting anywhere.
-* JSON: one object with ``metadata`` and ``samples``; floats use
-  Python's shortest round-trip repr via json.dumps.
+* JSON: one object with ``metadata`` and ``samples``, laid out as
+  json.dumps(indent=2) lays it out; floats use Python's shortest
+  round-trip repr.
 * SVG: generated directly with a fixed viewBox, path coordinates at 3
   decimals, axis ticks at round steps, vertical asymptotes dashed.
 
@@ -35,23 +36,25 @@ SVG_MARGIN = 50.0
 Z_DISPLAY_CAP = 10.0
 
 
-def fmt17(value: float) -> str:
-    return "%.17g" % value
+SAMPLE_COLUMNS = ("t", "x", "z", "X", "Z")
 
 
 def trajectory_csv(series: TrajectorySeries) -> str:
-    lines = ["t,x,z,X,Z"]
-    for i in range(series.t.size):
-        lines.append(
-            ",".join(
-                fmt17(float(col[i]))
-                for col in (series.t, series.x, series.z, series.X, series.Z)
-            )
-        )
-    return "\n".join(lines) + "\n"
+    columns = (getattr(series, name).tolist() for name in SAMPLE_COLUMNS)
+    rows = "".join(
+        "%.17g,%.17g,%.17g,%.17g,%.17g\n" % row for row in zip(*columns)
+    )
+    return ",".join(SAMPLE_COLUMNS) + "\n" + rows
 
 
-def trajectory_payload(series: TrajectorySeries) -> dict:
+def trajectory_json(series: TrajectorySeries) -> str:
+    """The document json.dumps(indent=2) writes for metadata and samples.
+
+    Only the metadata goes through the indenting encoder.  Each sample
+    array is encoded flat by the C encoder and its ", " separators are
+    turned into the indented line breaks; a float repr (and json's NaN
+    and Infinity) never contains ", ".
+    """
     meta = {
         "case": series.case_tag,
         "k": series.k,
@@ -67,15 +70,14 @@ def trajectory_payload(series: TrajectorySeries) -> dict:
             else [float(v) for v in series.asymptote_times]
         ),
     }
-    samples = {
-        name: [float(v) for v in getattr(series, name)]
-        for name in ("t", "x", "z", "X", "Z")
-    }
-    return {"metadata": meta, "samples": samples}
-
-
-def trajectory_json(series: TrajectorySeries) -> str:
-    return json.dumps(trajectory_payload(series), indent=2) + "\n"
+    head = json.dumps({"metadata": meta}, indent=2)[: -len("\n}")]
+    arrays = ",\n".join(
+        f'    "{name}": [\n      '
+        + json.dumps(getattr(series, name).tolist())[1:-1].replace(", ", ",\n      ")
+        + "\n    ]"
+        for name in SAMPLE_COLUMNS
+    )
+    return head + ',\n  "samples": {\n' + arrays + "\n  }\n}\n"
 
 
 def trajectory_summary(series: TrajectorySeries) -> str:
@@ -135,12 +137,13 @@ def trajectory_svg(
     plot_w = SVG_WIDTH - 2.0 * SVG_MARGIN
     plot_h = SVG_HEIGHT - 2.0 * SVG_MARGIN
 
-    def sx(v: float) -> float:
+    # Pixel maps for scalars and arrays alike.
+    def sx(v):
         return SVG_MARGIN + (v - x_lo) / (x_hi - x_lo) * plot_w
 
-    def sy(v: float) -> float:
+    def sy(v):
         raw = SVG_MARGIN + (z_hi - v) / (z_hi - z_lo) * plot_h
-        return min(max(raw, -SVG_HEIGHT), 2.0 * SVG_HEIGHT)
+        return np.minimum(np.maximum(raw, -SVG_HEIGHT), 2.0 * SVG_HEIGHT)
 
     out = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
@@ -172,7 +175,9 @@ def trajectory_svg(
             'stroke="#c0392b" stroke-width="1" stroke-dasharray="6,4"/>'
         )
 
-    points = " ".join(f"{sx(float(a)):.3f},{sy(float(b)):.3f}" for a, b in zip(x, z))
+    points = " ".join(
+        "%.3f,%.3f" % pair for pair in zip(sx(x).tolist(), sy(z).tolist())
+    )
     out.append(
         f'<polyline fill="none" stroke="#1f6fb4" stroke-width="1.5" '
         f'points="{points}"/>'

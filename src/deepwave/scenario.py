@@ -1,17 +1,18 @@
 """Scenario resolution: defaults, config file, command-line overrides.
 
-The config file is a flat ``key = value`` text format.  ``#`` starts a
-comment (full line or trailing), blank lines are ignored, and keys may
-use ``-`` or ``_`` interchangeably.  Command-line flags override file
-values, which override the built-in defaults.  The ``DEEPWAVE_CONFIG``
-environment variable names a fallback config file used when no
-``--config`` flag is given.
+The config file is a flat ``key = value`` text format.  ``#`` and ``;``
+start a comment (full line or trailing), blank lines are ignored, and
+keys may use ``-`` or ``_`` interchangeably.  Command-line flags
+override file values, which override the built-in defaults.  The
+``DEEPWAVE_CONFIG`` environment variable names a fallback config file
+used when no ``--config`` flag is given.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -99,7 +100,7 @@ def load_config_file(path: str) -> dict[str, str]:
         raise ParameterDomainError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, str] = {}
     for lineno, line in enumerate(raw.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
+        body = re.split("[#;]", line, maxsplit=1)[0].strip()
         if not body:
             continue
         if "=" not in body:

@@ -12,10 +12,11 @@ Evaluation route
 ----------------
 complete_K uses K(m) = pi / (2 agm(1, sqrt(1-m))).  The Jacobi triple is
 computed through the descending Landen / AGM phase recursion for the
-amplitude function, then sn = sin(am), cn = cos(am), and dn from the
-identity that is better conditioned at the current point.  Degenerate
-parameters within 1e-12 of 0 or 1 route to the exact trigonometric or
-hyperbolic forms, where the recursion loses accuracy.
+amplitude function (DLMF 22.20(ii)), then sn = sin(am), cn = cos(am),
+and dn from the identity that is better conditioned at the current
+point.  The same recursion covers the whole domain 0 <= m < 1: at m = 0
+the scale chain is empty and am(u) = u, and near m = 1 the chain is a
+few levels longer, so there is no special case at either end.
 
 All functions are pure; there is no cache or other shared state.
 """
@@ -26,11 +27,13 @@ import math
 
 from .errors import ParameterDomainError
 
-# Route to closed forms this close to the m = 0 and m = 1 endpoints.
-DEGENERATE_M_EPS = 1e-12
-
 # AGM iteration stops when |a_n - b_n| <= AGM_RTOL * a_n.
 AGM_RTOL = 1e-15
+
+# The Landen chain stops once c_n <= 2^-52 a_n: a_n and b_n then agree
+# to about one ulp, so a further level cannot change the phase.  A test
+# below one ulp can go unmet for some m and run the chain to its cap.
+_LANDEN_STOP = 2.0**-52
 
 _MAX_AGM_ITER = 64
 
@@ -107,37 +110,14 @@ def jacobi_sn_cn_dn(u: float, m: float) -> tuple[float, float, float]:
     if not math.isfinite(u):
         raise ParameterDomainError(f"argument u must be finite, got {u}")
 
-    if m < DEGENERATE_M_EPS:
-        # Trigonometric limit; the dropped O(m) phase correction is far
-        # below every tolerance used downstream.
-        sn = math.sin(u)
-        return sn, math.cos(u), math.sqrt(1.0 - m * sn * sn)
-    if 1.0 - m < DEGENERATE_M_EPS:
-        # Hyperbolic limit.
-        sech = 1.0 / math.cosh(u)
-        return math.tanh(u), sech, sech
-
     quarter = complete_K(m)
     if abs(u) > 4.0 * quarter:
         u = math.remainder(u, 4.0 * quarter)
 
-    # Descending Landen transformation: build the AGM scale chain, then
-    # run the amplitude recursion back down.
-    a_seq = [1.0]
-    c_seq = [math.sqrt(m)]
-    b = math.sqrt(1.0 - m)
-    n = 0
-    while c_seq[n] > 1e-17 * a_seq[n] and n < _MAX_AGM_ITER:
-        a_next = 0.5 * (a_seq[n] + b)
-        c_next = 0.5 * (a_seq[n] - b)
-        b = math.sqrt(a_seq[n] * b)
-        a_seq.append(a_next)
-        c_seq.append(c_next)
-        n += 1
-
-    phi = math.ldexp(a_seq[n] * u, n)  # 2^n a_n u
-    for i in range(n, 0, -1):
-        s = c_seq[i] / a_seq[i] * math.sin(phi)
+    chain = _landen_chain(m)
+    phi = math.ldexp(chain[-1][0] * u, len(chain) - 1)  # 2^n a_n u
+    for a, c in reversed(chain[1:]):
+        s = c / a * math.sin(phi)
         s = max(-1.0, min(1.0, s))
         phi = 0.5 * (phi + math.asin(s))
 
@@ -150,3 +130,20 @@ def jacobi_sn_cn_dn(u: float, m: float) -> tuple[float, float, float]:
         # Equivalent identity, better conditioned when sn^2 is large.
         dn = math.sqrt((1.0 - m) + m * cn * cn)
     return sn, cn, dn
+
+
+def _landen_chain(m: float) -> list[tuple[float, float]]:
+    """Descending Landen scale chain [(a_0, c_0), ..., (a_n, c_n)] for m.
+
+    a_0 = 1, b_0 = sqrt(1-m), c_0 = sqrt(m); each level takes the
+    arithmetic mean a, the geometric mean b and the half difference c of
+    the level before, and the chain ends at the first level with
+    c_n <= 2^-52 a_n: at most 10 entries over 0 <= m < 1, the longest
+    next to m = 1.
+    """
+    a, b, c = 1.0, math.sqrt(1.0 - m), math.sqrt(m)
+    chain = [(a, c)]
+    while c > _LANDEN_STOP * a and len(chain) <= _MAX_AGM_ITER:
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        chain.append((a, c))
+    return chain

@@ -14,9 +14,11 @@ import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+from deepwave import errors
 from deepwave.cli import main
 from deepwave.cubic_analysis import Case1Reduction, build_cubic, classify_roots
 from deepwave.errors import DegenerateRootsError, ParameterDomainError
@@ -26,6 +28,7 @@ from deepwave.trajectories import case1_series
 from deepwave.wave_field import WaveParams, evaluate_field
 
 SVG_NS = {"s": "http://www.w3.org/2000/svg"}
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args: list[str], capsys) -> tuple[int, str, str]:
@@ -65,6 +68,35 @@ class TestConfigResolution:
         assert sc.format == "json"
         # the const1 default tracks the resolved k, not the built-in one
         assert sc.const1 == math.pi / (2.0 * 2.0)
+
+    def test_readme_example_config_runs_as_written(self, tmp_path, capsys):
+        text = README.read_text(encoding="utf-8")
+        block = re.search(r"```ini\n(.*?)```", text, re.DOTALL).group(1)
+        cfg = tmp_path / "readme.cfg"
+        cfg.write_text(block)
+        assert load_config_file(str(cfg)) == {
+            "k": "2.0",
+            "beta": "-1.0",
+            "t_end": "4.0",
+            "samples": "800",
+            "format": "json",
+        }
+        out_file = tmp_path / "samples.json"
+        code, _, err = run_cli(
+            ["trajectory", "--config", str(cfg), "--out", str(out_file)], capsys
+        )
+        assert code == 0, err
+        assert json.loads(out_file.read_text())["metadata"]["n_samples"] == 800
+
+    def test_readme_lists_every_error_code(self):
+        text = README.read_text(encoding="utf-8")
+        codes = {
+            cls.code
+            for cls in vars(errors).values()
+            if isinstance(cls, type) and issubclass(cls, errors.DeepwaveError)
+        }
+        assert "empty-report" in codes
+        assert [code for code in sorted(codes) if f"`{code}`" not in text] == []
 
     def test_unknown_key_reports_file_and_line(self, tmp_path):
         cfg = tmp_path / "scenario.cfg"

@@ -5,15 +5,30 @@ from __future__ import annotations
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from deepwave import ParameterDomainError, complete_K, jacobi_sn_cn_dn
-from deepwave.special_functions import agm
+from deepwave.special_functions import _landen_chain, agm
 
 modulus_sq = st.floats(min_value=1e-10, max_value=1.0 - 1e-10)
 argument = st.floats(min_value=-30.0, max_value=30.0)
+
+# Squared moduli at and next to both ends of the domain, plus the k2
+# reference scenario (m ~ 0.0184) and m = 1/2, where a Landen stop test
+# below one ulp is never met and the chain runs to its iteration cap.
+EDGE_M = (0.0, 1e-16, 0.0184, 0.5, 1.0 - 5e-13, 1.0 - 2.0**-52)
+
+
+def _mp_jacobi(u: float, m: float) -> tuple[float, float, float]:
+    """mpmath reference at 40 digits, fed the exact binary u and m."""
+    with mpmath.workdps(40):
+        u_mp, m_mp = mpmath.mpf(u), mpmath.mpf(m)
+        return tuple(
+            float(mpmath.ellipfun(name, u_mp, m=m_mp)) for name in ("sn", "cn", "dn")
+        )
 
 
 def test_K_at_zero_is_quarter_circle():
@@ -120,6 +135,31 @@ def test_jacobi_degenerate_limits():
         assert sn == pytest.approx(math.tanh(u), abs=1e-6)
         assert cn == pytest.approx(1.0 / math.cosh(u), abs=1e-6)
         assert dn == pytest.approx(1.0 / math.cosh(u), abs=1e-6)
+
+
+@pytest.mark.parametrize("m", EDGE_M)
+@pytest.mark.parametrize("u", [-1e3, -31.0, -0.3, 0.7, 31.0, 250.5, 800.0, 1e3])
+def test_jacobi_against_mpmath_at_edges(u, m):
+    """No special case near m = 0 or m = 1: one recursion stays accurate
+    past the first quarter period and never overflows."""
+    got = jacobi_sn_cn_dn(u, m)
+    for value, ref in zip(got, _mp_jacobi(u, m)):
+        assert value == pytest.approx(ref, abs=1e-11)
+
+
+def test_jacobi_long_time_small_m():
+    """The O(m u) phase drift of sn at small m is kept; argument
+    reduction modulo 4K costs about ulp(u) ~ 1e-10 at u = 1e6."""
+    got = jacobi_sn_cn_dn(1e6, 5e-13)
+    for value, ref in zip(got, _mp_jacobi(1e6, 5e-13)):
+        assert value == pytest.approx(ref, abs=1e-9)
+
+
+def test_landen_chain_depth():
+    ms = np.concatenate([np.linspace(0.0, 1.0, 20001)[:-1], EDGE_M])
+    depths = [len(_landen_chain(float(m))) for m in ms]
+    assert max(depths) <= 10
+    assert len(_landen_chain(0.0)) == 1
 
 
 @pytest.mark.parametrize("m", [-1e-6, 1.0, 1.0 + 1e-6, math.inf])
