@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ContractViolationError
 from .trajectories import TrajectorySeries
 from .wave_field import FieldSample
 
@@ -118,7 +119,12 @@ def trajectory_svg(
     asymptote_x: Sequence[float] = (),
     title: str | None = None,
 ) -> str:
-    """Render the (x, z) path as a standalone SVG document."""
+    """Render the (x, z) path as a standalone SVG document.
+
+    A path whose plotted x or z range is not finite (an infinite or NaN
+    coordinate) raises ContractViolationError; CSV and JSON still emit
+    such a path.
+    """
     x = np.asarray(series.x, dtype=float)
     z = np.asarray(series.z, dtype=float)
 
@@ -214,6 +220,11 @@ def _padded_range(lo: float, hi: float) -> tuple[float, float]:
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     span = hi - lo
     raw = span / target
+    if not (math.isfinite(raw) and raw > 0.0):
+        raise ContractViolationError(
+            f"cannot draw axis ticks over [{lo}, {hi}]: "
+            "the plotted range must be finite and wider than the rounding floor"
+        )
     mag = 10.0 ** math.floor(math.log10(raw))
     step = 10.0 * mag
     for mult in (1.0, 2.0, 5.0):

@@ -1,10 +1,13 @@
 """Reference ODE integrators for validating the closed-form paths.
 
-Two hand-rolled steppers over plain float tuples: classic fixed-step
-RK4 and adaptive RKF45 (Fehlberg 4(5) with local extrapolation).  Dense
-output between accepted knots uses cubic Hermite interpolation, which
-keeps the interpolation error below the local truncation error of
-either stepper.
+Two hand-rolled steppers over two-component float states: classic
+fixed-step RK4 and adaptive RKF45 (Fehlberg 4(5) with local
+extrapolation).  Every system below has a two-component state, so each
+step is written out per component.  The derivative stored at each
+accepted knot is the next step's first stage, which saves one
+right-hand-side call per step.  Dense output between accepted knots
+uses cubic Hermite interpolation, which keeps the interpolation error
+below the local truncation error of either stepper.
 
 Three systems are wrapped:
 
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,8 +33,10 @@ from .errors import ContractViolationError, ParameterDomainError, StiffnessError
 from .trajectories import TrajectorySeries, ZSeries
 from .wave_field import TAU, WaveParams
 
-State = tuple[float, ...]
-RHS = Callable[[float, State], State]
+# rhs(t, a, b) -> (a', b') for the state (a, b).
+RHS = Callable[[float, float, float], tuple[float, float]]
+# event(a, b) -> True for a forbidden state.
+Event = Callable[[float, float], bool]
 
 # Escape threshold for the truncated vertical model.
 Z_ESCAPE = 1e3
@@ -127,27 +132,27 @@ def integrate_full(
     k = params.k
     c = params.c
     A = params.A
+    exp, cos, sin, remainder = math.exp, math.cos, math.sin, math.remainder
 
-    def rhs(t: float, y: State) -> State:
-        x, z = y
-        theta = math.remainder(k * (x - c * t), TAU)
-        envelope = A * math.exp(k * z)
-        return (envelope * math.cos(theta), envelope * math.sin(theta))
+    def rhs(t: float, x: float, z: float) -> tuple[float, float]:
+        theta = remainder(k * (x - c * t), TAU)
+        envelope = A * exp(k * z)
+        return envelope * cos(theta), envelope * sin(theta)
 
-    t, ys, dys, _ = _integrate(rhs, (x0, z0), cfg, sample_times, event=None)
-    x = np.array([y[0] for y in ys])
-    z = np.array([y[1] for y in ys])
-    v = np.array([dy[1] for dy in dys])
+    path = _integrate(rhs, x0, z0, cfg, sample_times, event=None)
+    t = np.array(path.t)
+    x = np.array(path.a)
+    z = np.array(path.b)
     return TrajectorySeries(
         k=k,
         c=c,
-        t=np.asarray(t),
+        t=t,
         x=x,
         z=z,
-        X=k * (x - c * np.asarray(t)),
+        X=k * (x - c * t),
         Z=k * z,
         case_tag="oracle-full",
-        dZdt=k * v,
+        dZdt=k * np.array(path.fb),
     )
 
 
@@ -165,18 +170,18 @@ def integrate_moving_frame(
     """
     k = params.k
     c = params.c
-    A = params.A
+    kA = k * params.A
+    kc = k * c
+    exp, cos, sin = math.exp, math.cos, math.sin
 
-    def rhs(t: float, y: State) -> State:
-        X, Z = y
-        envelope = k * A * math.exp(Z)
-        return (envelope * math.cos(X) - k * c, envelope * math.sin(X))
+    def rhs(t: float, X: float, Z: float) -> tuple[float, float]:
+        envelope = kA * exp(Z)
+        return envelope * cos(X) - kc, envelope * sin(X)
 
-    t_list, ys, dys, _ = _integrate(rhs, (X0, Z0), cfg, sample_times, event=None)
-    t = np.asarray(t_list)
-    X = np.array([y[0] for y in ys])
-    Z = np.array([y[1] for y in ys])
-    dZdt = np.array([dy[1] for dy in dys])
+    path = _integrate(rhs, X0, Z0, cfg, sample_times, event=None)
+    t = np.array(path.t)
+    X = np.array(path.a)
+    Z = np.array(path.b)
     return TrajectorySeries(
         k=k,
         c=c,
@@ -186,7 +191,7 @@ def integrate_moving_frame(
         X=X,
         Z=Z,
         case_tag="oracle-full",
-        dZdt=dZdt,
+        dZdt=np.array(path.fb),
     )
 
 
@@ -206,30 +211,28 @@ def integrate_truncated(
     P grows cubically.
     """
 
-    def rhs(t: float, y: State) -> State:
-        Z, V = y
-        return (V, 0.5 * coeffs.derivative(Z))
+    derivative = coeffs.derivative
 
-    def escaped(y: State) -> bool:
-        return abs(y[0]) > Z_ESCAPE
+    def rhs(t: float, Z: float, V: float) -> tuple[float, float]:
+        return V, 0.5 * derivative(Z)
 
-    if escaped((Z0, dZdt0)):
+    def escaped(Z: float, V: float) -> bool:
+        return abs(Z) > Z_ESCAPE
+
+    if escaped(Z0, dZdt0):
         raise ParameterDomainError(f"initial Z={Z0} already beyond the escape threshold")
 
-    t_list, ys, dys, event = _integrate(
-        rhs, (Z0, dZdt0), cfg, sample_times, event=escaped
-    )
+    path = _integrate(rhs, Z0, dZdt0, cfg, sample_times, event=escaped)
     blowup = None
-    if event is not None:
-        t_event, y_event = event
-        Z_e, V_e = y_event
+    if path.event is not None:
+        t_event, Z_e, V_e = path.event
         if Z_e > 0.0 and V_e > 0.0:
             E0 = dZdt0 * dZdt0 - coeffs.evaluate(Z0)
             blowup = t_event + _time_to_infinity(coeffs, Z_e, E0)
     return ZSeries(
-        t=np.asarray(t_list),
-        Z=np.array([y[0] for y in ys]),
-        dZdt=np.array([y[1] for y in ys]),
+        t=np.array(path.t),
+        Z=np.array(path.a),
+        dZdt=np.array(path.b),
         blowup_time=blowup,
     )
 
@@ -285,17 +288,12 @@ def _excluded_windows(
     t: np.ndarray, excluded: np.ndarray
 ) -> tuple[tuple[float, float], ...]:
     """Contiguous runs of excluded samples as (t_lo, t_hi) windows."""
-    windows = []
-    start = None
-    for i, flag in enumerate(excluded):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            windows.append((float(t[start]), float(t[i - 1])))
-            start = None
-    if start is not None:
-        windows.append((float(t[start]), float(t[-1])))
-    return tuple(windows)
+    padded = np.concatenate(([0], np.asarray(excluded, dtype=np.int8), [0]))
+    edges = np.flatnonzero(np.diff(padded))
+    # Edges alternate: a run starts at edges[0::2] and ends before edges[1::2].
+    return tuple(
+        (float(t[i]), float(t[j - 1])) for i, j in zip(edges[0::2], edges[1::2])
+    )
 
 
 def _time_to_infinity(coeffs: CubicCoeffs, Z_e: float, E0: float) -> float:
@@ -318,228 +316,258 @@ def _time_to_infinity(coeffs: CubicCoeffs, Z_e: float, E0: float) -> float:
     return float(np.sum(w * g))
 
 
+
+
+class _Path(NamedTuple):
+    """Knots or dense samples of one run, one float list per quantity.
+
+    ``a`` and ``b`` are the two state components and ``fa``, ``fb``
+    their time derivatives.  ``event`` is (t, a, b) of the last good
+    state when the event stopped the run, else None.
+    """
+
+    t: list[float]
+    a: list[float]
+    b: list[float]
+    fa: list[float]
+    fb: list[float]
+    event: tuple[float, float, float] | None
+
+
 def _integrate(
     rhs: RHS,
-    y0: State,
+    a0: float,
+    b0: float,
     cfg: IntegratorConfig,
     sample_times: Sequence[float] | None,
-    event: Callable[[State], bool] | None,
-) -> tuple[list[float], list[State], list[State], tuple[float, State] | None]:
+    event: Event | None,
+) -> _Path:
     """Run one integration, returning samples and the event hit, if any.
 
-    Knots are accumulated with their derivatives; requested sample times
-    (or the knots themselves when none are given) come out of a cubic
-    Hermite evaluation.  The event callable marks forbidden states; the
-    crossing is located by step bisection down to EVENT_DT and the last
-    good state is reported as the event state.
+    Knots are accumulated with their derivatives, and each knot's
+    derivative is the first stage of the step that leaves it.  Requested
+    sample times (or the knots themselves when none are given) come out
+    of a cubic Hermite evaluation.  The event callable marks forbidden
+    states; the crossing is located by step bisection down to EVENT_DT
+    and the last good state is reported as the event state.
     """
-    knots_t = [cfg.t_start]
-    knots_y = [y0]
-    knots_f = [rhs(cfg.t_start, y0)]
-    if not all(math.isfinite(v) for v in knots_f[0]):
+    t = cfg.t_start
+    a, b = a0, b0
+    fa, fb = rhs(t, a, b)
+    if not (math.isfinite(fa) and math.isfinite(fb)):
         raise StiffnessError(
             "right-hand side not finite at the initial state",
-            t_last=cfg.t_start,
-            state_last=y0,
+            t_last=t,
+            state_last=(a, b),
         )
-    event_hit: tuple[float, State] | None = None
+    knots_t, knots_a, knots_b, knots_fa, knots_fb = [t], [a], [b], [fa], [fb]
+    event_hit: tuple[float, float, float] | None = None
 
-    t = cfg.t_start
-    y = y0
+    t_end = cfg.t_end
     h = cfg.dt
     adaptive = cfg.method == "rk45"
-    while t < cfg.t_end:
-        h_try = min(h, cfg.t_end - t)
+    while t < t_end and event_hit is None:
+        h_try = min(h, t_end - t)
         if adaptive:
-            step = _rkf45_step(rhs, t, y, h_try)
+            step = _rkf45_step(rhs, t, a, b, fa, fb, h_try)
             if step is None:
                 h = 0.5 * h_try
                 if h < MIN_ADAPTIVE_DT * max(1.0, abs(t)):
                     raise StiffnessError(
-                        "adaptive step size underflow", t_last=t, state_last=y
+                        "adaptive step size underflow", t_last=t, state_last=(a, b)
                     )
                 continue
-            y_new, err_scale = step
+            a_new, b_new, err_scale = step
             tol = max(
                 cfg.abs_tol,
-                cfg.rel_tol * max(max(abs(v) for v in y), max(abs(v) for v in y_new)),
+                cfg.rel_tol * max(abs(a), abs(b), abs(a_new), abs(b_new)),
             )
             if err_scale > tol:
                 h = h_try * max(0.2, 0.9 * (tol / err_scale) ** 0.2)
                 if h < MIN_ADAPTIVE_DT * max(1.0, abs(t)):
                     raise StiffnessError(
-                        "adaptive step size underflow", t_last=t, state_last=y
+                        "adaptive step size underflow", t_last=t, state_last=(a, b)
                     )
                 continue
             h = h_try * min(5.0, max(0.2, 0.9 * (tol / max(err_scale, 1e-300)) ** 0.2))
         else:
-            y_new = _rk4_step(rhs, t, y, h_try)
+            a_new, b_new = _rk4_step(rhs, t, a, b, fa, fb, h_try)
 
-        bad = not all(math.isfinite(v) for v in y_new)
-        if bad or (event is not None and event(y_new)):
+        bad = not (math.isfinite(a_new) and math.isfinite(b_new))
+        if bad or (event is not None and event(a_new, b_new)):
             if event is None:
                 raise StiffnessError(
-                    "state became non-finite", t_last=t, state_last=y
+                    "state became non-finite", t_last=t, state_last=(a, b)
                 )
-            t_ev, y_ev = _locate_event(rhs, t, y, h_try, event)
-            knots_t.append(t_ev)
-            knots_y.append(y_ev)
-            knots_f.append(rhs(t_ev, y_ev))
-            event_hit = (t_ev, y_ev)
-            break
-        t += h_try
-        y = y_new
+            t, a, b, fa, fb = _locate_event(rhs, t, a, b, fa, fb, h_try, event)
+            event_hit = (t, a, b)
+        else:
+            t += h_try
+            a = a_new
+            b = b_new
+            fa, fb = rhs(t, a, b)
         knots_t.append(t)
-        knots_y.append(y)
-        knots_f.append(rhs(t, y))
+        knots_a.append(a)
+        knots_b.append(b)
+        knots_fa.append(fa)
+        knots_fb.append(fb)
 
+    knots = _Path(knots_t, knots_a, knots_b, knots_fa, knots_fb, event_hit)
     if sample_times is None:
-        return knots_t, knots_y, knots_f, event_hit
-    return _dense_output(rhs, knots_t, knots_y, knots_f, sample_times, event_hit)
+        return knots
+    return _dense_output(rhs, knots, sample_times)
 
 
-def _dense_output(
-    rhs: RHS,
-    knots_t: list[float],
-    knots_y: list[State],
-    knots_f: list[State],
-    sample_times: Sequence[float],
-    event_hit: tuple[float, State] | None,
-) -> tuple[list[float], list[State], list[State], tuple[float, State] | None]:
+def _dense_output(rhs: RHS, knots: _Path, sample_times: Sequence[float]) -> _Path:
     """Cubic Hermite evaluation at requested times within the solved span."""
-    out_t: list[float] = []
-    out_y: list[State] = []
-    out_f: list[State] = []
-    t_lo = knots_t[0]
-    t_hi = knots_t[-1]
+    out = _Path([], [], [], [], [], knots.event)
+    t_lo = knots.t[0]
+    t_hi = knots.t[-1]
+    last = len(knots.t) - 2
     previous = None
     for ts in sample_times:
         if previous is not None and ts <= previous:
             raise ParameterDomainError("sample times must increase strictly")
         previous = ts
         if ts < t_lo - 1e-12 or ts > t_hi + 1e-12:
-            if event_hit is not None and ts > t_hi:
+            if knots.event is not None and ts > t_hi:
                 continue  # cut short by the event
             raise ParameterDomainError(
                 f"sample time {ts} outside the integrated span [{t_lo}, {t_hi}]"
             )
         ts = min(max(ts, t_lo), t_hi)
-        i = bisect_right(knots_t, ts) - 1
-        i = min(max(i, 0), len(knots_t) - 2)
-        y = _hermite(
-            knots_t[i], knots_y[i], knots_f[i],
-            knots_t[i + 1], knots_y[i + 1], knots_f[i + 1],
-            ts,
-        )
-        out_t.append(ts)
-        out_y.append(y)
-        out_f.append(rhs(ts, y))
-    if not out_t:
+        i = min(max(bisect_right(knots.t, ts) - 1, 0), last)
+        a, b = _hermite(knots, i, ts)
+        fa, fb = rhs(ts, a, b)
+        out.t.append(ts)
+        out.a.append(a)
+        out.b.append(b)
+        out.fa.append(fa)
+        out.fb.append(fb)
+    if not out.t:
         raise ParameterDomainError("no sample times fell inside the integrated span")
-    return out_t, out_y, out_f, event_hit
+    return out
 
 
-def _hermite(
-    t0: float, y0: State, f0: State, t1: float, y1: State, f1: State, ts: float
-) -> State:
-    h = t1 - t0
+def _hermite(knots: _Path, i: int, ts: float) -> tuple[float, float]:
+    """Cubic Hermite state at ts between knots i and i + 1."""
+    t0 = knots.t[i]
+    h = knots.t[i + 1] - t0
     if h <= 0.0:
-        return y0
+        return knots.a[i], knots.b[i]
     s = (ts - t0) / h
+    # Basis h00, h01 for the states; h10, h11 come pre-scaled by h for
+    # the derivatives.
     h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-    h10 = s * (1.0 - s) ** 2
+    h10 = s * (1.0 - s) ** 2 * h
     h01 = s * s * (3.0 - 2.0 * s)
-    h11 = s * s * (s - 1.0)
-    return tuple(
-        h00 * a + h10 * h * fa + h01 * b + h11 * h * fb
-        for a, fa, b, fb in zip(y0, f0, y1, f1)
+    h11 = s * s * (s - 1.0) * h
+    j = i + 1
+    return (
+        h00 * knots.a[i] + h10 * knots.fa[i] + h01 * knots.a[j] + h11 * knots.fa[j],
+        h00 * knots.b[i] + h10 * knots.fb[i] + h01 * knots.b[j] + h11 * knots.fb[j],
     )
 
 
 def _locate_event(
     rhs: RHS,
     t: float,
-    y: State,
+    a: float,
+    b: float,
+    fa: float,
+    fb: float,
     h: float,
-    event: Callable[[State], bool],
-) -> tuple[float, State]:
-    """Bisect the step until the last good state is within EVENT_DT of the event."""
+    event: Event,
+) -> tuple[float, float, float, float, float]:
+    """Bisect the step until the last good state is within EVENT_DT of the event.
+
+    Returns (t, a, b, fa, fb) of that state.
+    """
     while h > EVENT_DT:
         h_half = 0.5 * h
-        y_mid = _rk4_step(rhs, t, y, h_half)
-        good = all(math.isfinite(v) for v in y_mid) and not event(y_mid)
-        if good:
+        a_mid, b_mid = _rk4_step(rhs, t, a, b, fa, fb, h_half)
+        if math.isfinite(a_mid) and math.isfinite(b_mid) and not event(a_mid, b_mid):
             t += h_half
-            y = y_mid
+            a = a_mid
+            b = b_mid
+            fa, fb = rhs(t, a, b)
         h = h_half
-    return t, y
+    return t, a, b, fa, fb
 
 
-def _rk4_step(rhs: RHS, t: float, y: State, h: float) -> State:
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, _axpy(y, 0.5 * h, k1))
-    k3 = rhs(t + 0.5 * h, _axpy(y, 0.5 * h, k2))
-    k4 = rhs(t + h, _axpy(y, h, k3))
-    return tuple(
-        yi + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+def _rk4_step(
+    rhs: RHS, t: float, a: float, b: float, fa: float, fb: float, h: float
+) -> tuple[float, float]:
+    """One classic RK4 step from (a, b), whose derivative (fa, fb) is the first stage."""
+    h2 = 0.5 * h
+    t2 = t + h2
+    k2a, k2b = rhs(t2, a + h2 * fa, b + h2 * fb)
+    k3a, k3b = rhs(t2, a + h2 * k2a, b + h2 * k2b)
+    k4a, k4b = rhs(t + h, a + h * k3a, b + h * k3b)
+    h6 = h / 6.0
+    return (
+        a + h6 * (fa + 2.0 * k2a + 2.0 * k3a + k4a),
+        b + h6 * (fb + 2.0 * k2b + 2.0 * k3b + k4b),
     )
+
+
+# Fehlberg 4(5) tableau: stage rows _Bij, fifth-order weights _W5i and
+# fourth-order weights _W4i.
+_B21 = 1.0 / 4.0
+_B31, _B32 = 3.0 / 32.0, 9.0 / 32.0
+_B41, _B42, _B43 = 1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0
+_B51, _B52, _B53, _B54 = 439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0
+_B61, _B62, _B63, _B64, _B65 = (
+    -8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0
+)
+_W51, _W53, _W54, _W55, _W56 = (
+    16.0 / 135.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0
+)
+_W41, _W43, _W44, _W45 = 25.0 / 216.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0
 
 
 def _rkf45_step(
-    rhs: RHS, t: float, y: State, h: float
-) -> tuple[State, float] | None:
-    """One Fehlberg 4(5) trial step: (5th-order state, error norm) or None."""
-    k1 = rhs(t, y)
-    k2 = rhs(t + h / 4.0, _comb(y, h, (1.0 / 4.0,), (k1,)))
-    k3 = rhs(t + 3.0 * h / 8.0, _comb(y, h, (3.0 / 32.0, 9.0 / 32.0), (k1, k2)))
-    k4 = rhs(
+    rhs: RHS, t: float, a: float, b: float, fa: float, fb: float, h: float
+) -> tuple[float, float, float] | None:
+    """One Fehlberg 4(5) trial step from (a, b) with first stage (fa, fb).
+
+    Returns the fifth-order state and the error norm, or None when that
+    state is not finite.  Each stage sums y + (h b_1) k_1 + (h b_2) k_2
+    + ... left to right.
+    """
+    k2a, k2b = rhs(t + h / 4.0, a + h * _B21 * fa, b + h * _B21 * fb)
+    k3a, k3b = rhs(
+        t + 3.0 * h / 8.0,
+        a + h * _B31 * fa + h * _B32 * k2a,
+        b + h * _B31 * fb + h * _B32 * k2b,
+    )
+    k4a, k4b = rhs(
         t + 12.0 * h / 13.0,
-        _comb(
-            y, h,
-            (1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0),
-            (k1, k2, k3),
-        ),
+        a + h * _B41 * fa + h * _B42 * k2a + h * _B43 * k3a,
+        b + h * _B41 * fb + h * _B42 * k2b + h * _B43 * k3b,
     )
-    k5 = rhs(
+    k5a, k5b = rhs(
         t + h,
-        _comb(
-            y, h,
-            (439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0),
-            (k1, k2, k3, k4),
-        ),
+        a + h * _B51 * fa + h * _B52 * k2a + h * _B53 * k3a + h * _B54 * k4a,
+        b + h * _B51 * fb + h * _B52 * k2b + h * _B53 * k3b + h * _B54 * k4b,
     )
-    k6 = rhs(
+    k6a, k6b = rhs(
         t + 0.5 * h,
-        _comb(
-            y, h,
-            (-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0),
-            (k1, k2, k3, k4, k5),
-        ),
+        a + h * _B61 * fa + h * _B62 * k2a + h * _B63 * k3a + h * _B64 * k4a
+        + h * _B65 * k5a,
+        b + h * _B61 * fb + h * _B62 * k2b + h * _B63 * k3b + h * _B64 * k4b
+        + h * _B65 * k5b,
     )
-    y5 = _comb(
-        y, h,
-        (16.0 / 135.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0),
-        (k1, k3, k4, k5, k6),
+    a5 = (
+        a + h * _W51 * fa + h * _W53 * k3a + h * _W54 * k4a + h * _W55 * k5a
+        + h * _W56 * k6a
     )
-    y4 = _comb(
-        y, h,
-        (25.0 / 216.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0),
-        (k1, k3, k4, k5),
+    b5 = (
+        b + h * _W51 * fb + h * _W53 * k3b + h * _W54 * k4b + h * _W55 * k5b
+        + h * _W56 * k6b
     )
-    if not all(math.isfinite(v) for v in y5):
+    if not (math.isfinite(a5) and math.isfinite(b5)):
         return None
-    err = max(abs(a - b) for a, b in zip(y5, y4))
-    return y5, err
-
-
-def _axpy(y: State, h: float, k: State) -> State:
-    return tuple(yi + h * ki for yi, ki in zip(y, k))
-
-
-def _comb(y: State, h: float, coeffs: tuple[float, ...], ks: tuple[State, ...]) -> State:
-    out = list(y)
-    for c, k in zip(coeffs, ks):
-        for i, ki in enumerate(k):
-            out[i] += h * c * ki
-    return tuple(out)
+    a4 = a + h * _W41 * fa + h * _W43 * k3a + h * _W44 * k4a + h * _W45 * k5a
+    b4 = b + h * _W41 * fb + h * _W43 * k3b + h * _W44 * k4b + h * _W45 * k5b
+    return a5, b5, max(abs(a5 - a4), abs(b5 - b4))

@@ -7,9 +7,13 @@ vertical motion (case 1), the third blows up (case 2).
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, settings
 
+import deepwave
 from deepwave import WaveParams
 
 settings.register_profile(
@@ -49,6 +53,21 @@ def all_scenarios() -> tuple[tuple[str, WaveParams, float], ...]:
     return tuple(
         (label, WaveParams(**kwargs), beta) for label, kwargs, beta in SCENARIOS
     )
+
+
+def cli_env() -> dict[str, str]:
+    """Environment for `python -m deepwave` child processes.
+
+    Puts the directory holding the deepwave package this test process
+    imported first on PYTHONPATH, so a child runs the same code whether
+    or not the caller set PYTHONPATH.
+    """
+    env = dict(os.environ)
+    root = str(Path(deepwave.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (root, env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 # Acceptance-criterion results registered by tests/test_acceptance.py.

@@ -11,7 +11,6 @@ in the millisecond range.
 from __future__ import annotations
 
 import math
-import os
 import subprocess
 import sys
 import time
@@ -20,7 +19,7 @@ from contextlib import contextmanager
 import mpmath
 import numpy as np
 
-from conftest import SCENARIOS, record_acceptance
+from conftest import SCENARIOS, cli_env, record_acceptance
 from deepwave.cubic_analysis import (
     Case1Reduction,
     Case2Reduction,
@@ -477,7 +476,8 @@ def test_criterion_9_determinism(tmp_path):
     cfg.write_text(
         "k = 2.0\nbeta = -1.0\nt_end = 4.0\nsamples = 800\nformat = json\n"
     )
-    env = {k: v for k, v in os.environ.items() if k != "DEEPWAVE_CONFIG"}
+    env = cli_env()
+    env.pop("DEEPWAVE_CONFIG", None)
 
     def run(*args: str) -> subprocess.CompletedProcess:
         return subprocess.run(

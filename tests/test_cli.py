@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import cli_env
 from deepwave import errors
 from deepwave.cli import main
 from deepwave.cubic_analysis import Case1Reduction, build_cubic, classify_roots
@@ -462,6 +463,7 @@ def test_module_entry_point_runs():
         capture_output=True,
         text=True,
         timeout=60,
+        env=cli_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].split()[0] == "2"

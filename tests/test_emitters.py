@@ -29,6 +29,7 @@ from deepwave.emitters import (
     trajectory_json,
     trajectory_svg,
 )
+from deepwave.errors import ContractViolationError
 from deepwave.scenario import build_scenario
 from deepwave.trajectories import TrajectorySeries
 
@@ -217,6 +218,27 @@ def test_edge_values_match_reference():
     assert_same_text(
         trajectory_svg(series, title="a<b"), reference_svg(series, title="a<b")
     )
+
+
+@pytest.mark.parametrize(
+    "x, z",
+    [
+        ([0.0, math.inf], [0.0, -0.5]),
+        ([0.0, 1.0], [-math.inf, -0.5]),
+        ([0.0, math.nan], [0.0, -0.5]),
+        ([0.0, 5e-324], [0.0, -0.5]),
+    ],
+)
+def test_svg_rejects_unplottable_range(x, z):
+    with np.errstate(invalid="ignore"):
+        series = TrajectorySeries(
+            k=1.0, c=0.0, t=[0.0, 1.0], x=x, z=z, X=x, Z=z, case_tag="case1"
+        )
+    with pytest.raises(ContractViolationError):
+        trajectory_svg(series)
+    # The data formats carry such a series unchanged.
+    assert_same_text(trajectory_csv(series), reference_csv(series))
+    assert_same_text(trajectory_json(series), reference_json(series))
 
 
 def test_single_sample_json_matches_reference():

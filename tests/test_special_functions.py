@@ -155,6 +155,20 @@ def test_jacobi_long_time_small_m():
         assert value == pytest.approx(ref, abs=1e-9)
 
 
+# Squared moduli of the k2 (case 1) and k4 (case 2) reference scenarios.
+REFERENCE_M = (0.01839326911306751, 0.9525930951624224)
+
+
+@pytest.mark.parametrize("m", REFERENCE_M)
+@pytest.mark.parametrize("u", [1e6, -1e6, 1e6 + 0.37, 987654.321])
+def test_jacobi_long_time_phase_budget(u, m):
+    """Reduction modulo 4K costs about ulp(u) of phase (~1.2e-10 at
+    u = 1e6); the documented budget is two of them."""
+    got = jacobi_sn_cn_dn(u, m)
+    for value, ref in zip(got, _mp_jacobi(u, m)):
+        assert abs(value - ref) <= 2.0 * math.ulp(u)
+
+
 def test_landen_chain_depth():
     ms = np.concatenate([np.linspace(0.0, 1.0, 20001)[:-1], EDGE_M])
     depths = [len(_landen_chain(float(m))) for m in ms]
