@@ -17,10 +17,8 @@ from .errors import (
 from .wave_field import (
     FieldSample,
     WaveParams,
-    dispersion_speed,
     evaluate_field,
     phase,
-    trajectory_constant,
 )
 from .special_functions import agm, complete_K, jacobi_sn_cn_dn
 from .cubic_analysis import (
@@ -107,7 +105,6 @@ __all__ = [
     "classify_roots",
     "complete_K",
     "discriminant",
-    "dispersion_speed",
     "evaluate_field",
     "integrate_full",
     "integrate_moving_frame",
@@ -124,6 +121,5 @@ __all__ = [
     "residual_full_Z_ode",
     "solve_stagnation",
     "stagnation_on_trajectory",
-    "trajectory_constant",
     "__version__",
 ]

@@ -174,8 +174,10 @@ def _one_real_root(coeffs: CubicCoeffs) -> float:
     q = (2.0 * b * b * b - 9.0 * a * b * coeffs.a1 + 27.0 * a * a * coeffs.a0) / (
         27.0 * a * a * a
     )
+    # disc rounds below zero when the complex pair is nearly double next
+    # to a far-off real root (tiny k|A|); disc = 0 then locates that root.
     disc = 0.25 * q * q + p * p * p / 27.0
-    s = math.sqrt(disc)
+    s = math.sqrt(max(disc, 0.0))
     t = _cbrt(-0.5 * q + s) + _cbrt(-0.5 * q - s)
     return _newton_polish(coeffs, t - shift)
 

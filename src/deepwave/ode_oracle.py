@@ -47,6 +47,10 @@ EVENT_DT = 1e-13
 # Adaptive steps below this (relative to |t|) raise StiffnessError.
 MIN_ADAPTIVE_DT = 1e-14
 
+# A fixed-step run takes a remainder below this fraction of dt into its
+# last step, so accumulated rounding of t += dt cannot leave a sliver step.
+SLIVER_FRACTION = 1e-6
+
 _METHODS = ("rk4", "rk45")
 
 
@@ -368,6 +372,8 @@ def _integrate(
     adaptive = cfg.method == "rk45"
     while t < t_end and event_hit is None:
         h_try = min(h, t_end - t)
+        if not adaptive and t_end - t < (1.0 + SLIVER_FRACTION) * h:
+            h_try = t_end - t
         if adaptive:
             step = _rkf45_step(rhs, t, a, b, fa, fb, h_try)
             if step is None:

@@ -59,6 +59,9 @@ CN_DENOM_GUARD = 1e-12
 # turning-point rounding artifact.
 SQRT_ARG_TOL = 1e-9
 
+# A time argument of the closed forms: one instant or a 1-d array of them.
+Times = float | np.ndarray
+
 CASE_TAGS = ("peakon", "case1", "case2", "oracle-full", "oracle-truncated")
 
 
@@ -256,20 +259,19 @@ def peakon_series(
     )
 
 
-def case1_Z(red: Case1Reduction, t: float, t0: float = 0.0) -> float:
+def case1_Z(red: Case1Reduction, t: Times, t0: float = 0.0) -> Times:
     """Bounded vertical motion Z(t) = Z2 sn^2 + Z1 cn^2 at C1 (t - t0).
 
-    The value always lies in [Z1, Z2]; Z(t0) = Z1 and the opposite
-    turning point Z2 is reached a half period later.
+    t is a float or a 1-d array; the result has the same form.  The
+    value always lies in [Z1, Z2]; Z(t0) = Z1 and the opposite turning
+    point Z2 is reached a half period later.
     """
-    sn, cn, _ = jacobi_sn_cn_dn(red.C1 * (t - t0), red.k1sq)
-    return red.Z2 * sn * sn + red.Z1 * cn * cn
+    return _like(t, _case1(red, t, t0)[0])
 
 
-def case1_dZdt(red: Case1Reduction, t: float, t0: float = 0.0) -> float:
+def case1_dZdt(red: Case1Reduction, t: Times, t0: float = 0.0) -> Times:
     """Time derivative of case1_Z: 2 C1 (Z2 - Z1) sn cn dn."""
-    sn, cn, dn = jacobi_sn_cn_dn(red.C1 * (t - t0), red.k1sq)
-    return 2.0 * red.C1 * (red.Z2 - red.Z1) * sn * cn * dn
+    return _like(t, _case1(red, t, t0)[1])
 
 
 def period_case1(red: Case1Reduction) -> float:
@@ -277,33 +279,26 @@ def period_case1(red: Case1Reduction) -> float:
     return 2.0 * complete_K(red.k1sq) / red.C1
 
 
-def case2_Z(red: Case2Reduction, t: float, t0: float = 0.0) -> float:
+def case2_Z(red: Case2Reduction, t: Times, t0: float = 0.0) -> Times:
     """Escaping vertical motion Z(t) = Z0 + sqrt(Z0^2+pZ0+q)(1-cn)/(1+cn).
 
+    t is a float or a 1-d array; the result has the same form.
     Z(t0) = Z0, Z >= Z0 always, and Z diverges where 1 + cn = 0.
 
     Raises
     ------
     AsymptoteProximityError
-        When C2 (t - t0) is within the guard band of 2K (mod 4K); the
-        nearest asymptote time is attached.
+        When any sample is guarded: its phase C2 (t - t0) lies within
+        ASYMPTOTE_GUARD of 2K (mod 4K), or its 1 + cn falls below
+        CN_DENOM_GUARD.  case2_series drops exactly these samples.  The
+        nearest asymptote time of the first guarded sample is attached.
     """
-    u = red.C2 * (t - t0)
-    _guard_case2(red, u, t0)
-    sn, cn, _ = jacobi_sn_cn_dn(u, red.k2sq)
-    _guard_denominator(red, u, cn, t0)
-    R = _case2_radius(red)
-    return red.Z0 + R * (1.0 - cn) / (1.0 + cn)
+    return _like(t, _case2_point(red, t, t0)[0])
 
 
-def case2_dZdt(red: Case2Reduction, t: float, t0: float = 0.0) -> float:
+def case2_dZdt(red: Case2Reduction, t: Times, t0: float = 0.0) -> Times:
     """Time derivative of case2_Z: 2 C2 R sn dn / (1 + cn)^2."""
-    u = red.C2 * (t - t0)
-    _guard_case2(red, u, t0)
-    sn, cn, dn = jacobi_sn_cn_dn(u, red.k2sq)
-    _guard_denominator(red, u, cn, t0)
-    R = _case2_radius(red)
-    return 2.0 * red.C2 * R * sn * dn / (1.0 + cn) ** 2
+    return _like(t, _case2_point(red, t, t0)[1])
 
 
 def asymptote_times(
@@ -438,13 +433,7 @@ def case1_series(
 ) -> TrajectorySeries:
     """Uniformly sampled case-1 path over [t_start, t_end]."""
     t = _sample_grid(t_start, t_end, n_samples)
-    Z = np.empty_like(t)
-    dZdt = np.empty_like(t)
-    span = red.Z2 - red.Z1
-    for i, ti in enumerate(t):
-        sn, cn, dn = jacobi_sn_cn_dn(red.C1 * (ti - t0), red.k1sq)
-        Z[i] = red.Z2 * sn * sn + red.Z1 * cn * cn
-        dZdt[i] = 2.0 * red.C1 * span * sn * cn * dn
+    Z, dZdt = _case1(red, t, t0)
     return assemble_xz(
         params,
         beta,
@@ -469,35 +458,13 @@ def case2_series(
     times intersecting the window are attached as metadata.
     """
     t = _sample_grid(t_start, t_end, n_samples)
-    quarter = complete_K(red.k2sq)
-    u = red.C2 * (t - t0)
-    dist = np.remainder(u - 2.0 * quarter, 4.0 * quarter)
-    dist = np.minimum(dist, 4.0 * quarter - dist)
-    keep = dist >= ASYMPTOTE_GUARD
+    keep, Z, dZdt = _case2(red, t, t0)
     if not np.any(keep):
         raise AsymptoteProximityError(
             "every requested sample sits inside the asymptote guard band"
         )
     t = t[keep]
-    R = _case2_radius(red)
-    t_kept: list[float] = []
-    Z_vals: list[float] = []
-    dZdt_vals: list[float] = []
-    for ti in t:
-        sn, cn, dn = jacobi_sn_cn_dn(red.C2 * (ti - t0), red.k2sq)
-        denom = 1.0 + cn
-        if denom < CN_DENOM_GUARD:
-            continue  # rounding put cn on the asymptote past the phase guard
-        t_kept.append(float(ti))
-        Z_vals.append(red.Z0 + R * (1.0 - cn) / denom)
-        dZdt_vals.append(2.0 * red.C2 * R * sn * dn / (denom * denom))
-    if not t_kept:
-        raise AsymptoteProximityError(
-            "every requested sample sits inside the asymptote guard band"
-        )
-    t = np.asarray(t_kept)
-    Z = np.asarray(Z_vals)
-    dZdt = np.asarray(dZdt_vals)
+    quarter = complete_K(red.k2sq)
     n_lo = math.floor((red.C2 * (t_start - t0) / quarter - 2.0) / 4.0)
     n_hi = math.ceil((red.C2 * (t_end - t0) / quarter - 2.0) / 4.0)
     marks = tuple(
@@ -532,30 +499,72 @@ def quadrature_x_check(params: WaveParams, series: TrajectorySeries) -> np.ndarr
     return x
 
 
-def _case2_radius(red: Case2Reduction) -> float:
-    return math.sqrt(red.Z0 * red.Z0 + red.p * red.Z0 + red.q)
+def _case1(
+    red: Case1Reduction, t: Times, t0: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Case-1 closed form (Z, dZdt) at every sample of t."""
+    sn, cn, dn = _sn_cn_dn(red.C1 * (np.atleast_1d(t) - t0), red.k1sq)
+    Z = red.Z2 * sn * sn + red.Z1 * cn * cn
+    dZdt = 2.0 * red.C1 * (red.Z2 - red.Z1) * sn * cn * dn
+    return Z, dZdt
 
 
-def _guard_case2(red: Case2Reduction, u: float, t0: float) -> None:
+def _case2(
+    red: Case2Reduction, t: Times, t0: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Case-2 closed form at the samples of t that pass the asymptote rule.
+
+    Returns (keep, Z, dZdt): keep marks those samples of t, and Z and
+    dZdt hold the values at them only.  A sample is guarded when its
+    phase distance to 2K (mod 4K) is below ASYMPTOTE_GUARD or its 1 + cn
+    is below CN_DENOM_GUARD.
+    """
     quarter = complete_K(red.k2sq)
-    dist = math.remainder(u - 2.0 * quarter, 4.0 * quarter)
-    if abs(dist) < ASYMPTOTE_GUARD:
-        raise AsymptoteProximityError(
-            f"case-2 evaluation within {abs(dist):.2e} of a vertical asymptote",
-            nearest_time=t0 + (u - dist) / red.C2,
-        )
+    u = red.C2 * (np.atleast_1d(t) - t0)
+    dist = np.remainder(u - 2.0 * quarter, 4.0 * quarter)
+    keep = np.minimum(dist, 4.0 * quarter - dist) >= ASYMPTOTE_GUARD
+    sn, cn, dn = _sn_cn_dn(u[keep], red.k2sq)
+    denom = 1.0 + cn
+    clear = ~(denom < CN_DENOM_GUARD)
+    keep[keep] = clear
+    sn, cn, dn, denom = sn[clear], cn[clear], dn[clear], denom[clear]
+    R = math.sqrt(red.Z0 * red.Z0 + red.p * red.Z0 + red.q)
+    Z = red.Z0 + R * (1.0 - cn) / denom
+    dZdt = 2.0 * red.C2 * R * sn * dn / (denom * denom)
+    return keep, Z, dZdt
 
 
-def _guard_denominator(
-    red: Case2Reduction, u: float, cn: float, t0: float
-) -> None:
-    if 1.0 + cn < CN_DENOM_GUARD:
-        quarter = complete_K(red.k2sq)
-        dist = math.remainder(u - 2.0 * quarter, 4.0 * quarter)
+def _case2_point(
+    red: Case2Reduction, t: Times, t0: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Z, dZdt) of _case2 at every sample of t, or the guard's error."""
+    keep, Z, dZdt = _case2(red, t, t0)
+    if not np.all(keep):
+        t_bad = float(np.atleast_1d(t)[np.argmin(keep)])
+        u = red.C2 * (t_bad - t0)
+        if not math.isfinite(u):
+            raise ParameterDomainError(f"case-2 phase must be finite, got {u}")
+        n = round((u / complete_K(red.k2sq) - 2.0) / 4.0)
         raise AsymptoteProximityError(
-            f"cn rounded onto the vertical asymptote (phase gap {abs(dist):.2e})",
-            nearest_time=t0 + (u - dist) / red.C2,
+            f"case-2 evaluation at t={t_bad} is inside the asymptote guard band",
+            nearest_time=asymptote_times(red, t0, (n,))[0],
         )
+    return Z, dZdt
+
+
+def _sn_cn_dn(u: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jacobi (sn, cn, dn) at every element of u, one kernel call each."""
+    # Three separate buffers and no tolist(): one freed 3n block or n
+    # boxed floats would leave the heap larger for the emitters that follow.
+    sn, cn, dn = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+    for i, ui in enumerate(u):
+        sn[i], cn[i], dn[i] = jacobi_sn_cn_dn(ui, m)
+    return sn, cn, dn
+
+
+def _like(t: Times, values: np.ndarray) -> Times:
+    """values as a float when t is a scalar, else as the array itself."""
+    return float(values[0]) if np.ndim(t) == 0 else values
 
 
 def _sample_grid(t_start: float, t_end: float, n_samples: int) -> np.ndarray:

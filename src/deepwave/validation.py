@@ -141,9 +141,7 @@ def _check_closed_form_vs_oracle(params: WaveParams, beta: float) -> CheckResult
         cfg = IntegratorConfig(t_start=0.0, t_end=2.0 * T, dt=T / 2000.0)
         ts = np.linspace(0.0, 2.0 * T, 1501)
         zs = integrate_truncated(coeffs, red.Z1, 0.0, cfg, sample_times=ts)
-        sup = max(
-            abs(case1_Z(red, float(t)) - z) for t, z in zip(zs.t, zs.Z)
-        )
+        sup = float(np.max(np.abs(case1_Z(red, zs.t) - zs.Z)))
         return CheckResult(
             "closed-form-vs-oracle",
             sup <= 1e-7,
@@ -160,9 +158,7 @@ def _check_closed_form_vs_oracle(params: WaveParams, beta: float) -> CheckResult
     )
     zs = integrate_truncated(coeffs, red.Z0, 0.0, cfg)
     mask = zs.t <= 0.8 * t_blow
-    sup = max(
-        abs(case2_Z(red, float(t)) - z) for t, z in zip(zs.t[mask], zs.Z[mask])
-    )
+    sup = float(np.max(np.abs(case2_Z(red, zs.t[mask]) - zs.Z[mask])))
     if zs.blowup_time is None:
         return CheckResult("closed-form-vs-oracle", False, "escape event not hit")
     rel = abs(zs.blowup_time - t_blow) / t_blow
@@ -327,11 +323,11 @@ def _check_corrupted_beta_guard(params: WaveParams, beta: float) -> CheckResult:
     if isinstance(red, Case1Reduction):
         T = period_case1(red)
         t = np.linspace(0.0, T, 64)
-        Z = np.array([case1_Z(red, float(ti)) for ti in t])
+        Z = case1_Z(red, t)
     else:
         t_blow = asymptote_times(red, 0.0, (0,))[0]
         t = np.linspace(0.0, 0.9 * t_blow, 64)
-        Z = np.array([case2_Z(red, float(ti)) for ti in t])
+        Z = case2_Z(red, t)
     zs = ZSeries(t=t, Z=Z)
     tripped = []
     for shift in (1.0, -1.0):

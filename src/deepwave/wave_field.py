@@ -100,26 +100,6 @@ class FieldSample:
     above_surface: bool
 
 
-def dispersion_speed(params: WaveParams) -> float:
-    """Phase speed of the wave.
-
-    Parameters
-    ----------
-    params : WaveParams
-
-    Returns
-    -------
-    float
-        direction * sqrt(g/k).  Longer waves travel faster.
-    """
-    return params.c
-
-
-def trajectory_constant(params: WaveParams) -> float:
-    """Constant A = a c k entering the particle velocity field."""
-    return params.A
-
-
 def phase(params: WaveParams, x: float, t: float) -> float:
     """Wave phase k(x - ct) reduced to [-pi, pi].
 

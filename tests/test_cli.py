@@ -89,6 +89,15 @@ class TestConfigResolution:
         assert code == 0, err
         assert json.loads(out_file.read_text())["metadata"]["n_samples"] == 800
 
+    def test_readme_library_example_runs_as_written(self):
+        text = README.read_text(encoding="utf-8")
+        block = re.search(r"```python\n(.*?)```", text, re.DOTALL).group(1)
+        namespace: dict = {}
+        exec(block, namespace)
+        series = namespace["series"]
+        assert series.t.size == 801
+        assert namespace["Z"].tobytes() == series.Z.tobytes()
+
     def test_readme_lists_every_error_code(self):
         text = README.read_text(encoding="utf-8")
         codes = {

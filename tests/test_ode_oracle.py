@@ -33,7 +33,12 @@ from deepwave import (
 )
 from deepwave import ode_oracle
 from deepwave.cli import _compute_series
-from deepwave.ode_oracle import EVENT_DT, MIN_ADAPTIVE_DT, _excluded_windows
+from deepwave.ode_oracle import (
+    EVENT_DT,
+    MIN_ADAPTIVE_DT,
+    SLIVER_FRACTION,
+    _excluded_windows,
+)
 from deepwave.scenario import build_scenario
 from deepwave.trajectories import asymptote_times, beta_from_initial
 from deepwave.validation import run_battery
@@ -75,6 +80,33 @@ def test_fixed_step_order_four(scenario_k1):
     )
     e_half = max(np.max(np.abs(half.X - ref.X)), np.max(np.abs(half.Z - ref.Z)))
     assert 12.0 <= e_coarse / e_half <= 20.0
+
+
+def test_frame_equivalence_run_has_no_sliver_step(scenario_k1):
+    """Ten periods at 4000 steps per period are 40 000 steps ending at t_end;
+    accumulated rounding of t += dt once added a 3.5e-12 sliver step."""
+    params, _ = scenario_k1
+    cfg = IntegratorConfig.for_wave(
+        params, 0.0, 10.0 * params.wave_period, steps_per_period=4000
+    )
+    series = integrate_moving_frame(params, math.pi / 3.0, 0.0, cfg)
+    assert series.t.size == 40001
+    assert series.t[-1] == cfg.t_end
+
+
+@given(
+    t_start=st.floats(-100.0, 100.0),
+    periods=st.floats(0.001, 10.0),
+    steps_per_period=st.integers(20, 200),
+)
+def test_fixed_steps_end_exactly_at_t_end(t_start, periods, steps_per_period):
+    params = WaveParams(k=1.0, a=0.1, g=9.8)
+    t_end = t_start + periods * params.wave_period
+    steps = math.ceil(periods * steps_per_period)
+    cfg = IntegratorConfig(t_start, t_end, dt=(t_end - t_start) / steps)
+    series = integrate_moving_frame(params, 0.5, -0.3, cfg)
+    assert series.t.size == steps + 1
+    assert series.t[-1] == t_end
 
 
 def test_adaptive_matches_fixed(scenario_k1):
@@ -300,6 +332,8 @@ def reference_integrate(rhs, y0, cfg, sample_times, event):
     adaptive = cfg.method == "rk45"
     while t < cfg.t_end:
         h_try = min(h, cfg.t_end - t)
+        if not adaptive and cfg.t_end - t < (1.0 + SLIVER_FRACTION) * h:
+            h_try = cfg.t_end - t
         if adaptive:
             step = reference_rkf45_step(rhs, t, y, h_try)
             if step is None:

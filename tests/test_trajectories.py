@@ -14,9 +14,12 @@ from deepwave import (
     Case1Reduction,
     Case2Reduction,
     ContractViolationError,
+    DeepwaveError,
     IntegratorConfig,
+    ParameterDomainError,
     PeakonParams,
     WaveParams,
+    assemble_xz,
     asymptote_times,
     beta_from_initial,
     build_cubic,
@@ -27,13 +30,22 @@ from deepwave import (
     case2_dZdt,
     case2_series,
     classify_roots,
+    complete_K,
     integrate_truncated,
+    jacobi_sn_cn_dn,
     peakon_path,
     peakon_residuals,
     peakon_series,
     period_case1,
 )
-from deepwave.trajectories import TrajectorySeries, ZSeries, quadrature_x_check
+from deepwave.trajectories import (
+    ASYMPTOTE_GUARD,
+    CN_DENOM_GUARD,
+    TrajectorySeries,
+    ZSeries,
+    _sample_grid,
+    quadrature_x_check,
+)
 
 times = st.floats(min_value=-50.0, max_value=50.0)
 
@@ -268,6 +280,17 @@ def test_case2_point_denominator_guard(red_k4):
     assert excinfo.value.nearest_time == pytest.approx(t1, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "t, t0", [(math.nan, 0.0), (math.inf, 0.0), (0.3, math.nan), (-math.inf, 0.0)]
+)
+def test_case2_rejects_non_finite_phase(red_k4, t, t0):
+    for form in (case2_Z, case2_dZdt):
+        with pytest.raises(ParameterDomainError):
+            form(red_k4, t, t0)
+        with pytest.raises(ParameterDomainError):
+            form(red_k4, np.array([0.1, t]), t0)
+
+
 def test_case2_series_conservation(scenario_k4, red_k4):
     params, beta = scenario_k4
     series = case2_series(params, red_k4, beta, 0.0, 0.3, 801)
@@ -425,3 +448,351 @@ def test_trajectory_series_rejects_unknown_tag():
 def test_zseries_requires_increasing_time():
     with pytest.raises(ContractViolationError):
         ZSeries(t=np.array([0.0, 0.0, 1.0]), Z=np.zeros(3))
+
+
+# ------------------------------------------- frozen per-sample reference
+# The scalar closed forms, their two asymptote guards and the per-sample
+# series loops that the array path replaced, kept as the definition of
+# the numbers it must reproduce.
+
+
+def reference_case1_Z(red, t, t0=0.0):
+    sn, cn, _ = jacobi_sn_cn_dn(red.C1 * (t - t0), red.k1sq)
+    return red.Z2 * sn * sn + red.Z1 * cn * cn
+
+
+def reference_case1_dZdt(red, t, t0=0.0):
+    sn, cn, dn = jacobi_sn_cn_dn(red.C1 * (t - t0), red.k1sq)
+    return 2.0 * red.C1 * (red.Z2 - red.Z1) * sn * cn * dn
+
+
+def reference_case2_Z(red, t, t0=0.0):
+    u = red.C2 * (t - t0)
+    reference_guard_case2(red, u, t0)
+    sn, cn, _ = jacobi_sn_cn_dn(u, red.k2sq)
+    reference_guard_denominator(red, u, cn, t0)
+    R = reference_radius(red)
+    return red.Z0 + R * (1.0 - cn) / (1.0 + cn)
+
+
+def reference_case2_dZdt(red, t, t0=0.0):
+    u = red.C2 * (t - t0)
+    reference_guard_case2(red, u, t0)
+    sn, cn, dn = jacobi_sn_cn_dn(u, red.k2sq)
+    reference_guard_denominator(red, u, cn, t0)
+    R = reference_radius(red)
+    return 2.0 * red.C2 * R * sn * dn / (1.0 + cn) ** 2
+
+
+def reference_radius(red):
+    return math.sqrt(red.Z0 * red.Z0 + red.p * red.Z0 + red.q)
+
+
+def reference_guard_case2(red, u, t0):
+    quarter = complete_K(red.k2sq)
+    dist = math.remainder(u - 2.0 * quarter, 4.0 * quarter)
+    if abs(dist) < ASYMPTOTE_GUARD:
+        raise AsymptoteProximityError(
+            f"case-2 evaluation within {abs(dist):.2e} of a vertical asymptote",
+            nearest_time=t0 + (u - dist) / red.C2,
+        )
+
+
+def reference_guard_denominator(red, u, cn, t0):
+    if 1.0 + cn < CN_DENOM_GUARD:
+        quarter = complete_K(red.k2sq)
+        dist = math.remainder(u - 2.0 * quarter, 4.0 * quarter)
+        raise AsymptoteProximityError(
+            f"cn rounded onto the vertical asymptote (phase gap {abs(dist):.2e})",
+            nearest_time=t0 + (u - dist) / red.C2,
+        )
+
+
+def reference_case1_series(params, red, beta, t_start, t_end, n_samples, t0=0.0):
+    t = _sample_grid(t_start, t_end, n_samples)
+    Z = np.empty_like(t)
+    dZdt = np.empty_like(t)
+    span = red.Z2 - red.Z1
+    for i, ti in enumerate(t):
+        sn, cn, dn = jacobi_sn_cn_dn(red.C1 * (ti - t0), red.k1sq)
+        Z[i] = red.Z2 * sn * sn + red.Z1 * cn * cn
+        dZdt[i] = 2.0 * red.C1 * span * sn * cn * dn
+    return assemble_xz(
+        params,
+        beta,
+        ZSeries(t=t, Z=Z, dZdt=dZdt),
+        case_tag="case1",
+        period=period_case1(red),
+    )
+
+
+def reference_case2_series(params, red, beta, t_start, t_end, n_samples, t0=0.0):
+    t = _sample_grid(t_start, t_end, n_samples)
+    quarter = complete_K(red.k2sq)
+    u = red.C2 * (t - t0)
+    dist = np.remainder(u - 2.0 * quarter, 4.0 * quarter)
+    dist = np.minimum(dist, 4.0 * quarter - dist)
+    keep = dist >= ASYMPTOTE_GUARD
+    if not np.any(keep):
+        raise AsymptoteProximityError(
+            "every requested sample sits inside the asymptote guard band"
+        )
+    t = t[keep]
+    R = reference_radius(red)
+    t_kept, Z_vals, dZdt_vals = [], [], []
+    for ti in t:
+        sn, cn, dn = jacobi_sn_cn_dn(red.C2 * (ti - t0), red.k2sq)
+        denom = 1.0 + cn
+        if denom < CN_DENOM_GUARD:
+            continue
+        t_kept.append(float(ti))
+        Z_vals.append(red.Z0 + R * (1.0 - cn) / denom)
+        dZdt_vals.append(2.0 * red.C2 * R * sn * dn / (denom * denom))
+    if not t_kept:
+        raise AsymptoteProximityError(
+            "every requested sample sits inside the asymptote guard band"
+        )
+    n_lo = math.floor((red.C2 * (t_start - t0) / quarter - 2.0) / 4.0)
+    n_hi = math.ceil((red.C2 * (t_end - t0) / quarter - 2.0) / 4.0)
+    marks = tuple(
+        ta
+        for ta in asymptote_times(red, t0, range(n_lo, n_hi + 1))
+        if t_start <= ta <= t_end
+    )
+    return assemble_xz(
+        params,
+        beta,
+        ZSeries(t=np.asarray(t_kept), Z=np.asarray(Z_vals), dZdt=np.asarray(dZdt_vals)),
+        case_tag="case2",
+        asymptote_times=marks,
+    )
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def series_outcome(fn, *args):
+    """The series fn(*args) returns, or the DeepwaveError it raises."""
+    try:
+        return fn(*args)
+    except DeepwaveError as exc:
+        return exc
+
+
+def assert_same_series(got, want):
+    if isinstance(want, DeepwaveError):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert isinstance(got, TrajectorySeries)
+    for name in ("t", "x", "z", "X", "Z", "dZdt"):
+        np.testing.assert_array_equal(
+            bits(getattr(got, name)), bits(getattr(want, name)), err_msg=name
+        )
+    assert got.case_tag == want.case_tag
+    assert got.period == want.period
+    if want.asymptote_times is None:
+        assert got.asymptote_times is None
+    else:
+        assert bits(got.asymptote_times).tolist() == bits(want.asymptote_times).tolist()
+
+
+def reduction_of(all_scenarios, label):
+    _, params, beta = next(s for s in all_scenarios if s[0] == label)
+    return params, beta, classify_roots(build_cubic(params, beta))
+
+
+def series_pair(red):
+    if isinstance(red, Case1Reduction):
+        return case1_series, reference_case1_series
+    return case2_series, reference_case2_series
+
+
+@pytest.mark.parametrize("label", ["k1", "k2", "k4"])
+def test_series_match_reference_bits(all_scenarios, label):
+    params, beta, red = reduction_of(all_scenarios, label)
+    new, old = series_pair(red)
+    args = (params, red, beta, -2.5, 7.5, 4001, 0.37)
+    assert_same_series(series_outcome(new, *args), series_outcome(old, *args))
+
+
+def test_case2_series_near_asymptote_match_reference(scenario_k4, red_k4):
+    params, beta = scenario_k4
+    t0 = 0.37
+    (t1,) = asymptote_times(red_k4, t0, [0])
+    args = (params, red_k4, beta, t1 - 1e-5, t1 + 1e-5, 2001, t0)
+    got = case2_series(*args)
+    assert 0 < got.t.size < 2001
+    assert_same_series(got, reference_case2_series(*args))
+    for half in (1e-8, 1e-11):
+        args = (params, red_k4, beta, t1 - half, t1 + half, 2001, t0)
+        with pytest.raises(AsymptoteProximityError):
+            case2_series(*args)
+        assert_same_series(
+            series_outcome(case2_series, *args),
+            series_outcome(reference_case2_series, *args),
+        )
+
+
+@given(
+    label=st.sampled_from(["k1", "k2", "k4"]),
+    t0=st.floats(-20.0, 20.0),
+    t_start=st.floats(-50.0, 50.0),
+    width=st.floats(1e-6, 30.0),
+    n=st.integers(2, 300),
+)
+def test_series_match_reference_sweep(all_scenarios, label, t0, t_start, width, n):
+    params, beta, red = reduction_of(all_scenarios, label)
+    new, old = series_pair(red)
+    args = (params, red, beta, t_start, t_start + width, n, t0)
+    assert_same_series(series_outcome(new, *args), series_outcome(old, *args))
+
+
+@given(
+    index=st.integers(-50, 50),
+    t0=st.floats(-20.0, 20.0),
+    offset=st.floats(-1e-6, 1e-6),
+    half=st.floats(1e-12, 1e-3),
+    n=st.integers(2, 300),
+)
+def test_case2_series_around_asymptotes_match_reference(
+    scenario_k4, red_k4, index, t0, offset, half, n
+):
+    params, beta = scenario_k4
+    (ta,) = asymptote_times(red_k4, t0, [index])
+    args = (params, red_k4, beta, ta + offset - half, ta + offset + half, n, t0)
+    assert_same_series(
+        series_outcome(case2_series, *args),
+        series_outcome(reference_case2_series, *args),
+    )
+
+
+def test_point_forms_match_reference_scalars(all_scenarios):
+    """Scalar calls agree with the old scalar forms: bit for bit, except
+    case2_dZdt, which squares 1 + cn by multiplication where the old form
+    raised it to the power 2 (two roundings apart at most)."""
+    rng = np.random.default_rng(5)
+    t0 = 0.37
+    for label in ("k1", "k2"):
+        _, _, red = reduction_of(all_scenarios, label)
+        for t in rng.uniform(-60.0, 60.0, 500).tolist():
+            assert bits(case1_Z(red, t, t0)) == bits(reference_case1_Z(red, t, t0))
+            assert bits(case1_dZdt(red, t, t0)) == bits(
+                reference_case1_dZdt(red, t, t0)
+            )
+    _, _, red = reduction_of(all_scenarios, "k4")
+    ts = rng.uniform(-60.0, 60.0, 500).tolist()
+    for ta in asymptote_times(red, t0, range(-3, 4)):
+        for gap in (0.0, 1e-13, 1e-11, 3e-9, 1e-7, 1e-5, 1e-3):
+            ts += [ta - gap, ta + gap]
+    for t in ts:
+        outcomes = []
+        for fn in (case2_Z, reference_case2_Z, case2_dZdt, reference_case2_dZdt):
+            try:
+                outcomes.append(fn(red, t, t0))
+            except AsymptoteProximityError as exc:
+                outcomes.append(exc)
+        Z, Z_ref, rate, rate_ref = outcomes
+        if isinstance(Z_ref, AsymptoteProximityError):
+            for exc in (Z, rate):
+                assert isinstance(exc, AsymptoteProximityError)
+                assert exc.nearest_time == pytest.approx(
+                    Z_ref.nearest_time, rel=1e-12
+                )
+            continue
+        assert bits(Z) == bits(Z_ref)
+        assert abs(rate - rate_ref) <= 4.0 * np.finfo(float).eps * abs(rate_ref)
+
+
+@pytest.mark.parametrize("label", ["k1", "k2", "k4"])
+def test_array_call_matches_elementwise_scalars(all_scenarios, label):
+    params, beta, red = reduction_of(all_scenarios, label)
+    if isinstance(red, Case1Reduction):
+        forms = (case1_Z, case1_dZdt)
+        ts = np.linspace(-40.0, 40.0, 801)
+    else:
+        forms = (case2_Z, case2_dZdt)
+        (t1,) = asymptote_times(red, 0.37, [0])
+        ts = np.linspace(-0.9 * t1, 0.9 * t1, 801)
+    for form in forms:
+        values = form(red, ts, 0.37)
+        assert isinstance(values, np.ndarray) and values.shape == ts.shape
+        scalars = [form(red, t, 0.37) for t in ts.tolist()]
+        assert all(type(v) is float for v in scalars)
+        assert bits(values).tolist() == bits(scalars).tolist()
+        assert type(form(red, np.float64(ts[3]), 0.37)) is float
+
+
+@pytest.mark.parametrize(
+    "half, n",
+    [(1e-5, 2001), (1e-5, 2000), (1e-3, 4001), (0.4, 1001), (0.4, 1000), (1e-8, 2001)],
+)
+def test_case2_array_raises_iff_series_drops(scenario_k4, red_k4, half, n):
+    params, beta = scenario_k4
+    t0 = -0.21
+    (t1,) = asymptote_times(red_k4, t0, [0])
+    ts = np.linspace(t1 - half, t1 + half, n)
+    series = series_outcome(
+        case2_series, params, red_k4, beta, t1 - half, t1 + half, n, t0
+    )
+    dropped = isinstance(series, DeepwaveError) or series.t.size < n
+    for form in (case2_Z, case2_dZdt):
+        if not dropped:
+            np.testing.assert_array_equal(
+                bits(form(red_k4, ts, t0)),
+                bits(series.Z if form is case2_Z else series.dZdt),
+            )
+            continue
+        with pytest.raises(AsymptoteProximityError) as err:
+            form(red_k4, ts, t0)
+        assert err.value.nearest_time == t1
+        if not isinstance(series, DeepwaveError):
+            assert t1 in series.asymptote_times
+
+
+def finite_or_deepwave_error(fn):
+    try:
+        value = fn()
+    except DeepwaveError:
+        return
+    if isinstance(value, TrajectorySeries):
+        arrays = [value.t, value.x, value.z, value.X, value.Z, value.dZdt]
+        arrays.append(np.asarray(value.asymptote_times or (), dtype=float))
+    else:
+        arrays = [np.asarray(value)]
+    for array in arrays:
+        assert np.all(np.isfinite(array))
+
+
+@given(
+    k=st.floats(0.05, 50.0),
+    a=st.floats(1e-3, 2.0),
+    direction=st.sampled_from([1, -1]),
+    beta=st.floats(-50.0, 50.0),
+    t0=st.floats(-1e9, 1e9),
+    t_start=st.floats(-1e9, 1e9),
+    width=st.floats(1e-6, 100.0),
+    n=st.integers(2, 64),
+)
+def test_closed_forms_finite_or_deepwave_error(
+    k, a, direction, beta, t0, t_start, width, n
+):
+    """Over wide waves, both cases and windows out to |t| = 1e9, every
+    closed form returns finite values or raises a DeepwaveError."""
+    params = WaveParams(k=k, a=a, g=9.8, direction=direction)
+    try:
+        red = classify_roots(build_cubic(params, beta))
+    except DeepwaveError:
+        return
+    if isinstance(red, Case1Reduction):
+        forms, series = (case1_Z, case1_dZdt), case1_series
+    else:
+        forms, series = (case2_Z, case2_dZdt), case2_series
+    t_end = t_start + width
+    ts = np.linspace(t_start, t_end, n)
+    for form in forms:
+        finite_or_deepwave_error(lambda: form(red, t_start, t0))
+        finite_or_deepwave_error(lambda: form(red, ts, t0))
+    finite_or_deepwave_error(
+        lambda: series(params, red, beta, t_start, t_end, n, t0)
+    )
