@@ -20,7 +20,7 @@ from .wave_field import (
     evaluate_field,
     phase,
 )
-from .special_functions import agm, complete_K, jacobi_sn_cn_dn
+from .special_functions import complete_K, jacobi_sn_cn_dn
 from .cubic_analysis import (
     Case1Reduction,
     Case2Reduction,
@@ -28,8 +28,6 @@ from .cubic_analysis import (
     build_cubic,
     classify_roots,
     discriminant,
-    reduce_case1,
-    reduce_case2,
 )
 from .trajectories import (
     BetaCandidates,
@@ -91,7 +89,6 @@ __all__ = [
     "TrajectorySeries",
     "WaveParams",
     "ZSeries",
-    "agm",
     "assemble_xz",
     "asymptote_times",
     "beta_from_initial",
@@ -116,8 +113,6 @@ __all__ = [
     "period_case1",
     "phase",
     "quadrature_x_check",
-    "reduce_case1",
-    "reduce_case2",
     "residual_full_Z_ode",
     "solve_stagnation",
     "stagnation_on_trajectory",

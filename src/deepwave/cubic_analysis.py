@@ -258,20 +258,3 @@ def classify_roots(coeffs: CubicCoeffs) -> CubicReduction:
     q = coeffs.a1 / coeffs.a3 + p * Z0
     return _case2_data(Z0, p, q, k_abs_A)
 
-
-def reduce_case1(
-    Z1: float, Z2: float, Z3: float, params: WaveParams
-) -> Case1Reduction:
-    """Legendre reduction data for three strictly ordered real roots.
-
-    Raises DegenerateRootsError unless Z1 < Z2 < Z3 strictly.
-    """
-    return _case1_data(Z1, Z2, Z3, params.k * abs(params.A))
-
-
-def reduce_case2(Z0: float, p: float, q: float, params: WaveParams) -> Case2Reduction:
-    """Legendre reduction data for one real root and a complex pair.
-
-    Raises ContractViolationError when p^2 - 4q >= 0 (misclassified input).
-    """
-    return _case2_data(Z0, p, q, params.k * abs(params.A))

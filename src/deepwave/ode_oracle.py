@@ -21,6 +21,7 @@ Three systems are wrapped:
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -300,6 +301,20 @@ def _excluded_windows(
     )
 
 
+@functools.cache
+def _unit_gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """200-node Gauss-Legendre nodes and weights mapped to [0, 1].
+
+    Built on first use, not at import: the eigenvalue solve behind
+    leggauss costs milliseconds.  Read-only, since every caller shares
+    the cached arrays.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(200)
+    u, w = 0.5 * (nodes + 1.0), 0.5 * weights
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
+
+
 def _time_to_infinity(coeffs: CubicCoeffs, Z_e: float, E0: float) -> float:
     """Remaining time from Z_e to the blow-up, integral of dZ/sqrt(P(Z)+E0).
 
@@ -307,9 +322,7 @@ def _time_to_infinity(coeffs: CubicCoeffs, Z_e: float, E0: float) -> float:
     with a finite integrand whose u -> 1 limit is 2/sqrt(a3); 200-node
     Gauss-Legendre quadrature then resolves it to well below 1e-6.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(200)
-    u = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
+    u, w = _unit_gauss_legendre()
     v = (u / (1.0 - u)) ** 2
     speed_sq = coeffs.evaluate(Z_e + v) + E0
     if np.any(speed_sq <= 0.0):
@@ -353,75 +366,84 @@ def _integrate(
     sample times (or the knots themselves when none are given) come out
     of a cubic Hermite evaluation.  The event callable marks forbidden
     states; the crossing is located by step bisection down to EVENT_DT
-    and the last good state is reported as the event state.
+    and the last good state is reported as the event state.  An
+    OverflowError from rhs (math.exp under a far too coarse step) ends
+    the run in StiffnessError at the last accepted state.
     """
     t = cfg.t_start
     a, b = a0, b0
-    fa, fb = rhs(t, a, b)
-    if not (math.isfinite(fa) and math.isfinite(fb)):
-        raise StiffnessError(
-            "right-hand side not finite at the initial state",
-            t_last=t,
-            state_last=(a, b),
-        )
-    knots_t, knots_a, knots_b, knots_fa, knots_fb = [t], [a], [b], [fa], [fb]
-    event_hit: tuple[float, float, float] | None = None
-
-    t_end = cfg.t_end
-    h = cfg.dt
-    adaptive = cfg.method == "rk45"
-    while t < t_end and event_hit is None:
-        h_try = min(h, t_end - t)
-        if not adaptive and t_end - t < (1.0 + SLIVER_FRACTION) * h:
-            h_try = t_end - t
-        if adaptive:
-            step = _rkf45_step(rhs, t, a, b, fa, fb, h_try)
-            if step is None:
-                h = 0.5 * h_try
-                if h < MIN_ADAPTIVE_DT * max(1.0, abs(t)):
-                    raise StiffnessError(
-                        "adaptive step size underflow", t_last=t, state_last=(a, b)
-                    )
-                continue
-            a_new, b_new, err_scale = step
-            tol = max(
-                cfg.abs_tol,
-                cfg.rel_tol * max(abs(a), abs(b), abs(a_new), abs(b_new)),
+    try:
+        fa, fb = rhs(t, a, b)
+        if not (math.isfinite(fa) and math.isfinite(fb)):
+            raise StiffnessError(
+                "right-hand side not finite at the initial state",
+                t_last=t,
+                state_last=(a, b),
             )
-            if err_scale > tol:
-                h = h_try * max(0.2, 0.9 * (tol / err_scale) ** 0.2)
-                if h < MIN_ADAPTIVE_DT * max(1.0, abs(t)):
-                    raise StiffnessError(
-                        "adaptive step size underflow", t_last=t, state_last=(a, b)
-                    )
-                continue
-            h = h_try * min(5.0, max(0.2, 0.9 * (tol / max(err_scale, 1e-300)) ** 0.2))
-        else:
-            a_new, b_new = _rk4_step(rhs, t, a, b, fa, fb, h_try)
+        knots_t, knots_a, knots_b, knots_fa, knots_fb = [t], [a], [b], [fa], [fb]
+        event_hit: tuple[float, float, float] | None = None
 
-        bad = not (math.isfinite(a_new) and math.isfinite(b_new))
-        if bad or (event is not None and event(a_new, b_new)):
-            if event is None:
-                raise StiffnessError(
-                    "state became non-finite", t_last=t, state_last=(a, b)
+        t_end = cfg.t_end
+        h = cfg.dt
+        adaptive = cfg.method == "rk45"
+        while t < t_end and event_hit is None:
+            h_try = min(h, t_end - t)
+            if not adaptive and t_end - t < (1.0 + SLIVER_FRACTION) * h:
+                h_try = t_end - t
+            if adaptive:
+                step = _rkf45_step(rhs, t, a, b, fa, fb, h_try)
+                if step is None:
+                    h = 0.5 * h_try
+                    if h < MIN_ADAPTIVE_DT * max(1.0, abs(t)):
+                        raise StiffnessError(
+                            "adaptive step size underflow", t_last=t, state_last=(a, b)
+                        )
+                    continue
+                a_new, b_new, err_scale = step
+                tol = max(
+                    cfg.abs_tol,
+                    cfg.rel_tol * max(abs(a), abs(b), abs(a_new), abs(b_new)),
                 )
-            t, a, b, fa, fb = _locate_event(rhs, t, a, b, fa, fb, h_try, event)
-            event_hit = (t, a, b)
-        else:
-            t += h_try
-            a = a_new
-            b = b_new
-            fa, fb = rhs(t, a, b)
-        knots_t.append(t)
-        knots_a.append(a)
-        knots_b.append(b)
-        knots_fa.append(fa)
-        knots_fb.append(fb)
+                if err_scale > tol:
+                    h = h_try * max(0.2, 0.9 * (tol / err_scale) ** 0.2)
+                    if h < MIN_ADAPTIVE_DT * max(1.0, abs(t)):
+                        raise StiffnessError(
+                            "adaptive step size underflow", t_last=t, state_last=(a, b)
+                        )
+                    continue
+                h = h_try * min(
+                    5.0, max(0.2, 0.9 * (tol / max(err_scale, 1e-300)) ** 0.2)
+                )
+            else:
+                a_new, b_new = _rk4_step(rhs, t, a, b, fa, fb, h_try)
 
-    knots = _Path(knots_t, knots_a, knots_b, knots_fa, knots_fb, event_hit)
-    if sample_times is None:
-        return knots
-    return _dense_output(rhs, knots, sample_times)
+            bad = not (math.isfinite(a_new) and math.isfinite(b_new))
+            if bad or (event is not None and event(a_new, b_new)):
+                if event is None:
+                    raise StiffnessError(
+                        "state became non-finite", t_last=t, state_last=(a, b)
+                    )
+                t, a, b, fa, fb = _locate_event(rhs, t, a, b, fa, fb, h_try, event)
+                event_hit = (t, a, b)
+            else:
+                t += h_try
+                a = a_new
+                b = b_new
+                fa, fb = rhs(t, a, b)
+            knots_t.append(t)
+            knots_a.append(a)
+            knots_b.append(b)
+            knots_fa.append(fa)
+            knots_fb.append(fb)
+
+        knots = _Path(knots_t, knots_a, knots_b, knots_fa, knots_fb, event_hit)
+        if sample_times is None:
+            return knots
+        return _dense_output(rhs, knots, sample_times)
+    except OverflowError as exc:
+        raise StiffnessError(
+            "right-hand side overflowed", t_last=t, state_last=(a, b)
+        ) from exc
 
 
 def _dense_output(rhs: RHS, knots: _Path, sample_times: Sequence[float]) -> _Path:

@@ -1,5 +1,5 @@
-"""Arithmetic-geometric mean, complete elliptic integral of the first
-kind, and the Jacobi elliptic functions sn, cn, dn.
+"""Complete elliptic integral of the first kind and the Jacobi elliptic
+functions sn, cn, dn, all from one descending Landen chain.
 
 Parameter convention
 --------------------
@@ -10,13 +10,15 @@ boundary avoids the usual m-versus-k confusion.
 
 Evaluation route
 ----------------
-complete_K uses K(m) = pi / (2 agm(1, sqrt(1-m))).  The Jacobi triple is
-computed through the descending Landen / AGM phase recursion for the
-amplitude function (DLMF 22.20(ii)), then sn = sin(am), cn = cos(am),
-and dn from the identity that is better conditioned at the current
-point.  The same recursion covers the whole domain 0 <= m < 1: at m = 0
-the scale chain is empty and am(u) = u, and near m = 1 the chain is a
-few levels longer, so there is no special case at either end.
+Each call builds the Landen scale chain of m once (DLMF 19.8(i)); its
+last arithmetic mean a_n is the AGM of 1 and sqrt(1-m), so
+K(m) = pi / (2 a_n).  The Jacobi triple is computed through the
+descending Landen phase recursion for the amplitude function
+(DLMF 22.20(ii)) over that chain, then sn = sin(am), cn = cos(am), and
+dn from the identity that is better conditioned at the current point.
+The same recursion covers the whole domain 0 <= m < 1: at m = 0 the
+chain has one level and am(u) = u, and near m = 1 the chain is a few
+levels longer, so there is no special case at either end.
 
 All functions are pure; there is no cache or other shared state.
 """
@@ -25,17 +27,17 @@ from __future__ import annotations
 
 import math
 
-from .errors import ParameterDomainError
+import numpy as np
 
-# AGM iteration stops when |a_n - b_n| <= AGM_RTOL * a_n.
-AGM_RTOL = 1e-15
+from .errors import ParameterDomainError
 
 # The Landen chain stops once c_n <= 2^-52 a_n: a_n and b_n then agree
 # to about one ulp, so a further level cannot change the phase.  A test
 # below one ulp can go unmet for some m and run the chain to its cap.
 _LANDEN_STOP = 2.0**-52
 
-_MAX_AGM_ITER = 64
+# Safety cap on the chain's length; 0 <= m < 1 needs at most 10 levels.
+_MAX_LANDEN_LEVELS = 64
 
 
 def _check_m(m: float) -> None:
@@ -43,31 +45,6 @@ def _check_m(m: float) -> None:
         raise ParameterDomainError(
             f"squared modulus m must satisfy 0 <= m < 1, got {m}"
         )
-
-
-def agm(a0: float, b0: float) -> float:
-    """Arithmetic-geometric mean of two positive numbers.
-
-    Parameters
-    ----------
-    a0, b0 : float
-        Strictly positive starting values.
-
-    Returns
-    -------
-    float
-        The common limit of a_{n+1} = (a_n + b_n)/2, b_{n+1} = sqrt(a_n b_n).
-    """
-    if not (a0 > 0.0 and math.isfinite(a0)) or not (b0 > 0.0 and math.isfinite(b0)):
-        raise ParameterDomainError(f"agm requires positive inputs, got ({a0}, {b0})")
-    a, b = float(a0), float(b0)
-    if b > a:
-        a, b = b, a
-    for _ in range(_MAX_AGM_ITER):
-        if abs(a - b) <= AGM_RTOL * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return 0.5 * (a + b)
 
 
 def complete_K(m: float) -> float:
@@ -82,20 +59,22 @@ def complete_K(m: float) -> float:
     -------
     float
         K(m) = integral of dphi / sqrt(1 - m sin^2 phi) over [0, pi/2],
-        evaluated as pi / (2 agm(1, sqrt(1-m))).  Strictly increasing
-        in m; K(0) = pi/2 exactly.
+        evaluated as pi / (2 a_n) from the Landen chain's last
+        arithmetic mean.  Strictly increasing in m; K(0) = pi/2 exactly.
     """
     _check_m(m)
-    return math.pi / (2.0 * agm(1.0, math.sqrt(1.0 - m)))
+    return math.pi / (2.0 * _landen_chain(m)[-1][0])
 
 
-def jacobi_sn_cn_dn(u: float, m: float) -> tuple[float, float, float]:
+def jacobi_sn_cn_dn(
+    u: float | np.ndarray, m: float
+) -> tuple[float, float, float] | tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Jacobi elliptic functions (sn, cn, dn) at argument u, parameter m.
 
     Parameters
     ----------
-    u : float
-        Real argument.  Arguments beyond one full period are reduced
+    u : float or 1-d array
+        Real argument(s).  Arguments beyond one full period are reduced
         modulo 4K(m) before the recursion.  The reduction keeps the
         recursion's argument small but not the phase exact: the
         rounding of u and of 4K(m), carried over |u|/4K(m) periods,
@@ -106,18 +85,40 @@ def jacobi_sn_cn_dn(u: float, m: float) -> tuple[float, float, float]:
 
     Returns
     -------
-    (float, float, float)
-        (sn, cn, dn).  sn and cn lie in [-1, 1], dn in [sqrt(1-m), 1].
+    (sn, cn, dn)
+        Three floats for a scalar u, three arrays shaped like u for an
+        array.  sn and cn lie in [-1, 1], dn in [sqrt(1-m), 1].  Every
+        element gets the same bits as a scalar call at that element.
+
+    Raises
+    ------
+    ParameterDomainError
+        When m lies outside [0, 1) or any element of u is not finite.
     """
     _check_m(m)
+    chain = _landen_chain(m)
+    period = 4.0 * (math.pi / (2.0 * chain[-1][0]))  # 4K(m)
+    # isinstance, not np.ndim: np.ndim on a float costs about 1 us.
+    if not (isinstance(u, np.ndarray) and u.ndim):
+        return _sn_cn_dn(float(u), m, chain, period)
+    u = np.asarray(u, dtype=float)
+    # Three separate buffers and no tolist(): one freed 3n block or n
+    # boxed floats would leave the heap larger for the emitters that follow.
+    sn, cn, dn = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+    for i, ui in enumerate(u):
+        sn[i], cn[i], dn[i] = _sn_cn_dn(float(ui), m, chain, period)
+    return sn, cn, dn
+
+
+def _sn_cn_dn(
+    u: float, m: float, chain: list[tuple[float, float]], period: float
+) -> tuple[float, float, float]:
+    """The Landen phase recursion at one argument u for a built chain."""
     if not math.isfinite(u):
         raise ParameterDomainError(f"argument u must be finite, got {u}")
+    if abs(u) > period:
+        u = math.remainder(u, period)
 
-    quarter = complete_K(m)
-    if abs(u) > 4.0 * quarter:
-        u = math.remainder(u, 4.0 * quarter)
-
-    chain = _landen_chain(m)
     phi = math.ldexp(chain[-1][0] * u, len(chain) - 1)  # 2^n a_n u
     for a, c in reversed(chain[1:]):
         s = c / a * math.sin(phi)
@@ -142,11 +143,12 @@ def _landen_chain(m: float) -> list[tuple[float, float]]:
     arithmetic mean a, the geometric mean b and the half difference c of
     the level before, and the chain ends at the first level with
     c_n <= 2^-52 a_n: at most 10 entries over 0 <= m < 1, the longest
-    next to m = 1.
+    next to m = 1.  a_n is then the arithmetic-geometric mean of 1 and
+    sqrt(1-m).
     """
     a, b, c = 1.0, math.sqrt(1.0 - m), math.sqrt(m)
     chain = [(a, c)]
-    while c > _LANDEN_STOP * a and len(chain) <= _MAX_AGM_ITER:
+    while c > _LANDEN_STOP * a and len(chain) <= _MAX_LANDEN_LEVELS:
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
         chain.append((a, c))
     return chain

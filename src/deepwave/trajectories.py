@@ -503,7 +503,7 @@ def _case1(
     red: Case1Reduction, t: Times, t0: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Case-1 closed form (Z, dZdt) at every sample of t."""
-    sn, cn, dn = _sn_cn_dn(red.C1 * (np.atleast_1d(t) - t0), red.k1sq)
+    sn, cn, dn = jacobi_sn_cn_dn(red.C1 * (np.atleast_1d(t) - t0), red.k1sq)
     Z = red.Z2 * sn * sn + red.Z1 * cn * cn
     dZdt = 2.0 * red.C1 * (red.Z2 - red.Z1) * sn * cn * dn
     return Z, dZdt
@@ -523,7 +523,7 @@ def _case2(
     u = red.C2 * (np.atleast_1d(t) - t0)
     dist = np.remainder(u - 2.0 * quarter, 4.0 * quarter)
     keep = np.minimum(dist, 4.0 * quarter - dist) >= ASYMPTOTE_GUARD
-    sn, cn, dn = _sn_cn_dn(u[keep], red.k2sq)
+    sn, cn, dn = jacobi_sn_cn_dn(u[keep], red.k2sq)
     denom = 1.0 + cn
     clear = ~(denom < CN_DENOM_GUARD)
     keep[keep] = clear
@@ -550,16 +550,6 @@ def _case2_point(
             nearest_time=asymptote_times(red, t0, (n,))[0],
         )
     return Z, dZdt
-
-
-def _sn_cn_dn(u: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Jacobi (sn, cn, dn) at every element of u, one kernel call each."""
-    # Three separate buffers and no tolist(): one freed 3n block or n
-    # boxed floats would leave the heap larger for the emitters that follow.
-    sn, cn, dn = np.empty_like(u), np.empty_like(u), np.empty_like(u)
-    for i, ui in enumerate(u):
-        sn[i], cn[i], dn[i] = jacobi_sn_cn_dn(ui, m)
-    return sn, cn, dn
 
 
 def _like(t: Times, values: np.ndarray) -> Times:

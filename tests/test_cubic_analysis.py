@@ -20,7 +20,7 @@ from deepwave import (
     complete_K,
     discriminant,
 )
-from deepwave.cubic_analysis import reduce_case1, reduce_case2
+from deepwave.cubic_analysis import _case1_data, _case2_data
 from deepwave.errors import ContractViolationError
 
 
@@ -264,11 +264,11 @@ def test_case2_reduction_shape(scenario_k4):
 def test_reduce_case1_rejects_unordered_roots():
     params = WaveParams(k=1.0, a=0.1, g=9.8)
     with pytest.raises(DegenerateRootsError):
-        reduce_case1(1.0, 1.0, 2.0, params)
+        _case1_data(1.0, 1.0, 2.0, params.k * abs(params.A))
 
 
 def test_reduce_case2_rejects_real_quadratic():
     params = WaveParams(k=1.0, a=0.1, g=9.8)
     # p^2 - 4q >= 0 means the "complex pair" is actually real.
     with pytest.raises(ContractViolationError):
-        reduce_case2(0.5, -3.0, 2.0, params)
+        _case2_data(0.5, -3.0, 2.0, params.k * abs(params.A))

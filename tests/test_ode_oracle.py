@@ -205,6 +205,50 @@ def test_nan_initial_state_raises_stiffness(scenario_k1):
         integrate_truncated(coeffs, math.nan, 0.0, IntegratorConfig(0.0, 1.0, dt=1e-3))
 
 
+@pytest.mark.parametrize("integrate", [integrate_full, integrate_moving_frame])
+@pytest.mark.parametrize(
+    ("method", "dt", "t_last"),
+    [("rk4", 50.0, 0.0), ("rk45", 50.0, 0.0), ("rk4", 20.0, 20.0), ("rk45", 20.0, 0.0)],
+)
+def test_overflowing_step_raises_stiffness(integrate, method, dt, t_last):
+    """A step far too coarse for the wave overflows exp(kz) in the
+    right-hand side: StiffnessError at the last accepted state, never a
+    raw OverflowError."""
+    params = WaveParams(k=1.0, a=0.1, g=9.8)
+    cfg = IntegratorConfig(0.0, 100.0, dt=dt, method=method)
+    with pytest.raises(StiffnessError) as info:
+        integrate(params, 0.5, -0.3, cfg)
+    assert info.value.t_last == t_last
+    assert all(math.isfinite(v) for v in info.value.state_last)
+    if t_last == 0.0:
+        assert info.value.state_last == (0.5, -0.3)
+
+
+@pytest.mark.parametrize("integrate", [integrate_full, integrate_moving_frame])
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_overflowing_initial_state_raises_stiffness(integrate, method):
+    params = WaveParams(k=1.0, a=0.1, g=9.8)
+    cfg = IntegratorConfig(0.0, 1.0, dt=0.1, method=method)
+    with pytest.raises(StiffnessError) as info:
+        integrate(params, 0.0, 800.0, cfg)
+    assert (info.value.t_last, info.value.state_last) == (0.0, (0.0, 800.0))
+
+
+def test_gauss_legendre_rule_built_once(scenario_k4):
+    params, beta = scenario_k4
+    coeffs = build_cubic(params, beta)
+    red = classify_roots(coeffs)
+    cfg = IntegratorConfig(0.0, 3.0, dt=1e-3, method="rk45")
+    ode_oracle._unit_gauss_legendre.cache_clear()
+    blowups = [integrate_truncated(coeffs, red.Z0, 0.0, cfg).blowup_time for _ in "ab"]
+    assert blowups[0] is not None and blowups[0] == blowups[1]
+    assert ode_oracle._unit_gauss_legendre.cache_info().misses == 1
+    nodes, weights = np.polynomial.legendre.leggauss(200)
+    u, w = ode_oracle._unit_gauss_legendre()
+    assert np.array_equal(u, 0.5 * (nodes + 1.0))
+    assert np.array_equal(w, 0.5 * weights)
+
+
 def test_dense_output_contracts(scenario_k1):
     params, _ = scenario_k1
     cfg = IntegratorConfig.for_wave(params, 0.0, 2.0, steps_per_period=200)

@@ -11,7 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from deepwave import ParameterDomainError, complete_K, jacobi_sn_cn_dn
-from deepwave.special_functions import _landen_chain, agm
+from deepwave import special_functions
+from deepwave.special_functions import _landen_chain
 
 modulus_sq = st.floats(min_value=1e-10, max_value=1.0 - 1e-10)
 argument = st.floats(min_value=-30.0, max_value=30.0)
@@ -58,23 +59,6 @@ def test_K_monotone_and_divergent():
 def test_K_domain(m):
     with pytest.raises(ParameterDomainError):
         complete_K(m)
-
-
-@given(
-    a=st.floats(min_value=1e-6, max_value=1e6),
-    b=st.floats(min_value=1e-6, max_value=1e6),
-)
-def test_agm_bounds(a, b):
-    m = agm(a, b)
-    lo, hi = min(a, b), max(a, b)
-    assert lo * (1.0 - 1e-14) <= m <= hi * (1.0 + 1e-14)
-    assert m == pytest.approx(agm(b, a), rel=1e-15)
-
-
-def test_agm_known_value():
-    # Gauss's constant: agm(1, sqrt(2)) = sqrt(2) pi / (2 K(1/2)).
-    ref = float(mpmath.agm(1, mpmath.sqrt(2)))
-    assert agm(1.0, math.sqrt(2.0)) == pytest.approx(ref, rel=1e-15)
 
 
 @given(u=argument, m=modulus_sq)
@@ -193,3 +177,171 @@ def test_jacobi_derivatives(u, m):
     assert (sn_p - sn_m) / (2.0 * h) == pytest.approx(cn * dn, abs=1e-6)
     assert (cn_p - cn_m) / (2.0 * h) == pytest.approx(-sn * dn, abs=1e-6)
     assert (dn_p - dn_m) / (2.0 * h) == pytest.approx(-m * sn * cn, abs=1e-6)
+
+
+# Frozen copy of the two-recursion kernel this module had before
+# complete_K came from the Landen chain: an AGM loop for K(m), then a
+# second, separate Landen chain for the phase.  The kernel must keep
+# returning exactly these bits.
+_REF_AGM_RTOL = 1e-15
+_REF_LANDEN_STOP = 2.0**-52
+_REF_MAX_ITER = 64
+
+
+def _ref_agm(a0: float, b0: float) -> float:
+    a, b = float(a0), float(b0)
+    if b > a:
+        a, b = b, a
+    for _ in range(_REF_MAX_ITER):
+        if abs(a - b) <= _REF_AGM_RTOL * a:
+            break
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return 0.5 * (a + b)
+
+
+def _ref_complete_K(m: float) -> float:
+    return math.pi / (2.0 * _ref_agm(1.0, math.sqrt(1.0 - m)))
+
+
+def _ref_landen_chain(m: float) -> list[tuple[float, float]]:
+    a, b, c = 1.0, math.sqrt(1.0 - m), math.sqrt(m)
+    chain = [(a, c)]
+    while c > _REF_LANDEN_STOP * a and len(chain) <= _REF_MAX_ITER:
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        chain.append((a, c))
+    return chain
+
+
+def _ref_jacobi(u: float, m: float) -> tuple[float, float, float]:
+    quarter = _ref_complete_K(m)
+    if abs(u) > 4.0 * quarter:
+        u = math.remainder(u, 4.0 * quarter)
+    chain = _ref_landen_chain(m)
+    phi = math.ldexp(chain[-1][0] * u, len(chain) - 1)
+    for a, c in reversed(chain[1:]):
+        s = c / a * math.sin(phi)
+        s = max(-1.0, min(1.0, s))
+        phi = 0.5 * (phi + math.asin(s))
+    sn = math.sin(phi)
+    cn = math.cos(phi)
+    sn2 = sn * sn
+    if sn2 <= 0.5:
+        dn = math.sqrt(1.0 - m * sn2)
+    else:
+        dn = math.sqrt((1.0 - m) + m * cn * cn)
+    return sn, cn, dn
+
+
+def _bits(values) -> list[int]:
+    """IEEE bit patterns, so -0.0 and 0.0 count as different."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+# EDGE_M plus the smallest subnormal and the largest double below 1.
+FROZEN_M = EDGE_M + (5e-324, 1.0 - 2.0**-53)
+unit_m = st.one_of(
+    st.sampled_from(FROZEN_M),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    st.floats(min_value=1e-300, max_value=1e-3),
+    st.floats(min_value=1e-16, max_value=1e-3).map(lambda d: 1.0 - d),
+)
+wide_u = st.one_of(
+    st.floats(min_value=-60.0, max_value=60.0),
+    st.floats(min_value=-1e6, max_value=1e6),
+)
+
+
+@pytest.mark.parametrize("m", FROZEN_M)
+def test_K_matches_two_agm_reference_at_edges(m):
+    assert complete_K(m) == _ref_complete_K(m)
+
+
+@given(m=unit_m)
+def test_K_matches_two_agm_reference(m):
+    assert complete_K(m) == _ref_complete_K(m)
+
+
+@pytest.mark.parametrize("m", FROZEN_M)
+@pytest.mark.parametrize(
+    "u", [0.0, -0.0, 0.3, -0.3, 7.5, -31.0, 250.5, -987654.321, 1e6, -1e6]
+)
+def test_jacobi_matches_two_agm_reference_at_edges(u, m):
+    assert _bits(jacobi_sn_cn_dn(u, m)) == _bits(_ref_jacobi(u, m))
+
+
+@given(u=wide_u, m=unit_m)
+def test_jacobi_matches_two_agm_reference(u, m):
+    """Bits unchanged over both ends of m, |u| > 4K, negative u and
+    |u| up to 1e6."""
+    assert _bits(jacobi_sn_cn_dn(u, m)) == _bits(_ref_jacobi(u, m))
+
+
+@pytest.mark.parametrize("m", FROZEN_M)
+def test_jacobi_array_matches_two_agm_reference_on_a_grid(m):
+    """Both dn identities, and arguments with and without reduction,
+    over three periods either side of zero."""
+    period = 4.0 * _ref_complete_K(m)
+    u = np.linspace(-3.0 * period, 3.0 * period, 2001)
+    got = jacobi_sn_cn_dn(u, m)
+    want = [_ref_jacobi(float(x), m) for x in u]
+    for i in range(3):
+        assert _bits(got[i]) == _bits([w[i] for w in want])
+
+
+@given(us=st.lists(wide_u, max_size=40), m=unit_m)
+def test_jacobi_array_equals_scalar_calls(us, m):
+    sn, cn, dn = jacobi_sn_cn_dn(np.array(us, dtype=float), m)
+    assert sn.shape == cn.shape == dn.shape == (len(us),)
+    scalar = [jacobi_sn_cn_dn(u, m) for u in us]
+    assert _bits(sn) == _bits([s for s, _, _ in scalar])
+    assert _bits(cn) == _bits([c for _, c, _ in scalar])
+    assert _bits(dn) == _bits([d for _, _, d in scalar])
+
+
+@pytest.mark.parametrize("u", [0.7, -3, np.float64(12.5), np.array(1e6)])
+def test_jacobi_scalar_returns_floats(u):
+    got = jacobi_sn_cn_dn(u, 0.5)
+    assert len(got) == 3
+    assert all(type(value) is float for value in got)
+    assert _bits(got) == _bits(_ref_jacobi(float(u), 0.5))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 3, 7])
+def test_jacobi_array_rejects_one_non_finite_element(bad, where):
+    u = np.linspace(-5.0, 5.0, 8)
+    u[where] = bad
+    with pytest.raises(ParameterDomainError):
+        jacobi_sn_cn_dn(u, 0.5)
+
+
+@pytest.mark.parametrize("u", [math.nan, math.inf])
+def test_jacobi_scalar_rejects_non_finite(u):
+    with pytest.raises(ParameterDomainError):
+        jacobi_sn_cn_dn(u, 0.5)
+
+
+def test_jacobi_empty_array():
+    got = jacobi_sn_cn_dn(np.array([]), 0.5)
+    assert [value.shape for value in got] == [(0,)] * 3
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: complete_K(0.9525930951624224),
+        lambda: jacobi_sn_cn_dn(31.0, 0.9525930951624224),
+        lambda: jacobi_sn_cn_dn(np.linspace(-1e3, 1e3, 500), 1.0 - 5e-13),
+        lambda: jacobi_sn_cn_dn(np.array([]), 0.25),
+    ],
+)
+def test_one_landen_chain_per_call(call, monkeypatch):
+    built = []
+
+    def spy(m):
+        built.append(m)
+        return _landen_chain(m)
+
+    monkeypatch.setattr(special_functions, "_landen_chain", spy)
+    call()
+    assert len(built) == 1
