@@ -114,7 +114,7 @@ def _scenario_options(*names: str):
             "--z-max", type=float, default=None, help="Search window upper edge (Z)."
         ),
         "grid": click.option(
-            "--grid", type=int, default=None, help="Search grid size (>= 1000)."
+            "--grid", type=int, default=None, help="Echoed only; must be >= 1000."
         ),
         "x": click.option("--x", type=float, default=None, help="Evaluation x."),
         "z": click.option("--z", type=float, default=None, help="Evaluation z."),

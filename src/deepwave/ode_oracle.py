@@ -367,8 +367,9 @@ def _integrate(
     of a cubic Hermite evaluation.  The event callable marks forbidden
     states; the crossing is located by step bisection down to EVENT_DT
     and the last good state is reported as the event state.  An
-    OverflowError from rhs (math.exp under a far too coarse step) ends
-    the run in StiffnessError at the last accepted state.
+    OverflowError from rhs (math.exp under a far too coarse step)
+    rejects an adaptive trial step, which is then halved; anywhere else
+    it ends the run in StiffnessError at the last accepted state.
     """
     t = cfg.t_start
     a, b = a0, b0
@@ -391,7 +392,10 @@ def _integrate(
             if not adaptive and t_end - t < (1.0 + SLIVER_FRACTION) * h:
                 h_try = t_end - t
             if adaptive:
-                step = _rkf45_step(rhs, t, a, b, fa, fb, h_try)
+                try:
+                    step = _rkf45_step(rhs, t, a, b, fa, fb, h_try)
+                except OverflowError:
+                    step = None  # rejected and halved like a non-finite trial
                 if step is None:
                     h = 0.5 * h_try
                     if h < MIN_ADAPTIVE_DT * max(1.0, abs(t)):

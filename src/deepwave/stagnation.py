@@ -16,11 +16,11 @@ plus branch is strictly increasing, so it carries at most one root
 while the minus branch carries at most two: never more than three
 stagnation levels in total (the roles swap for direction = -1).
 
-Each branch is scanned on a uniform grid, sign changes are polished by
-a bisection-Newton hybrid, and a missed double root is recovered from
-the branch's analytic minimum: f is convex with f'' = k|A| e^Z, so the
-only critical point is Z_c = log(-sigma c / |A|) when it exists, and
-|f(Z_c)| <= 1e-8 with f'(Z_c) = 0 flags a tangency.
+Convexity (f'' = k|A| e^Z > 0) brackets the roots: a branch's only
+critical point, Z_c = log(-sigma c / |A|) when sigma c < 0, splits the
+window into at most two monotone pieces holding at most one root each,
+polished by a bisection-Newton hybrid (a root on Z_c counts once).
+0 < |f(Z_c)| <= 1e-8 flags a tangency: a double or unresolvable pair.
 """
 
 from __future__ import annotations
@@ -30,20 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ContractViolationError,
-    EmptyReportError,
-    ParameterDomainError,
-)
+from .errors import ContractViolationError, EmptyReportError, ParameterDomainError
 from .trajectories import TrajectorySeries
 from .wave_field import WaveParams
 
-# Grid windows extending beyond this would overflow exp().
+# Windows extending beyond this would overflow exp().
 Z_OVERFLOW = 700.0
 
 RESIDUAL_RTOL = 1e-10
 TANGENCY_TOL = 1e-8
-DEDUPE_TOL = 1e-9
 
 # Placement of a stagnation level relative to a sampled trajectory.
 ON_TRAJECTORY = "on-trajectory"
@@ -56,9 +51,11 @@ class StagnationSolution:
     """One stagnation level Z_star.
 
     branch is "plus" or "minus" (see module docstring); residual is
-    |k|A| e^{Z*} - |k c Z* - beta||; tangency marks a double root found
-    at the branch minimum rather than by a sign change, in which case
-    the residual bound of regular roots does not apply.
+    |k|A| e^{Z*} - |k c Z* - beta||.  tangency marks a branch minimum
+    Z_c with 0 < |f(Z_c)| <= TANGENCY_TOL: a double root, or a pair too
+    close to resolve, reported at Z_c whether or not the pair's plain
+    roots are also reported; the residual bound of plain roots does not
+    apply to it.
     """
 
     Z_star: float
@@ -91,6 +88,9 @@ def solve_stagnation(
 ) -> StagnationReport:
     """All stagnation levels in [Z_min, Z_max].
 
+    grid is validated and echoed as StagnationReport.grid_size; the
+    analytic bracketing does not use it.
+
     Raises
     ------
     ParameterDomainError
@@ -113,28 +113,18 @@ def solve_stagnation(
 
     kA = params.k * abs(params.A)
     kc = params.k * params.c
-    Zg = np.linspace(Z_min, Z_max, grid)
-    env = kA * np.exp(Zg)
-
-    solutions: list[StagnationSolution] = []
-    for sigma, branch in ((1.0, "plus"), (-1.0, "minus")):
-        fg = env + sigma * (kc * Zg - beta)
-        solutions.extend(
-            _branch_roots(Zg, fg, kA, kc, beta, sigma, branch)
-        )
-
-    solutions.sort(key=lambda s: s.Z_star)
-    deduped: list[StagnationSolution] = []
-    for sol in solutions:
-        if deduped and abs(sol.Z_star - deduped[-1].Z_star) <= DEDUPE_TOL:
-            continue
-        deduped.append(sol)
-    if not deduped:
+    if kA == 0.0:
+        raise ParameterDomainError(f"k|A| underflows to 0 for {params}")
+    solutions = []
+    for sigma in (1.0, -1.0):
+        solutions.extend(_branch_roots(kA, kc, beta, sigma, Z_min, Z_max))
+    if not solutions:
         raise EmptyReportError(
             f"no stagnation level in [{Z_min}, {Z_max}] for beta={beta}"
         )
+    solutions.sort(key=lambda s: s.Z_star)
     return StagnationReport(
-        solutions=tuple(deduped),
+        solutions=tuple(solutions),
         search_interval=(Z_min, Z_max),
         grid_size=grid,
     )
@@ -168,56 +158,41 @@ def stagnation_on_trajectory(
 
 
 def _branch_roots(
-    Zg: np.ndarray,
-    fg: np.ndarray,
-    kA: float,
-    kc: float,
-    beta: float,
-    sigma: float,
-    branch: str,
+    kA: float, kc: float, beta: float, sigma: float, Z_min: float, Z_max: float
 ) -> list[StagnationSolution]:
+    branch = "plus" if sigma > 0.0 else "minus"
+
     def f(Z: float) -> float:
         return kA * math.exp(Z) + sigma * (kc * Z - beta)
 
     def fprime(Z: float) -> float:
         return kA * math.exp(Z) + sigma * kc
 
-    roots: list[float] = []
-    for i in np.flatnonzero(np.sign(fg[:-1]) * np.sign(fg[1:]) <= 0.0):
-        lo = float(Zg[i])
-        hi = float(Zg[i + 1])
-        if fg[i] == 0.0 and fg[i + 1] == 0.0:
-            continue  # flat stretch, impossible for a convex branch
-        if fg[i + 1] == 0.0 and i + 2 < Zg.size:
-            continue  # counted by the next interval
-        roots.append(_refine(f, fprime, lo, hi))
+    # The monotone pieces of this convex branch, split at its critical point.
+    ends = [Z_min, Z_max]
+    Zc = math.log(-sigma * kc / kA) if sigma * kc < 0.0 else math.nan
+    if Z_min <= Zc <= Z_max:
+        ends.insert(1, Zc)
+    values = [f(Z) for Z in ends]
 
     out = []
-    for Z_star in roots:
+    for i in range(len(ends) - 1):
+        flo, fhi = values[i], values[i + 1]
+        if min(flo, fhi) > 0.0 or max(flo, fhi) < 0.0:
+            continue  # no sign change on this piece
+        if i > 0 and flo == 0.0:
+            continue  # a root on Z_c, counted by the first piece
+        Z_star = _refine(f, fprime, ends[i], ends[i + 1])
         residual = _residual(kA, kc, beta, Z_star)
         if residual > RESIDUAL_RTOL * max(kA * math.exp(Z_star), 1.0):
             raise ContractViolationError(
                 f"stagnation root at Z={Z_star} kept residual {residual:.3e}"
             )
-        out.append(
-            StagnationSolution(
-                Z_star=Z_star, branch=branch, residual=residual, tangency=False
-            )
-        )
+        out.append(StagnationSolution(Z_star, branch, residual))
 
-    # Tangency sweep: the unique critical point of this convex branch.
-    if sigma * kc < 0.0:
-        Zc = math.log(-sigma * kc / kA)
-        if Zg[0] <= Zc <= Zg[-1] and abs(f(Zc)) <= TANGENCY_TOL:
-            if all(abs(Zc - r) > 1e-6 for r in roots):
-                out.append(
-                    StagnationSolution(
-                        Z_star=Zc,
-                        branch=branch,
-                        residual=_residual(kA, kc, beta, Zc),
-                        tangency=True,
-                    )
-                )
+    if len(ends) == 3 and 0.0 < abs(values[1]) <= TANGENCY_TOL:
+        residual = _residual(kA, kc, beta, Zc)
+        out.append(StagnationSolution(Zc, branch, residual, tangency=True))
     return out
 
 

@@ -207,11 +207,10 @@ def test_nan_initial_state_raises_stiffness(scenario_k1):
 
 @pytest.mark.parametrize("integrate", [integrate_full, integrate_moving_frame])
 @pytest.mark.parametrize(
-    ("method", "dt", "t_last"),
-    [("rk4", 50.0, 0.0), ("rk45", 50.0, 0.0), ("rk4", 20.0, 20.0), ("rk45", 20.0, 0.0)],
+    ("method", "dt", "t_last"), [("rk4", 50.0, 0.0), ("rk4", 20.0, 20.0)]
 )
 def test_overflowing_step_raises_stiffness(integrate, method, dt, t_last):
-    """A step far too coarse for the wave overflows exp(kz) in the
+    """A fixed step far too coarse for the wave overflows exp(kz) in the
     right-hand side: StiffnessError at the last accepted state, never a
     raw OverflowError."""
     params = WaveParams(k=1.0, a=0.1, g=9.8)
@@ -222,6 +221,22 @@ def test_overflowing_step_raises_stiffness(integrate, method, dt, t_last):
     assert all(math.isfinite(v) for v in info.value.state_last)
     if t_last == 0.0:
         assert info.value.state_last == (0.5, -0.3)
+
+
+@pytest.mark.parametrize("integrate", [integrate_full, integrate_moving_frame])
+@pytest.mark.parametrize("dt", [10.0, 20.0, 50.0])
+def test_overflowing_adaptive_trial_is_halved(integrate, dt):
+    """An adaptive trial step that overflows exp(kz) is rejected and
+    halved like a non-finite one, so the run reaches t_end and agrees
+    with a fine fixed-step run."""
+    params = WaveParams(k=1.0, a=0.1, g=9.8)
+    cfg = IntegratorConfig(0.0, 100.0, dt=dt, method="rk45")
+    run = integrate(params, 0.5, -0.3, cfg)
+    fine = integrate(params, 0.5, -0.3, IntegratorConfig(0.0, 100.0, dt=0.01))
+    assert run.t[-1] == 100.0
+    assert np.all(np.isfinite(run.x)) and np.all(np.isfinite(run.z))
+    assert abs(run.x[-1] - fine.x[-1]) <= 1e-4
+    assert abs(run.z[-1] - fine.z[-1]) <= 1e-4
 
 
 @pytest.mark.parametrize("integrate", [integrate_full, integrate_moving_frame])
