@@ -287,15 +287,10 @@ def _compute_series(
 def _case2_asymptote_x(
     params: WaveParams, series: TrajectorySeries
 ) -> tuple[float, ...]:
-    """Vertical-asymptote x lines: x = c t_n + s pi/(2k) with the series' sign."""
-    if not series.asymptote_times:
-        return ()
-    idx = int(np.argmax(np.abs(series.X)))
-    s = 1.0 if series.X[idx] >= 0.0 else -1.0
-    return tuple(
-        params.c * ta + s * math.pi / (2.0 * params.k)
-        for ta in series.asymptote_times
-    )
+    """Vertical-asymptote x lines x = c t_n + sign(A) pi/(2k): the limit of
+    X on the rising side of each asymptote is sign(A) pi/2."""
+    s = math.copysign(math.pi / (2.0 * params.k), params.A)
+    return tuple(params.c * ta + s for ta in series.asymptote_times or ())
 
 
 def main(argv: list[str] | None = None) -> None:

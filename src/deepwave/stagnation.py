@@ -19,8 +19,9 @@ stagnation levels in total (the roles swap for direction = -1).
 Convexity (f'' = k|A| e^Z > 0) brackets the roots: a branch's only
 critical point, Z_c = log(-sigma c / |A|) when sigma c < 0, splits the
 window into at most two monotone pieces holding at most one root each,
-polished by a bisection-Newton hybrid (a root on Z_c counts once).
-0 < |f(Z_c)| <= 1e-8 flags a tangency: a double or unresolvable pair.
+polished by a bisection-Newton hybrid.  |f(Z_c)| <= 1e-8 flags a
+tangency: a double root (f(Z_c) = 0, reported only as the tangency) or
+an unresolvable pair.
 """
 
 from __future__ import annotations
@@ -52,10 +53,10 @@ class StagnationSolution:
 
     branch is "plus" or "minus" (see module docstring); residual is
     |k|A| e^{Z*} - |k c Z* - beta||.  tangency marks a branch minimum
-    Z_c with 0 < |f(Z_c)| <= TANGENCY_TOL: a double root, or a pair too
-    close to resolve, reported at Z_c whether or not the pair's plain
-    roots are also reported; the residual bound of plain roots does not
-    apply to it.
+    Z_c with |f(Z_c)| <= TANGENCY_TOL: a double root (f(Z_c) = 0, which
+    is then not also a plain level), or a pair too close to resolve,
+    reported at Z_c whether or not the pair's plain roots are also
+    reported; the residual bound of plain roots does not apply to it.
     """
 
     Z_star: float
@@ -174,14 +175,15 @@ def _branch_roots(
     if Z_min <= Zc <= Z_max:
         ends.insert(1, Zc)
     values = [f(Z) for Z in ends]
-
     out = []
+    if len(ends) == 3 and abs(values[1]) <= TANGENCY_TOL:
+        out.append(StagnationSolution(Zc, branch, _residual(kA, kc, beta, Zc), True))
+        if values[1] == 0.0:
+            return out  # a double root: the convex branch touches 0 only there
     for i in range(len(ends) - 1):
         flo, fhi = values[i], values[i + 1]
         if min(flo, fhi) > 0.0 or max(flo, fhi) < 0.0:
             continue  # no sign change on this piece
-        if i > 0 and flo == 0.0:
-            continue  # a root on Z_c, counted by the first piece
         Z_star = _refine(f, fprime, ends[i], ends[i + 1])
         residual = _residual(kA, kc, beta, Z_star)
         if residual > RESIDUAL_RTOL * max(kA * math.exp(Z_star), 1.0):
@@ -189,10 +191,6 @@ def _branch_roots(
                 f"stagnation root at Z={Z_star} kept residual {residual:.3e}"
             )
         out.append(StagnationSolution(Z_star, branch, residual))
-
-    if len(ends) == 3 and 0.0 < abs(values[1]) <= TANGENCY_TOL:
-        residual = _residual(kA, kc, beta, Zc)
-        out.append(StagnationSolution(Zc, branch, residual, tangency=True))
     return out
 
 

@@ -16,17 +16,16 @@ system: along exact orbits the combination
 
     beta = k c Z - k A e^Z cos X
 
-is constant, so cos X = (k c Z - beta)/(k A e^Z) is pinned by Z alone
-and only the sign of sin X is free.  The emitted phase is therefore
-X = s * arccos(...) with one global sign s per series.  This keeps x(t)
-continuous and piecewise smooth, makes the per-period x increment equal
-c * T exactly, and needs no turning-point bookkeeping.  Because Z comes
-from the truncated cubic model while the phase relation is untruncated,
-the arccos argument stays strictly inside (-1, 1); its distance to +-1
-at the turning points is the truncation gap.  One consequence is that
-sin X keeps the sign fixed by s, so the field's vertical velocity is
-matched in magnitude but not in sign on retracing half-periods; the
-residual reports quantify this instead of hiding it.
+is constant, so cos X = (k c Z - beta)/(k A e^Z) is pinned by Z alone.
+Z does not fix the sheet h of X, the integer with h pi <= X <= (h+1) pi:
+X = h pi + arccos(cos X) on even sheets, (h+1) pi - arccos(cos X) on odd
+ones.  dZ/dt = k A e^Z sin X gives sin X the sign of A dZ/dt, so X moves
+to the next sheet at every turning point of Z, passing an odd multiple
+of pi (and wrapping by 2 pi) where cos X < 0 there.  The closed forms
+read h off the elliptic phase, so X does not depend on how densely a
+series is sampled.  As Z comes from the truncated cubic model, the
+arccos argument stops short of +-1 at a turning point Z_turn and x jumps
+by 2 arccos|cos X(Z_turn)|/k there: that jump is the truncation gap.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ ASYMPTOTE_GUARD = 1e-9
 # this floor counts as on-asymptote.
 CN_DENOM_GUARD = 1e-12
 
-# Square-root argument below this is a contract violation rather than a
+# 1 - cos^2 X below minus this is a contract violation rather than a
 # turning-point rounding artifact.
 SQRT_ARG_TOL = 1e-9
 
@@ -149,9 +148,10 @@ class TrajectorySeries:
             if d.shape != (n,):
                 raise ContractViolationError("dZdt must match the sample count")
             object.__setattr__(self, "dZdt", d)
-        # Frame consistency, with the tolerance scaled by the phase k c t
-        # whose rounding floor grows on long runs.
+        # Frame consistency, with the tolerance scaled by the phases k c t
+        # and X, whose rounding floors grow on long runs.
         scale = np.maximum(1.0, np.abs(self.k * self.c * arrays["t"]))
+        np.maximum(scale, np.abs(arrays["X"]), out=scale)
         if np.any(
             np.abs(arrays["X"] - self.k * (arrays["x"] - self.c * arrays["t"]))
             > 1e-12 * scale
@@ -266,12 +266,12 @@ def case1_Z(red: Case1Reduction, t: Times, t0: float = 0.0) -> Times:
     value always lies in [Z1, Z2]; Z(t0) = Z1 and the opposite turning
     point Z2 is reached a half period later.
     """
-    return _like(t, _case1(red, t, t0)[0])
+    return _like(t, _case1(red, red.C1 * (np.atleast_1d(t) - t0))[0])
 
 
 def case1_dZdt(red: Case1Reduction, t: Times, t0: float = 0.0) -> Times:
     """Time derivative of case1_Z: 2 C1 (Z2 - Z1) sn cn dn."""
-    return _like(t, _case1(red, t, t0)[1])
+    return _like(t, _case1(red, red.C1 * (np.atleast_1d(t) - t0))[1])
 
 
 def period_case1(red: Case1Reduction) -> float:
@@ -308,8 +308,7 @@ def asymptote_times(
 
     Consecutive asymptotes are one cn period 4K/C2 apart.
     """
-    quarter = complete_K(red.k2sq)
-    return tuple(t0 + (2.0 + 4.0 * n) * quarter / red.C2 for n in n_values)
+    return _asymptote_times(red, complete_K(red.k2sq), t0, n_values)
 
 
 def beta_from_initial(
@@ -341,7 +340,6 @@ def assemble_xz(
     params: WaveParams,
     beta: float,
     zs: ZSeries,
-    stitching: int | None = None,
     *,
     case_tag: str,
     period: float | None = None,
@@ -350,25 +348,14 @@ def assemble_xz(
     """Assemble the full path (x, z) from a sampled Z(t).
 
     The horizontal phase follows from the conserved combination
-    beta = k c Z - k A e^Z cos X (see the module docstring):
-    X = s * arccos((k c Z - beta)/(k A e^Z)) with one global sign s and
-    x = ct + X/k, z = Z/k.
-
-    Parameters
-    ----------
-    params : WaveParams
-    beta : float
-        Integration constant the Z series was built with.
-    zs : ZSeries
-        Sampled Z(t), ideally with analytic dZdt attached.
-    stitching : int or None
-        +1 or -1 forces the global sign; None selects it so that the
-        emitted dx/dt matches the field velocity u at the first sample,
-        which is equivalent to matching the initial vertical motion
-        sense (ties at a turning-point start resolve to the forward
-        sense of motion, s = sign(A) * sign of the upcoming dZ/dt).
-    case_tag, period, asymptote_times
-        Metadata copied into the series; drift per period is c * period.
+    beta = k c Z - k A e^Z cos X (see the module docstring), X = k(x - ct)
+    and z = Z/k.  With no elliptic phase, the sheets come from the samples:
+    sin X has the sign of A dZ/dt (numpy.gradient of Z when dZdt is not
+    attached; the sign of A where dZ/dt = 0), and each sign change is a
+    turning point, where X wraps by 2 pi times the old sign of sin X if
+    cos X < 0 there; the samples must resolve every turning point.  With
+    a period, the drift per period counts the wraps at the sampled
+    extremes of Z, as case1_series does at Z1 and Z2.
 
     Raises
     ------
@@ -376,49 +363,23 @@ def assemble_xz(
         When 1 - cos^2 X drops below -1e-9, i.e. Z leaves the admissible
         band (wrong beta or misclassified case).
     """
-    k = params.k
-    c = params.c
-    A = params.A
-    t = zs.t
     Z = zs.Z
-    with np.errstate(over="raise"):
-        try:
-            r = (k * c * Z - beta) * np.exp(-Z) / (k * A)
-        except FloatingPointError as exc:
-            raise ContractViolationError(
-                "cos X overflowed; Z samples are far outside the admissible band"
-            ) from exc
-    arg = 1.0 - r * r
-    if np.min(arg) < -SQRT_ARG_TOL:
-        raise ContractViolationError(
-            f"cos^2 X exceeds 1 by {-np.min(arg):.3e}; "
-            "Z outside the admissible band (wrong beta or case)"
-        )
-    Xc = np.arccos(np.clip(r, -1.0, 1.0))
-
-    dZdt = zs.dZdt if zs.dZdt is not None else _gradient(Z, t)
-    if stitching in (+1, -1):
-        s = float(stitching)
-    elif stitching is None:
-        s = _select_sign(params, beta, Z, r, arg, dZdt)
-    else:
-        raise ParameterDomainError(f"stitching must be +1, -1 or None, got {stitching}")
-
-    X = s * Xc
-    x = c * t + X / k
-    return TrajectorySeries(
-        k=k,
-        c=c,
-        t=t,
-        x=x,
-        z=Z / k,
-        X=X,
-        Z=Z,
-        case_tag=case_tag,
-        period=period,
-        drift_per_period=None if period is None else c * period,
-        asymptote_times=asymptote_times,
-        dZdt=None if dZdt is None else np.asarray(dZdt, dtype=float),
+    cos_X = _cos_phase(params, beta, Z)
+    dZdt = zs.dZdt if zs.dZdt is not None or Z.size < 2 else np.gradient(Z, zs.t)
+    odd = params.A * (np.zeros(1) if dZdt is None else dZdt) < 0.0
+    wraps = ((odd[1:] != odd[:-1]) & (cos_X[1:] + cos_X[:-1] < 0.0)).astype(np.int64)
+    np.negative(wraps, out=wraps, where=odd[:-1])
+    sheet = np.zeros(Z.shape, dtype=np.int64)
+    np.cumsum(wraps, out=sheet[1:])
+    sheet *= 2
+    sheet -= odd
+    drift = None
+    if period is not None:
+        net = _laps(params, cos_X[np.argmin(Z)] < 0.0, cos_X[np.argmax(Z)] < 0.0)
+        drift = params.c * period + 2.0 * math.pi * net / params.k
+    return _assemble(
+        params, zs.t, Z, dZdt, cos_X, sheet, case_tag=case_tag, period=period,
+        drift_per_period=drift, asymptote_times=asymptote_times,
     )
 
 
@@ -431,15 +392,25 @@ def case1_series(
     n_samples: int,
     t0: float = 0.0,
 ) -> TrajectorySeries:
-    """Uniformly sampled case-1 path over [t_start, t_end]."""
+    """Uniformly sampled case-1 path over [t_start, t_end].
+
+    Z turns at the phases u = C1 (t - t0) = jK (Z1 for even j, Z2 for odd
+    j), so the half period floor(u/K) of each sample fixes its sheet; the
+    drift per period is c T plus 2 pi/k per net wrap at Z1 and Z2.
+    """
     t = _sample_grid(t_start, t_end, n_samples)
-    Z, dZdt = _case1(red, t, t0)
-    return assemble_xz(
-        params,
-        beta,
-        ZSeries(t=t, Z=Z, dZdt=dZdt),
-        case_tag="case1",
-        period=period_case1(red),
+    quarter = complete_K(red.k1sq)
+    u = red.C1 * (t - t0)
+    Z, dZdt = _case1(red, u)
+    half = np.floor(np.divide(u, quarter, out=u), out=u).astype(np.int64)
+    del u
+    cos_X = _cos_phase(params, beta, Z)
+    below = [_cos_negative(params, beta, Z_turn) for Z_turn in (red.Z1, red.Z2)]
+    period = 2.0 * quarter / red.C1
+    drift = params.c * period + 2.0 * math.pi * _laps(params, *below) / params.k
+    return _assemble(
+        params, t, Z, dZdt, cos_X, _sheets(params, half, *below), case_tag="case1",
+        period=period, drift_per_period=drift,
     )
 
 
@@ -455,29 +426,32 @@ def case2_series(
     """Uniformly sampled case-2 path over [t_start, t_end].
 
     Samples inside the asymptote guard band are dropped; all asymptote
-    times intersecting the window are attached as metadata.
+    times intersecting the window are attached as metadata.  Z has its
+    minimum Z0 at the phases u = C2 (t - t0) = 0 (mod 4K), and X is
+    4K-periodic in u: the asymptotes between periods are gaps.
     """
     t = _sample_grid(t_start, t_end, n_samples)
-    keep, Z, dZdt = _case2(red, t, t0)
+    quarter = complete_K(red.k2sq)
+    keep, Z, dZdt, rising = _case2(red, quarter, red.C2 * (t - t0))
     if not np.any(keep):
         raise AsymptoteProximityError(
             "every requested sample sits inside the asymptote guard band"
         )
     t = t[keep]
-    quarter = complete_K(red.k2sq)
+    cos_X = _cos_phase(params, beta, Z)
+    # Half periods 0 (rising) and -1 (falling) of an oscillation whose top
+    # is the asymptote, where cos X tends to 0.
+    half = rising.astype(np.int64) - 1
+    sheet = _sheets(params, half, _cos_negative(params, beta, red.Z0), False)
     n_lo = math.floor((red.C2 * (t_start - t0) / quarter - 2.0) / 4.0)
     n_hi = math.ceil((red.C2 * (t_end - t0) / quarter - 2.0) / 4.0)
     marks = tuple(
         ta
-        for ta in asymptote_times(red, t0, range(n_lo, n_hi + 1))
+        for ta in _asymptote_times(red, quarter, t0, range(n_lo, n_hi + 1))
         if t_start <= ta <= t_end
     )
-    return assemble_xz(
-        params,
-        beta,
-        ZSeries(t=t, Z=Z, dZdt=dZdt),
-        case_tag="case2",
-        asymptote_times=marks,
+    return _assemble(
+        params, t, Z, dZdt, cos_X, sheet, case_tag="case2", asymptote_times=marks
     )
 
 
@@ -499,29 +473,30 @@ def quadrature_x_check(params: WaveParams, series: TrajectorySeries) -> np.ndarr
     return x
 
 
-def _case1(
-    red: Case1Reduction, t: Times, t0: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Case-1 closed form (Z, dZdt) at every sample of t."""
-    sn, cn, dn = jacobi_sn_cn_dn(red.C1 * (np.atleast_1d(t) - t0), red.k1sq)
+def _case1(red: Case1Reduction, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Case-1 closed form (Z, dZdt) at every phase u = C1 (t - t0)."""
+    sn, cn, dn = jacobi_sn_cn_dn(u, red.k1sq)
     Z = red.Z2 * sn * sn + red.Z1 * cn * cn
     dZdt = 2.0 * red.C1 * (red.Z2 - red.Z1) * sn * cn * dn
     return Z, dZdt
 
 
 def _case2(
-    red: Case2Reduction, t: Times, t0: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Case-2 closed form at the samples of t that pass the asymptote rule.
+    red: Case2Reduction, quarter: float, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Case-2 closed form at the phases u = C2 (t - t0) that pass the
+    asymptote rule, for quarter = K(k2^2).
 
-    Returns (keep, Z, dZdt): keep marks those samples of t, and Z and
-    dZdt hold the values at them only.  A sample is guarded when its
-    phase distance to 2K (mod 4K) is below ASYMPTOTE_GUARD or its 1 + cn
-    is below CN_DENOM_GUARD.
+    Returns (keep, Z, dZdt, rising): keep marks those phases, and Z,
+    dZdt and rising (u in [0, 2K) mod 4K, where Z climbs from Z0) hold
+    the values at them only.  A phase is guarded when its distance to 2K
+    (mod 4K) is below ASYMPTOTE_GUARD or its 1 + cn below CN_DENOM_GUARD.
     """
-    quarter = complete_K(red.k2sq)
-    u = red.C2 * (np.atleast_1d(t) - t0)
+    if not np.all(np.isfinite(u)):
+        bad = float(u[np.argmin(np.isfinite(u))])
+        raise ParameterDomainError(f"case-2 phase must be finite, got {bad}")
     dist = np.remainder(u - 2.0 * quarter, 4.0 * quarter)
+    rising = dist >= 2.0 * quarter
     keep = np.minimum(dist, 4.0 * quarter - dist) >= ASYMPTOTE_GUARD
     sn, cn, dn = jacobi_sn_cn_dn(u[keep], red.k2sq)
     denom = 1.0 + cn
@@ -531,25 +506,105 @@ def _case2(
     R = math.sqrt(red.Z0 * red.Z0 + red.p * red.Z0 + red.q)
     Z = red.Z0 + R * (1.0 - cn) / denom
     dZdt = 2.0 * red.C2 * R * sn * dn / (denom * denom)
-    return keep, Z, dZdt
+    return keep, Z, dZdt, rising[keep]
 
 
 def _case2_point(
     red: Case2Reduction, t: Times, t0: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """(Z, dZdt) of _case2 at every sample of t, or the guard's error."""
-    keep, Z, dZdt = _case2(red, t, t0)
+    quarter = complete_K(red.k2sq)
+    u = red.C2 * (np.atleast_1d(t) - t0)
+    keep, Z, dZdt, _ = _case2(red, quarter, u)
     if not np.all(keep):
-        t_bad = float(np.atleast_1d(t)[np.argmin(keep)])
-        u = red.C2 * (t_bad - t0)
-        if not math.isfinite(u):
-            raise ParameterDomainError(f"case-2 phase must be finite, got {u}")
-        n = round((u / complete_K(red.k2sq) - 2.0) / 4.0)
+        i = int(np.argmin(keep))
+        n = round((float(u[i]) / quarter - 2.0) / 4.0)
         raise AsymptoteProximityError(
-            f"case-2 evaluation at t={t_bad} is inside the asymptote guard band",
-            nearest_time=asymptote_times(red, t0, (n,))[0],
+            f"case-2 evaluation at t={float(np.atleast_1d(t)[i])} "
+            "is inside the asymptote guard band",
+            nearest_time=_asymptote_times(red, quarter, t0, (n,))[0],
         )
     return Z, dZdt
+
+
+def _asymptote_times(
+    red: Case2Reduction, quarter: float, t0: float, n_values: Iterable[int]
+) -> tuple[float, ...]:
+    return tuple(t0 + (2.0 + 4.0 * n) * quarter / red.C2 for n in n_values)
+
+
+def _cos_phase(params: WaveParams, beta: float, Z: np.ndarray) -> np.ndarray:
+    """cos X = (k c Z - beta)/(k A e^Z), checked against the band |cos X| <= 1."""
+    k = params.k
+    with np.errstate(over="raise"):
+        try:
+            r = (k * params.c * Z - beta) * np.exp(-Z) / (k * params.A)
+        except FloatingPointError as exc:
+            raise ContractViolationError(
+                "cos X overflowed; Z samples are far outside the admissible band"
+            ) from exc
+    worst = float(np.max(np.abs(r)))
+    if 1.0 - worst * worst < -SQRT_ARG_TOL:
+        raise ContractViolationError(
+            f"cos^2 X exceeds 1 by {worst * worst - 1.0:.3e}; "
+            "Z outside the admissible band (wrong beta or case)"
+        )
+    return r
+
+
+def _cos_negative(params: WaveParams, beta: float, Z: float) -> bool:
+    """Whether cos X < 0 at level Z, from the sign of (k c Z - beta)/A."""
+    return (params.k * params.c * Z - beta) * params.A < 0.0
+
+
+def _laps(params: WaveParams, below_low: bool, below_high: bool) -> int:
+    """Laps of X per period (units of 2 pi) of an oscillation whose bottom
+    and top turning points have cos X < 0 as flagged: X wraps by 2 pi times
+    the old sign of sin X (that of A while Z rises) at each such point."""
+    return (1 if params.A > 0.0 else -1) * (int(below_high) - int(below_low))
+
+
+def _sheets(
+    params: WaveParams, half: np.ndarray, below_low: bool, below_high: bool
+) -> np.ndarray:
+    """Sheets of X on the half periods half (consumed) of an oscillation
+    flagged as for _laps: half j runs up from the bottom turning point for
+    even j and back down for odd j, and half 0 lies on sheet 0 (-1 when
+    A < 0)."""
+    laps = _laps(params, below_low, below_high)
+    if laps:
+        # X passes an odd multiple of pi at one turning point only, so it
+        # moves on by one sheet every half period.
+        half *= laps
+    else:
+        # X rocks between the sheets of the rising and the falling halves.
+        half &= 1
+        half *= (1 if params.A > 0.0 else -1) * (below_low + below_high - 1)
+    half -= params.A < 0.0
+    return half
+
+
+def _assemble(
+    params: WaveParams,
+    t: np.ndarray,
+    Z: np.ndarray,
+    dZdt: np.ndarray | None,
+    cos_X: np.ndarray,
+    sheet: np.ndarray,
+    **meta,
+) -> TrajectorySeries:
+    """The series with X on the given sheets; cos_X and sheet are consumed."""
+    # X = h pi + arccos on even sheets h, (h + 1) pi - arccos on odd ones.
+    X = np.arccos(np.clip(cos_X, -1.0, 1.0, out=cos_X), out=cos_X)
+    odd = np.bitwise_and(sheet, 1, out=np.empty(sheet.shape, bool), casting="unsafe")
+    np.negative(X, out=X, where=odd)
+    sheet += odd
+    X += sheet * math.pi
+    x = X / params.k
+    x += params.c * t
+    return TrajectorySeries(
+        k=params.k, c=params.c, t=t, x=x, z=Z / params.k, X=X, Z=Z, dZdt=dZdt, **meta
+    )
 
 
 def _like(t: Times, values: np.ndarray) -> Times:
@@ -565,55 +620,3 @@ def _sample_grid(t_start: float, t_end: float, n_samples: int) -> np.ndarray:
             f"need t_end > t_start, got [{t_start}, {t_end}]"
         )
     return np.linspace(t_start, t_end, n_samples)
-
-
-def _gradient(Z: np.ndarray, t: np.ndarray) -> np.ndarray | None:
-    if Z.size < 2:
-        return None
-    return np.gradient(Z, t)
-
-
-def _select_sign(
-    params: WaveParams,
-    beta: float,
-    Z: np.ndarray,
-    r: np.ndarray,
-    arg: np.ndarray,
-    dZdt: np.ndarray | None,
-) -> float:
-    """Global sign from field matching at the first sample.
-
-    dx/dt = c + s dX_c/dt / k with dX_c/dt = -r'(Z) Z' / sqrt(1 - r^2);
-    the candidate closer to u = A e^Z cos X (which is s-independent)
-    wins.  Ties mean the series starts at a turning point; they resolve
-    to the forward sense of motion s = sign(A) * sign of the next
-    nonzero dZ/dt.
-    """
-    k = params.k
-    c = params.c
-    A = params.A
-    fallback = _sign_of_motion(A, dZdt)
-    if dZdt is None:
-        return fallback
-    denom = math.sqrt(max(arg[0], 0.0))
-    if denom < 1e-12:
-        return fallback
-    # r'(Z) at the first sample.
-    rprime = (k * c - (k * c * Z[0] - beta)) * math.exp(-Z[0]) / (k * A)
-    rate = -rprime * dZdt[0] / denom
-    # u = A e^Z cos X collapses to (k c Z - beta)/k on the path, which
-    # stays finite where e^Z alone would overflow.
-    u0 = (k * c * Z[0] - beta) / k
-    gap_plus = abs(c + rate / k - u0)
-    gap_minus = abs(c - rate / k - u0)
-    if abs(gap_plus - gap_minus) <= 1e-12 * max(1.0, abs(c)):
-        return fallback
-    return 1.0 if gap_plus < gap_minus else -1.0
-
-
-def _sign_of_motion(A: float, dZdt: np.ndarray | None) -> float:
-    if dZdt is not None:
-        for value in dZdt:
-            if value != 0.0:
-                return math.copysign(1.0, A) * math.copysign(1.0, value)
-    return math.copysign(1.0, A)

@@ -179,13 +179,15 @@ def _check_drift(params: WaveParams, beta: float) -> CheckResult:
     T = period_case1(red)
     series = case1_series(params, red, beta, 0.0, T, 257)
     drift = float(series.x[-1] - series.x[0])
-    target = params.c * T
+    # X laps once per period against the direction of travel while |A| e^Z < |c|.
+    target = params.c * T - math.copysign(2.0 * math.pi, params.c) / params.k
     rel = abs(drift - target) / abs(target)
     ok = rel <= 1e-8 and math.copysign(1.0, drift) == math.copysign(1.0, params.c)
     return CheckResult(
         "drift",
         ok,
-        f"x(T) - x(0) = {drift:.10g} vs c T = {target:.10g} (rel {rel:.3e})",
+        f"x(T) - x(0) = {drift:.10g} vs c T - 2 pi sign(c)/k = {target:.10g} "
+        f"(rel {rel:.3e})",
     )
 
 

@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deepwave.cli import _compute_series
 from deepwave.emitters import (
@@ -29,7 +31,7 @@ from deepwave.emitters import (
     trajectory_json,
     trajectory_svg,
 )
-from deepwave.errors import ContractViolationError
+from deepwave.errors import ContractViolationError, DeepwaveError
 from deepwave.scenario import build_scenario
 from deepwave.trajectories import TrajectorySeries
 
@@ -248,3 +250,50 @@ def test_single_sample_json_matches_reference():
     )
     assert_same_text(trajectory_json(series), reference_json(series))
     assert_same_text(trajectory_csv(series), reference_csv(series))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.floats(0.05, 50.0),
+    steepness=st.floats(1e-3, 0.3),
+    direction=st.sampled_from([1, -1]),
+    Z_launch=st.floats(-1.5, 0.3),
+    X_launch=st.floats(-math.pi, math.pi),
+    solution=st.sampled_from(["elliptic", "peakon"]),
+    const2=st.floats(-10.0, 10.0),
+    t0=st.floats(-1e3, 1e3),
+    t_start=st.floats(-1e3, 1e3),
+    width=st.floats(1e-6, 100.0),
+    samples=st.integers(2, 64),
+)
+def test_emitters_finite_or_deepwave_error(
+    k, steepness, direction, Z_launch, X_launch, solution, const2, t0, t_start,
+    width, samples,
+):
+    """On case-1, case-2 and peakon draws, the CSV, JSON and SVG of a
+    trajectory carry finite numbers only, or the series raises a
+    DeepwaveError.  beta comes from a launch state near the surface,
+    which gives both elliptic cases in about equal shares."""
+    a = steepness / k
+    c = direction * math.sqrt(9.8 / k)
+    beta = k * c * Z_launch - k * (a * c * k) * math.exp(Z_launch) * math.cos(X_launch)
+    try:
+        series, marks = _cli_series(
+            k=k, a=a, direction=direction, beta=beta, solution=solution,
+            const2=const2, t0=t0, t_start=t_start, t_end=t_start + width,
+            samples=samples,
+        )
+        svg = trajectory_svg(series, asymptote_x=marks, title="fuzz")
+    except DeepwaveError:
+        return
+    rows = trajectory_csv(series).splitlines()[1:]
+    assert len(rows) == series.t.size
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+    doc = json.loads(trajectory_json(series))
+    for name in ("t", "x", "z", "X", "Z"):
+        assert all(math.isfinite(v) for v in doc["samples"][name])
+    meta = doc["metadata"]
+    for key in ("period", "drift_per_period"):
+        assert meta[key] is None or math.isfinite(meta[key])
+    assert all(math.isfinite(v) for v in meta["asymptote_times"] or ())
+    assert "nan" not in svg and "inf" not in svg

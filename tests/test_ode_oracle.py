@@ -14,7 +14,7 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deepwave import (
@@ -247,6 +247,55 @@ def test_overflowing_initial_state_raises_stiffness(integrate, method):
     with pytest.raises(StiffnessError) as info:
         integrate(params, 0.0, 800.0, cfg)
     assert (info.value.t_last, info.value.state_last) == (0.0, (0.0, 800.0))
+
+
+def finite_or_deepwave_error(run) -> None:
+    try:
+        out = run()
+    except DeepwaveError:
+        return
+    arrays = [out.t, out.Z, out.dZdt]
+    if hasattr(out, "x"):
+        arrays += [out.x, out.z, out.X]
+    elif out.blowup_time is not None:
+        arrays.append(np.array([out.blowup_time]))
+    for array in arrays:
+        assert np.all(np.isfinite(array))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.floats(1e-2, 1e2),
+    steepness=st.floats(1e-4, 1.0),
+    direction=st.sampled_from([1, -1]),
+    X0=st.floats(-1e3, 1e3),
+    Z0=st.floats(-50.0, 5.0),
+    t_start=st.floats(-1e4, 1e4),
+    periods=st.floats(1e-3, 3.0),
+    steps=st.integers(1, 300),
+    method=st.sampled_from(["rk4", "rk45"]),
+)
+def test_integrators_finite_or_deepwave_error(
+    k, steepness, direction, X0, Z0, t_start, periods, steps, method
+):
+    """Over wide waves, states, steps and both methods, every integrator
+    returns finite samples or raises a DeepwaveError (a too coarse step
+    ends in StiffnessError, never in a raw OverflowError or a NaN)."""
+    params = WaveParams(k=k, a=steepness / k, g=9.8, direction=direction)
+    span = periods * params.wave_period
+    try:
+        cfg = IntegratorConfig(t_start, t_start + span, dt=span / steps, method=method)
+    except DeepwaveError:
+        return
+    envelope = params.k * params.A * math.exp(Z0)
+    beta = params.k * params.c * Z0 - envelope * math.cos(X0)
+    finite_or_deepwave_error(lambda: integrate_full(params, X0 / k, Z0 / k, cfg))
+    finite_or_deepwave_error(lambda: integrate_moving_frame(params, X0, Z0, cfg))
+    finite_or_deepwave_error(
+        lambda: integrate_truncated(
+            build_cubic(params, beta), Z0, envelope * math.sin(X0), cfg
+        )
+    )
 
 
 def test_gauss_legendre_rule_built_once(scenario_k4):

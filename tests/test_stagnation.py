@@ -346,15 +346,16 @@ def test_close_pair_resolved(k, a, separation):
 
 def test_root_on_critical_point_counted_once():
     """k a = 1 (k = 4, a = 1/4) makes Z_c = 0, and beta = -k|A| plants an exact
-    zero of the minus branch there: one plain level, no tangency mark,
-    whether Z_c is interior or a window edge."""
+    double root of the minus branch there: one level, flagged as a
+    tangency and not also reported as a plain level, whether Z_c is
+    interior or a window edge."""
     params = WaveParams(k=4.0, a=0.25, g=9.8)
     beta = -params.k * abs(params.A)
     for Z_min, Z_max in ((-20.0, 5.0), (0.0, 5.0), (-20.0, 0.0)):
         report = solve_stagnation(params, beta, Z_min, Z_max)
         at_zero = [s for s in report.solutions if s.Z_star == 0.0]
         assert len(at_zero) == 1
-        assert at_zero[0].branch == "minus" and not at_zero[0].tangency
+        assert at_zero[0].branch == "minus" and at_zero[0].tangency
 
 
 def test_window_narrower_than_old_grid_cell():

@@ -31,6 +31,7 @@ from deepwave import (
     case2_series,
     classify_roots,
     complete_K,
+    integrate_moving_frame,
     integrate_truncated,
     jacobi_sn_cn_dn,
     peakon_path,
@@ -145,13 +146,15 @@ def test_case1_series_drift_and_frame(scenario_k1, red_k1):
     series = case1_series(params, red_k1, beta, 0.0, 3.0 * T, 1537)
     assert series.case_tag == "case1"
     assert series.period == pytest.approx(T, rel=1e-15)
-    assert series.drift_per_period == pytest.approx(params.c * T, rel=1e-12)
+    # X laps once per period against the direction of travel.
+    drift = params.c * T - math.copysign(2.0 * math.pi, params.c) / params.k
+    assert series.drift_per_period == pytest.approx(drift, rel=1e-12)
     # Exact T-periodicity of the moving-frame path makes the drift exact:
-    # samples one period apart differ by c T in x and nothing in z.
+    # samples one period apart differ by the drift in x and nothing in z.
     n = 512  # 1536 intervals over 3 T -> 512 per period
     dx = series.x[n:] - series.x[:-n]
     dz = series.z[n:] - series.z[:-n]
-    assert np.max(np.abs(dx - params.c * T)) <= 1e-9 * max(1.0, abs(params.c * T))
+    assert np.max(np.abs(dx - drift)) <= 1e-9 * max(1.0, abs(params.c * T))
     assert np.max(np.abs(dz)) <= 1e-10
     # Conservation law along the assembled path.
     resid = (
@@ -163,14 +166,40 @@ def test_case1_series_drift_and_frame(scenario_k1, red_k1):
 
 
 def test_case1_series_is_continuous(scenario_k1, red_k1):
+    """x is continuous except at the turning points of Z, where it jumps by
+    the truncation gap: cos X(Z_turn) stops short of +-1, and X moves to
+    the next sheet there by -2 b sign(cos X) arccos|cos X| with b the
+    sign of sin X before the turn (sign(A) at Z2, -sign(A) at Z1)."""
     params, beta = scenario_k1
     T = period_case1(red_k1)
+    quarter = complete_K(red_k1.k1sq)
     series = case1_series(params, red_k1, beta, 0.0, 2.0 * T, 4001)
     dt = float(series.t[1] - series.t[0])
     # Velocity scale bound: |dx/dt| <= |c| + |A| e^{Z2} / ... stay loose.
     bound = (abs(params.c) + abs(params.A) * math.exp(red_k1.Z2) + 1.0) * dt * 3.0
-    assert float(np.max(np.abs(np.diff(series.x)))) <= bound
     assert float(np.max(np.abs(np.diff(series.z)))) <= bound
+
+    def jump(j):
+        Z_turn = red_k1.Z2 if j % 2 else red_k1.Z1
+        r = (params.k * params.c * Z_turn - beta) * math.exp(-Z_turn)
+        r /= params.k * params.A
+        b = math.copysign(1.0, params.A) * (1.0 if j % 2 else -1.0)
+        return -2.0 * b * math.copysign(math.acos(abs(r)), r) / params.k
+
+    half = np.floor(red_k1.C1 * series.t / quarter)
+    turns = np.diff(half) != 0.0
+    dx = np.diff(series.x)
+    assert float(np.max(np.abs(dx[~turns]))) <= bound
+    crossed = half[1:][turns].astype(int)
+    assert crossed.tolist() in ([1, 2, 3], [1, 2, 3, 4])
+    for j, step in zip(crossed, dx[turns]):
+        assert abs(step - jump(j)) <= bound
+    # The exact jump, from a pair of samples 2e-13 apart around each turn.
+    for j in range(1, 4):
+        t_turn = j * quarter / red_k1.C1
+        pair = case1_series(params, red_k1, beta, t_turn - 1e-13, t_turn + 1e-13, 2)
+        assert abs(pair.x[1] - pair.x[0] - jump(j)) <= 1e-12
+    assert abs(jump(1)) > 0.05 and abs(jump(2)) > 0.05
 
 
 def test_case1_series_quadrature_diagnostic(scenario_k1, red_k1):
@@ -178,16 +207,106 @@ def test_case1_series_quadrature_diagnostic(scenario_k1, red_k1):
 
     The closed form solves the cubic truncation of the vertical
     equation, so integrating the exact field velocity along that path
-    drifts away at the truncation scale: a few hundredths over a near
-    half period here, far above rounding yet bounded.  Exact agreement
-    would mean the series was secretly solving the untruncated law.
+    drifts away at the truncation scale: about 0.15 over three periods
+    here, far above rounding yet bounded.  Exact agreement would mean
+    the series was secretly solving the untruncated law; a gap of order
+    2 pi/k would mean a lost or spurious lap of X.
     """
     params, beta = scenario_k1
     T = period_case1(red_k1)
-    series = case1_series(params, red_k1, beta, 0.0, 0.45 * T, 2001)
+    series = case1_series(params, red_k1, beta, 0.0, 3.0 * T, 6001)
     x_quad = quadrature_x_check(params, series)
     gap = float(np.abs(x_quad - series.x).max())
-    assert 1e-4 <= gap <= 0.1
+    assert 1e-4 <= gap <= 0.2
+
+
+# Case-1 scenarios (k, beta, direction, a) whose paths the untruncated
+# oracle follows over three periods.
+ORACLE_SCENARIOS = [(1.0, 1.0, 1, 0.1), (2.0, -1.0, 1, 0.1), (1.0, 1.0, -1, 0.1),
+                    (1.5, 0.3, -1, 0.1)]
+
+
+@pytest.mark.parametrize("k, beta, direction, a", ORACLE_SCENARIOS)
+@pytest.mark.parametrize("n", [5, 13, 3001])
+def test_case1_series_tracks_oracle(k, beta, direction, a, n):
+    """Over three periods x stays within the truncation gap (at most
+    2 arccos|cos X(Z_turn)|/k per turning point, partly undone between
+    them) of the untruncated moving-frame path from the first sample,
+    at any sampling density: X laps once per period, so a single arccos
+    branch would be off by about 2 pi/k per period."""
+    params = WaveParams(k=k, a=a, g=9.8, direction=direction)
+    red = classify_roots(build_cubic(params, beta))
+    T = period_case1(red)
+    series = case1_series(params, red, beta, 0.0, 3.0 * T, n)
+    cfg = IntegratorConfig(0.0, 3.0 * T, dt=T / 2000.0, method="rk45")
+    oracle = integrate_moving_frame(
+        params, float(series.X[0]), float(series.Z[0]), cfg,
+        sample_times=series.t.tolist(),
+    )
+    assert float(np.max(np.abs(oracle.x - series.x))) <= 0.35
+
+
+@pytest.mark.parametrize("k, beta, direction, a", ORACLE_SCENARIOS)
+def test_case1_sheets_do_not_depend_on_sampling(k, beta, direction, a):
+    """The sheet of X comes from the elliptic phase, so X at a time shared
+    by a 5-sample and a 4001-sample grid over two periods is the same."""
+    params = WaveParams(k=k, a=a, g=9.8, direction=direction)
+    red = classify_roots(build_cubic(params, beta))
+    T = period_case1(red)
+    coarse = case1_series(params, red, beta, 0.0, 2.0 * T, 5)
+    fine = case1_series(params, red, beta, 0.0, 2.0 * T, 4001)
+    shared, i, j = np.intersect1d(coarse.t, fine.t, return_indices=True)
+    assert shared.size >= 2
+    assert bits(coarse.X[i]).tolist() == bits(fine.X[j]).tolist()
+
+
+def test_case1_series_far_from_t0():
+    """A window 1e6 after t0 puts X some 1e5 laps out, so the frame map
+    X = k(x - ct) holds only to the rounding floor of X, not of k c t."""
+    params = WaveParams(k=1.5, a=0.1, g=9.8)
+    red = classify_roots(build_cubic(params, 0.5))
+    series = case1_series(params, red, 0.5, 0.0, 1.0, 5, t0=-1e6)
+    assert np.all(np.abs(series.X) > 1e5)
+
+
+def test_plain_zseries_sheets_match_closed_form(scenario_k1, red_k1):
+    """assemble_xz finds the sheets of a plain Z series from the sign
+    changes of A dZ/dt; where the samples resolve every turning point it
+    agrees with the phase-derived sheets of case1_series."""
+    params, beta = scenario_k1
+    T = period_case1(red_k1)
+    # 3000 samples: no sample falls on a turning point, where the two
+    # rules may pick either side of the truncation-gap jump.
+    series = case1_series(params, red_k1, beta, 0.1 * T, 3.1 * T, 3000)
+    plain = assemble_xz(
+        params,
+        beta,
+        ZSeries(t=series.t, Z=series.Z, dZdt=series.dZdt),
+        case_tag="case1",
+        period=T,
+    )
+    assert bits(plain.X).tolist() == bits(series.X).tolist()
+    assert plain.drift_per_period == series.drift_per_period
+
+
+def test_series_build_one_landen_chain_besides_the_kernel(
+    monkeypatch, scenario_k1, red_k1, scenario_k4, red_k4
+):
+    """K(m) is computed once per series and reused for the period, the
+    phase sheets, the case-2 guard and the asymptote marks: with the
+    kernel's own chain that is at most two chains per series."""
+    import deepwave.special_functions as sf
+
+    builds = []
+    chain = sf._landen_chain
+    monkeypatch.setattr(sf, "_landen_chain", lambda m: builds.append(m) or chain(m))
+    for (params, beta), red, build in (
+        (scenario_k1, red_k1, case1_series),
+        (scenario_k4, red_k4, case2_series),
+    ):
+        builds.clear()
+        build(params, red, beta, 0.0, 10.0, 101)
+        assert len(builds) <= 2
 
 
 # ---------------------------------------------------------------- case 2
@@ -197,6 +316,27 @@ def test_case2_starts_at_root_and_stays_above(red_k4):
     assert case2_Z(red_k4, 0.0) == pytest.approx(red_k4.Z0, abs=1e-14)
     for t in np.linspace(-0.4, 0.4, 200):
         assert case2_Z(red_k4, float(t)) >= red_k4.Z0 - 1e-12
+
+
+def test_case2_sin_X_follows_vertical_motion(scenario_k4, red_k4):
+    """sin X has the sign of A dZ/dt on both sides of the Z minimum and
+    across asymptotes, and x follows the untruncated oracle through the
+    minimum to the truncation gap."""
+    params, beta = scenario_k4
+    (t1,) = asymptote_times(red_k4, 0.0, [0])
+    wide = case2_series(params, red_k4, beta, -t1, 5.0 * t1, 6001)
+    moving = np.abs(wide.dZdt) > 1e-9 * np.max(np.abs(wide.dZdt))
+    assert np.all(np.sign(np.sin(wide.X[moving])) == np.sign(params.A * wide.dZdt[moving]))
+    for n in (5, 2001):
+        series = case2_series(params, red_k4, beta, -0.2 * t1, 0.2 * t1, n)
+        cfg = IntegratorConfig(
+            float(series.t[0]), float(series.t[-1]), dt=t1 / 2000.0, method="rk45"
+        )
+        oracle = integrate_moving_frame(
+            params, float(series.X[0]), float(series.Z[0]), cfg,
+            sample_times=series.t.tolist(),
+        )
+        assert float(np.max(np.abs(oracle.x - series.x))) <= 0.02
 
 
 @given(t=st.floats(min_value=-0.3, max_value=0.3))
@@ -585,7 +725,9 @@ def assert_same_series(got, want):
         assert type(got) is type(want) and str(got) == str(want)
         return
     assert isinstance(got, TrajectorySeries)
-    for name in ("t", "x", "z", "X", "Z", "dZdt"):
+    # x and X left the frozen numbers when the one global arccos branch
+    # gave way to per-sample sheets; the vertical motion did not move.
+    for name in ("t", "z", "Z", "dZdt"):
         np.testing.assert_array_equal(
             bits(getattr(got, name)), bits(getattr(want, name)), err_msg=name
         )
