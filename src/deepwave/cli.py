@@ -12,6 +12,7 @@ validation failure.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 
@@ -47,97 +48,46 @@ def cli() -> None:
     """Particle paths beneath small-amplitude deep-water gravity waves."""
 
 
-_opt_config = click.option(
-    "--config",
-    "config_path",
-    default=None,
-    help="Config file (flat 'key = value' lines); DEEPWAVE_CONFIG is the fallback.",
-)
+_ROWS = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
+
+
+def _option(name: str, **attrs):
+    """The ``--flag`` of one ScenarioConfig row: a Choice of the row's
+    allowed values or its converter as the type, the value passed through
+    the converter, the row's help text; attrs override click's settings."""
+    row = _ROWS[name].metadata
+    convert, choices = row["convert"], row["choices"]
+    attrs.setdefault("help", row["help"])
+    return click.option(
+        "--" + name.replace("_", "-"),
+        type=click.Choice([str(c) for c in choices]) if choices else convert,
+        callback=lambda _ctx, _param, value: None if value is None else convert(value),
+        **attrs,
+    )
+
+
+def _shown_default(name: str):
+    """A flag of dispersion, which reads no config: the row's default, shown."""
+    # As text, click parses the default like a typed value, which a Choice needs.
+    return _option(name, help=None, default=str(_ROWS[name].default), show_default=True)
 
 
 def _scenario_options(*names: str):
-    """Stack the named scenario flags (all optional, config supplies the rest)."""
-    flags = {
-        "k": click.option("--k", type=float, default=None, help="Wavenumber k > 0."),
-        "a": click.option("--a", type=float, default=None, help="Amplitude a > 0."),
-        "g": click.option("--g", type=float, default=None, help="Gravity g > 0."),
-        "beta": click.option(
-            "--beta", type=float, default=None, help="Vertical integration constant."
-        ),
-        "direction": click.option(
-            "--direction",
-            type=click.Choice(["1", "-1"]),
-            default=None,
-            help="Propagation direction of the wave.",
-        ),
-        "p0": click.option(
-            "--p0", type=float, default=None, help="Surface pressure offset."
-        ),
-        "t_start": click.option("--t-start", type=float, default=None),
-        "t_end": click.option("--t-end", type=float, default=None),
-        "samples": click.option(
-            "--samples", type=int, default=None, help="Number of output samples."
-        ),
-        "solution": click.option(
-            "--solution",
-            type=click.Choice(["peakon", "elliptic", "oracle"]),
-            default=None,
-            help="Path family: closed forms or the numerical oracle.",
-        ),
-        "const1": click.option(
-            "--const1",
-            type=float,
-            default=None,
-            help="Peakon x offset (default pi/(2k), the crest-phase convention).",
-        ),
-        "const2": click.option(
-            "--const2", type=float, default=None, help="Peakon asymptote constant."
-        ),
-        "t0": click.option(
-            "--t0", type=float, default=None, help="Clock offset of the closed forms."
-        ),
-        "out": click.option(
-            "--out", default=None, help="Sample file path ('-' or omitted: stdout)."
-        ),
-        "format": click.option(
-            "--format",
-            "format_",
-            type=click.Choice(["csv", "json"]),
-            default=None,
-            help="Sample file format.",
-        ),
-        "svg": click.option("--svg", default=None, help="Also draw the path to SVG."),
-        "z_min": click.option(
-            "--z-min", type=float, default=None, help="Search window lower edge (Z)."
-        ),
-        "z_max": click.option(
-            "--z-max", type=float, default=None, help="Search window upper edge (Z)."
-        ),
-        "grid": click.option(
-            "--grid", type=int, default=None, help="Echoed only; must be >= 1000."
-        ),
-        "x": click.option("--x", type=float, default=None, help="Evaluation x."),
-        "z": click.option("--z", type=float, default=None, help="Evaluation z."),
-        "t": click.option("--t", type=float, default=None, help="Evaluation time."),
-    }
+    """Stack --config and the named scenario flags (all optional, config
+    supplies the rest)."""
 
     def wrap(fn):
         for name in reversed(names):
-            fn = flags[name](fn)
-        return fn
+            fn = _option(name)(fn)
+        return click.option(
+            "--config",
+            "config_path",
+            default=None,
+            help="Config file (flat 'key = value' lines); "
+            "DEEPWAVE_CONFIG is the fallback.",
+        )(fn)
 
     return wrap
-
-
-def _overrides(kwargs: dict) -> dict:
-    out = dict(kwargs)
-    if out.get("format_") is not None:
-        out["format"] = out.pop("format_")
-    else:
-        out.pop("format_", None)
-    if out.get("direction") is not None:
-        out["direction"] = int(out["direction"])
-    return out
 
 
 @cli.command()
@@ -147,12 +97,10 @@ def _overrides(kwargs: dict) -> dict:
     required=True,
     help="Wavenumber, or comma-separated list like 1,2,4.",
 )
-@click.option("--g", type=float, default=9.8, show_default=True)
-@click.option("--a", type=float, default=0.1, show_default=True)
-@click.option(
-    "--direction", type=click.Choice(["1", "-1"]), default="1", show_default=True
-)
-def dispersion(k_list: str, g: float, a: float, direction: str) -> None:
+@_shown_default("g")
+@_shown_default("a")
+@_shown_default("direction")
+def dispersion(k_list: str, g: float, a: float, direction: int) -> None:
     """Speed table (k, wavelength, c, A) for one or more wavenumbers."""
     try:
         values = [float(part) for part in k_list.split(",") if part.strip()]
@@ -163,21 +111,20 @@ def dispersion(k_list: str, g: float, a: float, direction: str) -> None:
     header = f"{'k':>14} {'wavelength':>14} {'c':>14} {'A':>14}"
     click.echo(header)
     for kv in values:
-        p = WaveParams(k=kv, a=a, g=g, direction=int(direction))
+        p = WaveParams(k=kv, a=a, g=g, direction=direction)
         click.echo(
             f"{p.k:>14.8g} {p.wavelength:>14.8g} {p.c:>14.8g} {p.A:>14.8g}"
         )
 
 
 @cli.command()
-@_opt_config
 @_scenario_options(
     "k", "a", "g", "beta", "direction", "p0", "t_start", "t_end", "samples",
     "solution", "const1", "const2", "t0", "out", "format", "svg",
 )
 def trajectory(config_path: str | None, **kwargs) -> None:
     """Sample one particle path and emit it as CSV or JSON (plus SVG)."""
-    sc = build_scenario(config_path, _overrides(kwargs))
+    sc = build_scenario(config_path, kwargs)
     params = sc.params()
     series, asymptote_x = _compute_series(sc, params)
     text = trajectory_csv(series) if sc.format == "csv" else trajectory_json(series)
@@ -194,11 +141,10 @@ def trajectory(config_path: str | None, **kwargs) -> None:
 
 
 @cli.command()
-@_opt_config
 @_scenario_options("k", "a", "g", "beta", "direction", "z_min", "z_max", "grid")
 def stagnation(config_path: str | None, **kwargs) -> None:
     """Report every stagnation level in the search window."""
-    sc = build_scenario(config_path, _overrides(kwargs))
+    sc = build_scenario(config_path, kwargs)
     report = solve_stagnation(sc.params(), sc.beta, sc.z_min, sc.z_max, sc.grid)
     lo, hi = report.search_interval
     click.echo(
@@ -214,12 +160,11 @@ def stagnation(config_path: str | None, **kwargs) -> None:
 
 
 @cli.command()
-@_opt_config
 @_scenario_options("k", "a", "g", "beta", "direction")
 @click.pass_context
 def validate(ctx: click.Context, config_path: str | None, **kwargs) -> None:
     """Run the self-check battery; exit 4 unless every check passes."""
-    sc = build_scenario(config_path, _overrides(kwargs))
+    sc = build_scenario(config_path, kwargs)
     results = run_battery(sc.params(), sc.beta)
     for i, res in enumerate(results, start=1):
         status = "PASS" if res.passed else "FAIL"
@@ -231,11 +176,10 @@ def validate(ctx: click.Context, config_path: str | None, **kwargs) -> None:
 
 
 @cli.command()
-@_opt_config
 @_scenario_options("k", "a", "g", "direction", "p0", "x", "z", "t")
 def field(config_path: str | None, **kwargs) -> None:
     """Evaluate velocity, pressure and surface elevation at one point."""
-    sc = build_scenario(config_path, _overrides(kwargs))
+    sc = build_scenario(config_path, kwargs)
     sample = evaluate_field(sc.params(), sc.x, sc.z, sc.t)
     click.echo(field_json(sc.x, sc.z, sc.t, sample), nl=False)
 

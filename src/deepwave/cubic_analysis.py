@@ -37,7 +37,8 @@ from .wave_field import WaveParams
 # coefficients, hence the fourth power).
 DISCRIMINANT_RTOL = 1e-12
 
-# Stored roots must satisfy |P(root)| <= ROOT_RESIDUAL_RTOL * coeff scale.
+# Stored roots must satisfy |P(Z)| <= ROOT_RESIDUAL_RTOL * max(coeff scale,
+# sum |a_i| |Z|^i).
 ROOT_RESIDUAL_RTOL = 1e-10
 
 
@@ -182,6 +183,16 @@ def _one_real_root(coeffs: CubicCoeffs) -> float:
     return _newton_polish(coeffs, t - shift)
 
 
+def _check_residual(coeffs: CubicCoeffs, Z: float, scale: float) -> None:
+    # The rounding of P(Z) grows with its summed term size, which a
+    # far-off root lifts well above the coefficient scale.
+    az = abs(Z)
+    terms = ((abs(coeffs.a3) * az + abs(coeffs.a2)) * az + abs(coeffs.a1)) * az
+    bound = ROOT_RESIDUAL_RTOL * max(scale, terms + abs(coeffs.a0))
+    if abs(coeffs.evaluate(Z)) > bound:
+        raise DegenerateRootsError(f"root {Z} failed to refine below residual {bound}")
+
+
 def _cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
@@ -239,20 +250,13 @@ def classify_roots(coeffs: CubicCoeffs) -> CubicReduction:
         )
     # a3 = (4/3) k^2 A^2 makes k|A| recoverable from the cubic itself.
     k_abs_A = math.sqrt(3.0 * coeffs.a3) / 2.0
-    residual_bound = ROOT_RESIDUAL_RTOL * scale
     if delta > 0.0:
         Z1, Z2, Z3 = _three_real_roots(coeffs)
         for Z in (Z1, Z2, Z3):
-            if abs(coeffs.evaluate(Z)) > residual_bound:
-                raise DegenerateRootsError(
-                    f"root {Z} failed to refine below residual {residual_bound}"
-                )
+            _check_residual(coeffs, Z, scale)
         return _case1_data(Z1, Z2, Z3, k_abs_A)
     Z0 = _one_real_root(coeffs)
-    if abs(coeffs.evaluate(Z0)) > residual_bound:
-        raise DegenerateRootsError(
-            f"root {Z0} failed to refine below residual {residual_bound}"
-        )
+    _check_residual(coeffs, Z0, scale)
     # Deflation: P(Z)/a3 = (Z - Z0)(Z^2 + pZ + q).
     p = coeffs.a2 / coeffs.a3 + Z0
     q = coeffs.a1 / coeffs.a3 + p * Z0

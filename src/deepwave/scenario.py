@@ -5,7 +5,9 @@ start a comment (full line or trailing), blank lines are ignored, and
 keys may use ``-`` or ``_`` interchangeably.  Command-line flags
 override file values, which override the built-in defaults.  The
 ``DEEPWAVE_CONFIG`` environment variable names a fallback config file
-used when no ``--config`` flag is given.
+used when no ``--config`` flag is given.  Each key is declared once, as
+a field of ``ScenarioConfig``; the command-line flags are built from
+the same fields.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
 from .errors import ParameterDomainError
@@ -24,61 +26,58 @@ ENV_CONFIG = "DEEPWAVE_CONFIG"
 SOLUTIONS = ("peakon", "elliptic", "oracle")
 FORMATS = ("csv", "json")
 
-# key -> (converter, default); const1's None means "pi/(2k) at build time".
-_FIELDS: dict[str, tuple[Callable[[str], Any], Any]] = {
-    "k": (float, 1.0),
-    "a": (float, 0.1),
-    "g": (float, 9.8),
-    "beta": (float, 1.0),
-    "direction": (int, 1),
-    "p0": (float, 0.0),
-    "rho": (float, 1.0),
-    "t_start": (float, 0.0),
-    "t_end": (float, 10.0),
-    "samples": (int, 1000),
-    "solution": (str, "elliptic"),
-    "const1": (float, None),
-    "const2": (float, 1.0),
-    "t0": (float, 0.0),
-    "out": (str, None),
-    "format": (str, "csv"),
-    "svg": (str, None),
-    "z_min": (float, -20.0),
-    "z_max": (float, 5.0),
-    "grid": (int, 4096),
-    "x": (float, 0.0),
-    "z": (float, 0.0),
-    "t": (float, 0.0),
-}
+
+def _key(
+    default: Any,
+    convert: Callable[[str], Any],
+    help: str | None = None,
+    choices: tuple[Any, ...] | None = None,
+) -> Any:
+    """One scenario key: its built-in default, the converter of its config
+    value, the help text of its ``--flag`` and, for a closed set, its
+    allowed values."""
+    return field(
+        default=default,
+        metadata={"convert": convert, "help": help, "choices": choices},
+    )
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One fully resolved scenario; every command reads the slice it needs."""
+    """One fully resolved scenario; every command reads the slice it needs.
 
-    k: float
-    a: float
-    g: float
-    beta: float
-    direction: int
-    p0: float
-    rho: float
-    t_start: float
-    t_end: float
-    samples: int
-    solution: str
-    const1: float
-    const2: float
-    t0: float
-    out: str | None
-    format: str
-    svg: str | None
-    z_min: float
-    z_max: float
-    grid: int
-    x: float
-    z: float
-    t: float
+    The fields are the one table of scenario keys: the config-file parser
+    and the command-line flags are both built from it.
+    """
+
+    k: float = _key(1.0, float, "Wavenumber k > 0.")
+    a: float = _key(0.1, float, "Amplitude a > 0.")
+    g: float = _key(9.8, float, "Gravity g > 0.")
+    beta: float = _key(1.0, float, "Vertical integration constant.")
+    direction: int = _key(1, int, "Propagation direction of the wave.", (1, -1))
+    p0: float = _key(0.0, float, "Surface pressure offset.")
+    rho: float = _key(1.0, float)
+    t_start: float = _key(0.0, float)
+    t_end: float = _key(10.0, float)
+    samples: int = _key(1000, int, "Number of output samples.")
+    solution: str = _key(
+        "elliptic", str, "Path family: closed forms or the numerical oracle.", SOLUTIONS
+    )
+    # None resolves to pi/(2k) at build time.
+    const1: float = _key(
+        None, float, "Peakon x offset (default pi/(2k), the crest-phase convention)."
+    )
+    const2: float = _key(1.0, float, "Peakon asymptote constant.")
+    t0: float = _key(0.0, float, "Clock offset of the closed forms.")
+    out: str | None = _key(None, str, "Sample file path ('-' or omitted: stdout).")
+    format: str = _key("csv", str, "Sample file format.", FORMATS)
+    svg: str | None = _key(None, str, "Also draw the path to SVG.")
+    z_min: float = _key(-20.0, float, "Search window lower edge (Z).")
+    z_max: float = _key(5.0, float, "Search window upper edge (Z).")
+    grid: int = _key(4096, int, "Echoed only; must be >= 1000.")
+    x: float = _key(0.0, float, "Evaluation x.")
+    z: float = _key(0.0, float, "Evaluation z.")
+    t: float = _key(0.0, float, "Evaluation time.")
 
     def params(self) -> WaveParams:
         return WaveParams(
@@ -98,6 +97,7 @@ def load_config_file(path: str) -> dict[str, str]:
             raw = fh.read()
     except OSError as exc:
         raise ParameterDomainError(f"cannot read config file {path}: {exc}") from exc
+    names = {f.name for f in fields(ScenarioConfig)}
     values: dict[str, str] = {}
     for lineno, line in enumerate(raw.splitlines(), start=1):
         body = re.split("[#;]", line, maxsplit=1)[0].strip()
@@ -110,7 +110,7 @@ def load_config_file(path: str) -> dict[str, str]:
         key, value = body.split("=", 1)
         key = key.strip().lower().replace("-", "_")
         value = value.strip()
-        if key not in _FIELDS:
+        if key not in names:
             raise ParameterDomainError(f"{path}:{lineno}: unknown key {key!r}")
         if not value:
             raise ParameterDomainError(f"{path}:{lineno}: empty value for {key!r}")
@@ -130,18 +130,22 @@ def build_scenario(
     file_values = load_config_file(path) if path else {}
 
     resolved: dict[str, Any] = {}
-    for key, (convert, default) in _FIELDS.items():
+    for f in fields(ScenarioConfig):
+        key, choices = f.name, f.metadata["choices"]
         if overrides.get(key) is not None:
-            resolved[key] = overrides[key]
+            value = overrides[key]
         elif key in file_values:
             try:
-                resolved[key] = convert(file_values[key])
+                value = f.metadata["convert"](file_values[key])
             except ValueError as exc:
                 raise ParameterDomainError(
                     f"config key {key!r}: cannot parse {file_values[key]!r}"
                 ) from exc
         else:
-            resolved[key] = default
+            value = f.default
+        if choices and value not in choices:
+            raise ParameterDomainError(f"{key} must be one of {choices}, got {value!r}")
+        resolved[key] = value
 
     if not (math.isfinite(resolved["k"]) and resolved["k"] > 0.0):
         raise ParameterDomainError(
@@ -150,14 +154,6 @@ def build_scenario(
     if resolved["const1"] is None:
         # Crest-phase convention: k * const1 = pi/2.
         resolved["const1"] = math.pi / (2.0 * resolved["k"])
-    if resolved["solution"] not in SOLUTIONS:
-        raise ParameterDomainError(
-            f"solution must be one of {SOLUTIONS}, got {resolved['solution']!r}"
-        )
-    if resolved["format"] not in FORMATS:
-        raise ParameterDomainError(
-            f"format must be one of {FORMATS}, got {resolved['format']!r}"
-        )
     if resolved["samples"] < 2:
         raise ParameterDomainError(f"samples must be >= 2, got {resolved['samples']}")
     if not resolved["t_end"] > resolved["t_start"]:

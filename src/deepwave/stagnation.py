@@ -19,9 +19,10 @@ stagnation levels in total (the roles swap for direction = -1).
 Convexity (f'' = k|A| e^Z > 0) brackets the roots: a branch's only
 critical point, Z_c = log(-sigma c / |A|) when sigma c < 0, splits the
 window into at most two monotone pieces holding at most one root each,
-polished by a bisection-Newton hybrid.  |f(Z_c)| <= 1e-8 flags a
-tangency: a double root (f(Z_c) = 0, reported only as the tangency) or
-an unresolvable pair.
+polished by a bisection-Newton hybrid.  |f(Z_c)| within 1e-8 of the
+summed term size |kc| (1 + |Z_c|) + |beta| at Z_c flags a tangency: a
+double root (f(Z_c) = 0, reported only as the tangency) or an
+unresolvable pair.
 """
 
 from __future__ import annotations
@@ -53,10 +54,11 @@ class StagnationSolution:
 
     branch is "plus" or "minus" (see module docstring); residual is
     |k|A| e^{Z*} - |k c Z* - beta||.  tangency marks a branch minimum
-    Z_c with |f(Z_c)| <= TANGENCY_TOL: a double root (f(Z_c) = 0, which
-    is then not also a plain level), or a pair too close to resolve,
-    reported at Z_c whether or not the pair's plain roots are also
-    reported; the residual bound of plain roots does not apply to it.
+    Z_c with |f(Z_c)| <= TANGENCY_TOL (|kc| (1 + |Z_c|) + |beta|): a
+    double root (f(Z_c) = 0, which is then not also a plain level), or a
+    pair too close to resolve, reported at Z_c whether or not the pair's
+    plain roots are also reported; the residual bound of plain roots does
+    not apply to it.
     """
 
     Z_star: float
@@ -176,7 +178,9 @@ def _branch_roots(
         ends.insert(1, Zc)
     values = [f(Z) for Z in ends]
     out = []
-    if len(ends) == 3 and abs(values[1]) <= TANGENCY_TOL:
+    if len(ends) == 3 and abs(values[1]) <= TANGENCY_TOL * (
+        abs(kc) * (1.0 + abs(Zc)) + abs(beta)
+    ):
         out.append(StagnationSolution(Zc, branch, _residual(kA, kc, beta, Zc), True))
         if values[1] == 0.0:
             return out  # a double root: the convex branch touches 0 only there

@@ -8,9 +8,11 @@ stdout and stderr, and the exit-code contract: 0 success, 2 usage,
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -20,10 +22,15 @@ import pytest
 
 from conftest import cli_env
 from deepwave import errors
-from deepwave.cli import main
+from deepwave.cli import cli, main
 from deepwave.cubic_analysis import Case1Reduction, build_cubic, classify_roots
 from deepwave.errors import DegenerateRootsError, ParameterDomainError
-from deepwave.scenario import ENV_CONFIG, build_scenario, load_config_file
+from deepwave.scenario import (
+    ENV_CONFIG,
+    ScenarioConfig,
+    build_scenario,
+    load_config_file,
+)
 from deepwave.stagnation import solve_stagnation
 from deepwave.trajectories import case1_series
 from deepwave.wave_field import WaveParams, evaluate_field
@@ -174,6 +181,79 @@ class TestConfigResolution:
         cfg.write_text(line + "\n")
         with pytest.raises(ParameterDomainError):
             build_scenario(str(cfg), {})
+
+
+class TestDocumentedSurface:
+    def test_readme_cli_examples_run_as_written(self, tmp_path, monkeypatch, capsys):
+        text = README.read_text(encoding="utf-8")
+        section = text[text.index("## Command line") :]
+        block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+        lines = [line.split("#")[0].strip() for line in block.splitlines()]
+        monkeypatch.chdir(tmp_path)
+        assert len(lines) == 6
+        for line in lines:
+            args = shlex.split(line)
+            assert args[0] == "deepwave"
+            code, _, err = run_cli(args[1:], capsys)
+            assert code == 0, (line, err)
+        assert (tmp_path / "path.svg").stat().st_size > 0
+        assert (tmp_path / "samples.csv").stat().st_size > 0
+
+    def test_readme_defaults_table_matches_scenario_config(self):
+        text = README.read_text(encoding="utf-8")
+        table = text[text.index("the offending file and line number.  Defaults:") :]
+        rows = [line for line in table.splitlines()[2:] if line.startswith("| `")]
+        listed: dict[str, object] = {}
+        for row in rows:
+            cells = [cell.strip() for cell in row.split("|")[1:-1]]
+            for key_cell, value_cell in (cells[0:2], cells[3:5]):
+                keys = re.findall(r"`(\w+)`", key_cell)
+                value_text = re.sub(r" \(.*\)$", "", value_cell.replace("`", ""))
+                values = value_text.split(", ")
+                if len(values) == 1:  # one default shared by every key listed
+                    values *= len(keys)
+                listed.update(zip(keys, values))
+        rows_by_name = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
+        assert sorted(listed) == sorted(rows_by_name)
+        for name, text_value in listed.items():
+            row = rows_by_name[name]
+            if text_value in ("none", "pi/(2k)"):
+                value = None
+            else:
+                value = row.metadata["convert"](text_value)
+            assert value == row.default, name
+
+    @pytest.mark.parametrize(
+        ("command", "options"),
+        [
+            ("dispersion", ["--k", "--g", "--a", "--direction"]),
+            (
+                "trajectory",
+                [
+                    "--config", "--k", "--a", "--g", "--beta", "--direction",
+                    "--p0", "--t-start", "--t-end", "--samples", "--solution",
+                    "--const1", "--const2", "--t0", "--out", "--format", "--svg",
+                ],
+            ),
+            (
+                "stagnation",
+                [
+                    "--config", "--k", "--a", "--g", "--beta", "--direction",
+                    "--z-min", "--z-max", "--grid",
+                ],
+            ),
+            ("validate", ["--config", "--k", "--a", "--g", "--beta", "--direction"]),
+            (
+                "field",
+                [
+                    "--config", "--k", "--a", "--g", "--direction", "--p0",
+                    "--x", "--z", "--t",
+                ],
+            ),
+        ],
+    )
+    def test_subcommand_options_pinned(self, command, options):
+        assert [param.opts[0] for param in cli.commands[command].params] == options
 
 
 class TestDispersionCommand:
@@ -422,6 +502,8 @@ class TestExitCodes:
             ["frobnicate"],
             ["trajectory", "--direction", "0"],
             ["trajectory", "--solution", "spline"],
+            ["trajectory", "--format", "xml"],
+            ["dispersion", "--direction", "0"],
         ],
     )
     def test_usage_errors_exit_2(self, args, capsys):

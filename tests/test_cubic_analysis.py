@@ -97,6 +97,21 @@ def test_scenario_roots_against_mpmath():
             assert red.Z0 == pytest.approx(real_roots[0], rel=1e-12)
 
 
+def test_far_off_root_residual_scaled_to_its_terms():
+    """One real root near 5440: |P(Z0)| ~ 1.8e-7 is about 2e-17 of the
+    summed term size there, far above 1e-10 of the coefficient scale."""
+    coeffs = build_cubic(WaveParams(k=13.4486, a=8.7305e-4, g=9.8), -9.6455)
+    red = classify_roots(coeffs)
+    assert isinstance(red, Case2Reduction)
+    with mpmath.workdps(50):
+        roots = mpmath.polyroots(
+            [coeffs.a3, coeffs.a2, coeffs.a1, coeffs.a0], maxsteps=200, extraprec=200
+        )
+        (Z0,) = [float(r.real) for r in roots if abs(r.imag) < 1e-30]
+    assert Z0 == pytest.approx(5440.5557, rel=1e-8)
+    assert red.Z0 == pytest.approx(Z0, rel=1e-12)
+
+
 def test_classification_against_dense_scan():
     """Root counts vs a 10^6-point scan of [-1e4, 1e4] on 500 draws."""
     rng = random.Random(20260819)

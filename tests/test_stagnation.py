@@ -382,10 +382,11 @@ def test_tangency_on_window_edge():
 def test_tiny_branch_values_give_no_false_level():
     """k|A| = kc = 1e-170: both branches stay positive on [0, 1] with
     values near 1e-170, whose product underflows to 0; no plain level
-    may be reported."""
+    may be reported, and a minimum of 1e-170 is no tangency at that
+    term size either."""
     params = WaveParams(k=1e-170, a=1e170, g=1e-170)
-    report = solve_stagnation(params, 0.0, 0.0, 1.0)
-    assert all(s.tangency for s in report.solutions)
+    with pytest.raises(EmptyReportError):
+        solve_stagnation(params, 0.0, 0.0, 1.0)
 
 
 def test_underflowing_envelope_rejected():
