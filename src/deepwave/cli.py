@@ -21,12 +21,12 @@ import numpy as np
 
 from .cubic_analysis import Case1Reduction, build_cubic, classify_roots
 from .emitters import (
+    csv_pieces,
     emit_text,
     field_json,
-    trajectory_csv,
-    trajectory_json,
+    json_pieces,
+    svg_pieces,
     trajectory_summary,
-    trajectory_svg,
 )
 from .errors import DeepwaveError
 from .ode_oracle import IntegratorConfig, integrate_moving_frame
@@ -127,14 +127,13 @@ def trajectory(config_path: str | None, **kwargs) -> None:
     sc = build_scenario(config_path, kwargs)
     params = sc.params()
     series, asymptote_x = _compute_series(sc, params)
-    text = trajectory_csv(series) if sc.format == "csv" else trajectory_json(series)
-    emit_text(sc.out, text)
+    emit_text(sc.out, csv_pieces(series) if sc.format == "csv" else json_pieces(series))
     to_stdout = sc.out in (None, "-")
     click.echo(trajectory_summary(series), nl=False, err=to_stdout)
     if sc.svg:
         emit_text(
             sc.svg,
-            trajectory_svg(
+            svg_pieces(
                 series, asymptote_x=asymptote_x, title=f"{series.case_tag} path"
             ),
         )

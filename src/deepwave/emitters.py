@@ -11,7 +11,10 @@ Formatting policy, fixed per file type so golden files stay stable:
 * SVG: generated directly with a fixed viewBox, path coordinates at 3
   decimals, axis ticks at round steps, vertical asymptotes dashed.
 
-All emitted text uses "\n" newlines regardless of platform.
+All emitted text uses "\n" newlines regardless of platform.  Each
+format is a generator of pieces covering _PIECE samples each, which
+emit_text writes as they come; trajectory_csv, trajectory_json and
+trajectory_svg return the same pieces joined.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,22 +42,29 @@ Z_DISPLAY_CAP = 10.0
 
 SAMPLE_COLUMNS = ("t", "x", "z", "X", "Z")
 
+# Samples formatted per piece: output memory stays bounded by one piece,
+# not by the length of the formatted text.
+_PIECE = 4096
+
+
+def csv_pieces(series: TrajectorySeries) -> Iterator[str]:
+    yield ",".join(SAMPLE_COLUMNS) + "\n"
+    for piece in _slices(series.t.size):
+        columns = (getattr(series, name)[piece].tolist() for name in SAMPLE_COLUMNS)
+        yield "".join("%.17g,%.17g,%.17g,%.17g,%.17g\n" % row for row in zip(*columns))
+
 
 def trajectory_csv(series: TrajectorySeries) -> str:
-    columns = (getattr(series, name).tolist() for name in SAMPLE_COLUMNS)
-    rows = "".join(
-        "%.17g,%.17g,%.17g,%.17g,%.17g\n" % row for row in zip(*columns)
-    )
-    return ",".join(SAMPLE_COLUMNS) + "\n" + rows
+    return "".join(csv_pieces(series))
 
 
-def trajectory_json(series: TrajectorySeries) -> str:
+def json_pieces(series: TrajectorySeries) -> Iterator[str]:
     """The document json.dumps(indent=2) writes for metadata and samples.
 
-    Only the metadata goes through the indenting encoder.  Each sample
-    array is encoded flat by the C encoder and its ", " separators are
-    turned into the indented line breaks; a float repr (and json's NaN
-    and Infinity) never contains ", ".
+    Only the metadata goes through the indenting encoder.  Each slice of
+    a sample array is encoded flat by the C encoder and its ", "
+    separators are turned into the indented line breaks; a float repr
+    (and json's NaN and Infinity) never contains ", ".
     """
     meta = {
         "case": series.case_tag,
@@ -72,13 +82,19 @@ def trajectory_json(series: TrajectorySeries) -> str:
         ),
     }
     head = json.dumps({"metadata": meta}, indent=2)[: -len("\n}")]
-    arrays = ",\n".join(
-        f'    "{name}": [\n      '
-        + json.dumps(getattr(series, name).tolist())[1:-1].replace(", ", ",\n      ")
-        + "\n    ]"
-        for name in SAMPLE_COLUMNS
-    )
-    return head + ',\n  "samples": {\n' + arrays + "\n  }\n}\n"
+    yield head + ',\n  "samples": {\n'
+    for i, name in enumerate(SAMPLE_COLUMNS):
+        yield ("" if i == 0 else ",\n") + f'    "{name}": [\n      '
+        column = getattr(series, name)
+        for j, piece in enumerate(_slices(column.size)):
+            flat = json.dumps(column[piece].tolist())[1:-1]
+            yield ("" if j == 0 else ",\n      ") + flat.replace(", ", ",\n      ")
+        yield "\n    ]"
+    yield "\n  }\n}\n"
+
+
+def trajectory_json(series: TrajectorySeries) -> str:
+    return "".join(json_pieces(series))
 
 
 def trajectory_summary(series: TrajectorySeries) -> str:
@@ -114,16 +130,18 @@ def field_json(x: float, z: float, t: float, sample: FieldSample) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def trajectory_svg(
+def svg_pieces(
     series: TrajectorySeries,
     asymptote_x: Sequence[float] = (),
     title: str | None = None,
-) -> str:
+) -> Iterator[str]:
     """Render the (x, z) path as a standalone SVG document.
 
-    A path whose plotted x or z range is not finite (an infinite or NaN
-    coordinate) raises ContractViolationError; CSV and JSON still emit
-    such a path.
+    The ranges, ticks and frame come from the whole path; the polyline
+    points are mapped and formatted one slice at a time.  A path whose
+    plotted x or z range is not finite (an infinite or NaN coordinate)
+    raises ContractViolationError before the first piece; CSV and JSON
+    still emit such a path.
     """
     x = np.asarray(series.x, dtype=float)
     z = np.asarray(series.z, dtype=float)
@@ -181,33 +199,54 @@ def trajectory_svg(
             'stroke="#c0392b" stroke-width="1" stroke-dasharray="6,4"/>'
         )
 
-    points = " ".join(
-        "%.3f,%.3f" % pair for pair in zip(sx(x).tolist(), sy(z).tolist())
-    )
     out.append(
-        f'<polyline fill="none" stroke="#1f6fb4" stroke-width="1.5" '
-        f'points="{points}"/>'
+        '<polyline fill="none" stroke="#1f6fb4" stroke-width="1.5" points="'
     )
-    out.append(
+    yield "\n".join(out)
+    for j, piece in enumerate(_slices(x.size)):
+        pairs = zip(sx(x[piece]).tolist(), sy(z[piece]).tolist())
+        yield ("" if j == 0 else " ") + " ".join("%.3f,%.3f" % pair for pair in pairs)
+    tail = [
+        '"/>',
         f'<text x="{SVG_MARGIN + plot_w - 10.0:.3f}" '
         f'y="{SVG_MARGIN + plot_h + 35.0:.3f}" '
-        'font-family="monospace" font-size="12">x</text>'
-    )
-    out.append(
+        'font-family="monospace" font-size="12">x</text>',
         f'<text x="{10.0:.3f}" y="{SVG_MARGIN + 10.0:.3f}" '
-        'font-family="monospace" font-size="12">z</text>'
-    )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+        'font-family="monospace" font-size="12">z</text>',
+        "</svg>",
+    ]
+    yield "\n".join(tail) + "\n"
 
 
-def emit_text(path: str | None, text: str) -> None:
-    """Write to a file with \\n newlines, or to stdout for None or "-"."""
+def trajectory_svg(
+    series: TrajectorySeries,
+    asymptote_x: Sequence[float] = (),
+    title: str | None = None,
+) -> str:
+    return "".join(svg_pieces(series, asymptote_x, title))
+
+
+def emit_text(path: str | None, text: str | Iterable[str]) -> None:
+    """Write a text, or its pieces in turn, to a file with \\n newlines,
+    or to stdout for None or "-".
+
+    The first piece is made before the file is opened, so an emitter
+    that rejects its input leaves no file behind.
+    """
+    pieces = iter((text,) if isinstance(text, str) else text)
+    first = next(pieces, "")
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.write(first)
+        sys.stdout.writelines(pieces)
         return
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.write(first)
+        fh.writelines(pieces)
+
+
+def _slices(n: int) -> Iterator[slice]:
+    """Consecutive slices of _PIECE samples covering range(n)."""
+    return (slice(i, i + _PIECE) for i in range(0, n, _PIECE))
 
 
 def _padded_range(lo: float, hi: float) -> tuple[float, float]:

@@ -313,19 +313,21 @@ class TestTrajectoryCommand:
             assert row == expected
 
     def test_out_file_matches_stdout_bytes(self, tmp_path, capsys):
-        target = tmp_path / "path.csv"
-        base = ["trajectory", "--k", "1", "--beta", "1", "--t-end", "2",
-                "--samples", "5"]
-        code, out, err = run_cli(base + ["--out", str(target)], capsys)
-        assert code == 0
-        assert "case: case1" in out  # summary moves to stdout
-        assert err == ""
-        text = target.read_text()
-        assert text.endswith("\n")
+        # 9000 samples span three of the emitters' 4096-sample pieces.
+        for samples, fmt in (("5", "csv"), ("9000", "csv"), ("9000", "json")):
+            target = tmp_path / f"path-{samples}.{fmt}"
+            base = ["trajectory", "--k", "1", "--beta", "1", "--t-end", "2",
+                    "--samples", samples, "--format", fmt]
+            code, out, err = run_cli(base + ["--out", str(target)], capsys)
+            assert code == 0
+            assert "case: case1" in out  # summary moves to stdout
+            assert err == ""
+            text = target.read_text()
+            assert text.endswith("\n")
 
-        code2, out2, _ = run_cli(base + ["--out", "-"], capsys)
-        assert code2 == 0
-        assert out2 == text
+            code2, out2, _ = run_cli(base + ["--out", "-"], capsys)
+            assert code2 == 0
+            assert out2 == text
 
     def test_json_payload_structure(self, capsys, scenario_k1):
         params, beta = scenario_k1

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,10 @@ from deepwave.emitters import (
     _padded_range,
     _ticks_x,
     _ticks_y,
+    csv_pieces,
+    emit_text,
+    json_pieces,
+    svg_pieces,
     trajectory_csv,
     trajectory_json,
     trajectory_svg,
@@ -162,18 +167,35 @@ def _cli_series(**overrides):
     return _compute_series(sc, sc.params())
 
 
+def _asymptote_window(samples):
+    """A k4 window centred on an asymptote: with an odd sample count its
+    middle sample falls inside the guard band, so the case-2 series
+    drops it."""
+    probe, _ = _cli_series(k=4.0, beta=1.0, t_start=0.0, t_end=10.0, samples=11)
+    t_a = probe.asymptote_times[1]
+    return _cli_series(
+        k=4.0, beta=1.0, t_start=t_a - 1.0, t_end=t_a + 1.0, samples=samples
+    )
+
+
+# Sample counts on both sides of the emitters' 4096-sample pieces.
+PIECE_EDGES = (2, 4095, 4096, 4097, 8193)
+
+
 @pytest.fixture(scope="module")
 def cli_series():
     k1 = _cli_series(k=1.0, beta=1.0, t_start=0.4, t_end=10.4, samples=3001)
-    # A window centred on an asymptote puts its middle sample inside the
-    # guard band, so the case-2 series drops it.
-    probe, _ = _cli_series(k=4.0, beta=1.0, t_start=0.0, t_end=10.0, samples=11)
-    t_a = probe.asymptote_times[1]
-    k4 = _cli_series(k=4.0, beta=1.0, t_start=t_a - 1.0, t_end=t_a + 1.0, samples=3001)
+    k4 = _asymptote_window(3001)
     peakon = _cli_series(
         k=1.0, beta=1.0, t_start=0.0, t_end=10.0, samples=3001, solution="peakon"
     )
-    return {"k1": k1, "k4": k4, "peakon": peakon}
+    cases = {"k1": k1, "k4": k4, "peakon": peakon}
+    for n in PIECE_EDGES:
+        cases[f"k1-n{n}"] = _cli_series(
+            k=1.0, beta=1.0, t_start=0.4, t_end=10.4, samples=n
+        )
+    cases["k4-n8193"] = _asymptote_window(8193)
+    return cases
 
 
 def _edge_series() -> TrajectorySeries:
@@ -196,9 +218,14 @@ def test_k4_series_has_dropped_samples_and_marks(cli_series):
     assert series.asymptote_times and marks
 
 
-@pytest.mark.parametrize("name", ["k1", "k4", "peakon"])
+@pytest.mark.parametrize(
+    "name",
+    ["k1", "k4", "peakon", *(f"k1-n{n}" for n in PIECE_EDGES), "k4-n8193"],
+)
 def test_bytes_match_reference(cli_series, name):
     series, marks = cli_series[name]
+    if name == "k4-n8193":
+        assert 4096 < series.t.size < 8193 and marks
     assert_same_text(trajectory_csv(series), reference_csv(series))
     assert_same_text(trajectory_json(series), reference_json(series))
     title = f"{series.case_tag} path"
@@ -231,16 +258,51 @@ def test_edge_values_match_reference():
         ([0.0, 5e-324], [0.0, -0.5]),
     ],
 )
-def test_svg_rejects_unplottable_range(x, z):
+def test_svg_rejects_unplottable_range(x, z, tmp_path):
     with np.errstate(invalid="ignore"):
         series = TrajectorySeries(
             k=1.0, c=0.0, t=[0.0, 1.0], x=x, z=z, X=x, Z=z, case_tag="case1"
         )
     with pytest.raises(ContractViolationError):
         trajectory_svg(series)
+    # Streamed to a file, the rejection comes before the file is opened.
+    target = tmp_path / "path.svg"
+    with pytest.raises(ContractViolationError):
+        emit_text(str(target), svg_pieces(series))
+    assert not target.exists()
     # The data formats carry such a series unchanged.
     assert_same_text(trajectory_csv(series), reference_csv(series))
     assert_same_text(trajectory_json(series), reference_json(series))
+
+
+@pytest.fixture(scope="module")
+def k4_long():
+    return _cli_series(k=4.0, beta=1.0, t_start=0.0, t_end=20.0, samples=100_000)
+
+
+@pytest.mark.parametrize(
+    "pieces",
+    [
+        lambda series, _: csv_pieces(series),
+        lambda series, _: json_pieces(series),
+        lambda series, marks: svg_pieces(series, marks, title="case2 path"),
+    ],
+    ids=["csv", "json", "svg"],
+)
+def test_emission_memory_is_bounded(k4_long, tmp_path, pieces):
+    """Writing a 10^5-sample series holds about one 4096-sample piece at
+    a time, never the whole document (30-37 MB for CSV and JSON)."""
+    series, marks = k4_long
+    target = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        emit_text(str(target), pieces(series, marks))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert target.stat().st_size > 10 * series.t.size
+    assert peak <= 4e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_single_sample_json_matches_reference():
