@@ -47,7 +47,6 @@ from .trajectories import (
     peakon_residuals,
     peakon_series,
     period_case1,
-    quadrature_x_check,
 )
 from .ode_oracle import (
     IntegratorConfig,
@@ -58,17 +57,14 @@ from .ode_oracle import (
     residual_full_Z_ode,
 )
 from .stagnation import (
-    AnnotatedStagnation,
     StagnationReport,
     StagnationSolution,
     solve_stagnation,
-    stagnation_on_trajectory,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnotatedStagnation",
     "AsymptoteProximityError",
     "BetaCandidates",
     "Case1Reduction",
@@ -112,9 +108,7 @@ __all__ = [
     "peakon_series",
     "period_case1",
     "phase",
-    "quadrature_x_check",
     "residual_full_Z_ode",
     "solve_stagnation",
-    "stagnation_on_trajectory",
     "__version__",
 ]

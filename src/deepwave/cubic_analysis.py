@@ -147,14 +147,20 @@ def _newton_polish(coeffs: CubicCoeffs, Z: float) -> float:
     return Z
 
 
-def _three_real_roots(coeffs: CubicCoeffs) -> tuple[float, float, float]:
-    # Trigonometric method on the depressed cubic t^3 + pt + q.
+def _depressed(coeffs: CubicCoeffs) -> tuple[float, float, float]:
+    """(shift, p, q) with Z = t - shift turning the cubic into t^3 + pt + q."""
     a, b = coeffs.a3, coeffs.a2
     shift = b / (3.0 * a)
     p = (3.0 * a * coeffs.a1 - b * b) / (3.0 * a * a)
     q = (2.0 * b * b * b - 9.0 * a * b * coeffs.a1 + 27.0 * a * a * coeffs.a0) / (
         27.0 * a * a * a
     )
+    return shift, p, q
+
+
+def _three_real_roots(coeffs: CubicCoeffs) -> tuple[float, float, float]:
+    # Trigonometric method on the depressed cubic t^3 + pt + q.
+    shift, p, q = _depressed(coeffs)
     # Three real roots force p < 0.
     r = 2.0 * math.sqrt(-p / 3.0)
     arg = 3.0 * q / (p * r)
@@ -169,12 +175,7 @@ def _three_real_roots(coeffs: CubicCoeffs) -> tuple[float, float, float]:
 
 def _one_real_root(coeffs: CubicCoeffs) -> float:
     # Cardano's formula with sign-preserving cube roots.
-    a, b = coeffs.a3, coeffs.a2
-    shift = b / (3.0 * a)
-    p = (3.0 * a * coeffs.a1 - b * b) / (3.0 * a * a)
-    q = (2.0 * b * b * b - 9.0 * a * b * coeffs.a1 + 27.0 * a * a * coeffs.a0) / (
-        27.0 * a * a * a
-    )
+    shift, p, q = _depressed(coeffs)
     # disc rounds below zero when the complex pair is nearly double next
     # to a far-off real root (tiny k|A|); disc = 0 then locates that root.
     disc = 0.25 * q * q + p * p * p / 27.0

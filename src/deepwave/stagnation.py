@@ -30,10 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ContractViolationError, EmptyReportError, ParameterDomainError
-from .trajectories import TrajectorySeries
 from .wave_field import WaveParams
 
 # Windows extending beyond this would overflow exp().
@@ -41,11 +38,6 @@ Z_OVERFLOW = 700.0
 
 RESIDUAL_RTOL = 1e-10
 TANGENCY_TOL = 1e-8
-
-# Placement of a stagnation level relative to a sampled trajectory.
-ON_TRAJECTORY = "on-trajectory"
-INSIDE_BAND = "inside-band"
-OUTSIDE_BAND = "outside-band"
 
 
 @dataclass(frozen=True)
@@ -72,14 +64,6 @@ class StagnationReport:
     solutions: tuple[StagnationSolution, ...]
     search_interval: tuple[float, float]
     grid_size: int
-
-
-@dataclass(frozen=True)
-class AnnotatedStagnation:
-    """A stagnation level with its placement relative to one trajectory."""
-
-    solution: StagnationSolution
-    placement: str
 
 
 def solve_stagnation(
@@ -131,33 +115,6 @@ def solve_stagnation(
         search_interval=(Z_min, Z_max),
         grid_size=grid,
     )
-
-
-def stagnation_on_trajectory(
-    report: StagnationReport, series: TrajectorySeries
-) -> tuple[AnnotatedStagnation, ...]:
-    """Place each stagnation level relative to a sampled trajectory.
-
-    "on-trajectory" means some Z sample lies within 1e-6 of the level;
-    "inside-band" means the level lies in the sampled Z range (for the
-    peakon the band is unbounded below, since Z covers every level below
-    its sampled peak at some time outside any finite window);
-    "outside-band" otherwise.
-    """
-    Z = series.Z
-    z_lo = -math.inf if series.case_tag == "peakon" else float(np.min(Z))
-    z_hi = float(np.max(Z))
-    annotated = []
-    for sol in report.solutions:
-        gap = float(np.min(np.abs(Z - sol.Z_star)))
-        if gap < 1e-6:
-            placement = ON_TRAJECTORY
-        elif z_lo <= sol.Z_star <= z_hi:
-            placement = INSIDE_BAND
-        else:
-            placement = OUTSIDE_BAND
-        annotated.append(AnnotatedStagnation(solution=sol, placement=placement))
-    return tuple(annotated)
 
 
 def _branch_roots(

@@ -45,13 +45,14 @@ from .cubic_analysis import Case1Reduction, Case2Reduction
 from .special_functions import complete_K, jacobi_sn_cn_dn
 from .wave_field import WaveParams, evaluate_field
 
-# Samples whose phase distance to an asymptote of 1 + cn falls below this
-# guard are rejected (point evaluation) or dropped (series sampling).
+# Peakon samples whose asymptote argument |kA t + const2| falls below this
+# guard are dropped.
 ASYMPTOTE_GUARD = 1e-9
 
-# cn rounds to exactly -1 once the phase distance drops under ~sqrt(eps),
-# which the phase guard alone cannot see; any denominator 1 + cn below
-# this floor counts as on-asymptote.
+# A case-2 phase whose denominator 1 + cn falls below this floor counts as
+# on-asymptote and is rejected (point evaluation) or dropped (series
+# sampling).  At phase distance d from 2K (mod 4K), 1 + cn ~ d^2/2, so the
+# band reaches d ~ sqrt(2 CN_DENOM_GUARD) ~ 1.41e-6.
 CN_DENOM_GUARD = 1e-12
 
 # 1 - cos^2 X below minus this is a contract violation rather than a
@@ -61,7 +62,7 @@ SQRT_ARG_TOL = 1e-9
 # A time argument of the closed forms: one instant or a 1-d array of them.
 Times = float | np.ndarray
 
-CASE_TAGS = ("peakon", "case1", "case2", "oracle-full", "oracle-truncated")
+CASE_TAGS = ("peakon", "case1", "case2", "oracle-full")
 
 
 @dataclass(frozen=True)
@@ -288,10 +289,11 @@ def case2_Z(red: Case2Reduction, t: Times, t0: float = 0.0) -> Times:
     Raises
     ------
     AsymptoteProximityError
-        When any sample is guarded: its phase C2 (t - t0) lies within
-        ASYMPTOTE_GUARD of 2K (mod 4K), or its 1 + cn falls below
-        CN_DENOM_GUARD.  case2_series drops exactly these samples.  The
-        nearest asymptote time of the first guarded sample is attached.
+        When any sample is guarded: its 1 + cn falls below
+        CN_DENOM_GUARD, i.e. its phase C2 (t - t0) lies within about
+        1.41e-6 of 2K (mod 4K).  case2_series drops exactly these
+        samples.  The nearest asymptote time of the first guarded sample
+        is attached.
     """
     return _like(t, _case2_point(red, t, t0)[0])
 
@@ -455,24 +457,6 @@ def case2_series(
     )
 
 
-def quadrature_x_check(params: WaveParams, series: TrajectorySeries) -> np.ndarray:
-    """Cross-check x(t) by integrating the field velocity along the path.
-
-    Returns the cumulative trapezoid of u = A e^Z cos X starting from the
-    series' first x sample.  For truncated closed forms this drifts away
-    from the assembled x at a rate set by the truncation gap; the result
-    is a diagnostic, not a replacement.
-    """
-    u = params.A * np.exp(series.Z) * np.cos(series.X)
-    dt = np.diff(series.t)
-    increments = 0.5 * (u[1:] + u[:-1]) * dt
-    x = np.empty_like(series.x)
-    x[0] = series.x[0]
-    np.cumsum(increments, out=x[1:])
-    x[1:] += series.x[0]
-    return x
-
-
 def _case1(red: Case1Reduction, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Case-1 closed form (Z, dZdt) at every phase u = C1 (t - t0)."""
     sn, cn, dn = jacobi_sn_cn_dn(u, red.k1sq)
@@ -489,20 +473,17 @@ def _case2(
 
     Returns (keep, Z, dZdt, rising): keep marks those phases, and Z,
     dZdt and rising (u in [0, 2K) mod 4K, where Z climbs from Z0) hold
-    the values at them only.  A phase is guarded when its distance to 2K
-    (mod 4K) is below ASYMPTOTE_GUARD or its 1 + cn below CN_DENOM_GUARD.
+    the values at them only.  A phase is guarded when its 1 + cn falls
+    below CN_DENOM_GUARD.
     """
     if not np.all(np.isfinite(u)):
         bad = float(u[np.argmin(np.isfinite(u))])
         raise ParameterDomainError(f"case-2 phase must be finite, got {bad}")
-    dist = np.remainder(u - 2.0 * quarter, 4.0 * quarter)
-    rising = dist >= 2.0 * quarter
-    keep = np.minimum(dist, 4.0 * quarter - dist) >= ASYMPTOTE_GUARD
-    sn, cn, dn = jacobi_sn_cn_dn(u[keep], red.k2sq)
+    rising = np.remainder(u - 2.0 * quarter, 4.0 * quarter) >= 2.0 * quarter
+    sn, cn, dn = jacobi_sn_cn_dn(u, red.k2sq)
     denom = 1.0 + cn
-    clear = ~(denom < CN_DENOM_GUARD)
-    keep[keep] = clear
-    sn, cn, dn, denom = sn[clear], cn[clear], dn[clear], denom[clear]
+    keep = ~(denom < CN_DENOM_GUARD)
+    sn, cn, dn, denom = sn[keep], cn[keep], dn[keep], denom[keep]
     R = math.sqrt(red.Z0 * red.Z0 + red.p * red.Z0 + red.q)
     Z = red.Z0 + R * (1.0 - cn) / denom
     dZdt = 2.0 * red.C2 * R * sn * dn / (denom * denom)

@@ -15,20 +15,9 @@ from deepwave import (
     EmptyReportError,
     ParameterDomainError,
     WaveParams,
-    build_cubic,
-    case1_series,
-    classify_roots,
     solve_stagnation,
 )
-from deepwave.stagnation import (
-    INSIDE_BAND,
-    ON_TRAJECTORY,
-    OUTSIDE_BAND,
-    TANGENCY_TOL,
-    StagnationReport,
-    StagnationSolution,
-    stagnation_on_trajectory,
-)
+from deepwave.stagnation import TANGENCY_TOL, StagnationSolution
 
 
 def dense_scan_levels(
@@ -253,39 +242,6 @@ def test_report_metadata(scenario_k2):
     report = solve_stagnation(params, beta, Z_min=-12.0, Z_max=4.0, grid=2048)
     assert report.search_interval == (-12.0, 4.0)
     assert report.grid_size == 2048
-
-
-def test_placement_annotation(scenario_k1):
-    params, beta = scenario_k1
-    red = classify_roots(build_cubic(params, beta))
-    series = case1_series(params, red, beta, 0.0, 4.0, 2048)
-    lo, hi = float(np.min(series.Z)), float(np.max(series.Z))
-    synthetic = StagnationReport(
-        solutions=(
-            StagnationSolution(Z_star=lo, branch="plus", residual=0.0),
-            StagnationSolution(
-                Z_star=0.5 * (lo + hi), branch="minus", residual=0.0
-            ),
-            StagnationSolution(Z_star=hi + 1.0, branch="minus", residual=0.0),
-        ),
-        search_interval=(-20.0, 5.0),
-        grid_size=4096,
-    )
-    placements = [
-        a.placement for a in stagnation_on_trajectory(synthetic, series)
-    ]
-    assert placements == [ON_TRAJECTORY, INSIDE_BAND, OUTSIDE_BAND]
-
-
-def test_real_report_placements(scenario_k1):
-    params, beta = scenario_k1
-    red = classify_roots(build_cubic(params, beta))
-    series = case1_series(params, red, beta, 0.0, 5.0, 2048)
-    report = solve_stagnation(params, beta)
-    annotated = stagnation_on_trajectory(report, series)
-    assert len(annotated) == len(report.solutions)
-    for a in annotated:
-        assert a.placement in (ON_TRAJECTORY, INSIDE_BAND, OUTSIDE_BAND)
 
 
 @given(

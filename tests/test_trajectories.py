@@ -45,10 +45,20 @@ from deepwave.trajectories import (
     TrajectorySeries,
     ZSeries,
     _sample_grid,
-    quadrature_x_check,
 )
 
 times = st.floats(min_value=-50.0, max_value=50.0)
+
+
+def quadrature_x(params, series):
+    """x(t) from the cumulative trapezoid of the field velocity
+    u = A e^Z cos X along the path, started from the series' first x."""
+    u = params.A * np.exp(series.Z) * np.cos(series.X)
+    x = np.empty_like(series.x)
+    x[0] = series.x[0]
+    np.cumsum(0.5 * (u[1:] + u[:-1]) * np.diff(series.t), out=x[1:])
+    x[1:] += series.x[0]
+    return x
 
 
 @pytest.fixture(scope="module")
@@ -215,7 +225,7 @@ def test_case1_series_quadrature_diagnostic(scenario_k1, red_k1):
     params, beta = scenario_k1
     T = period_case1(red_k1)
     series = case1_series(params, red_k1, beta, 0.0, 3.0 * T, 6001)
-    x_quad = quadrature_x_check(params, series)
+    x_quad = quadrature_x(params, series)
     gap = float(np.abs(x_quad - series.x).max())
     assert 1e-4 <= gap <= 0.2
 
@@ -408,16 +418,46 @@ def test_case2_series_guard_band_dropping(scenario_k4, red_k4):
 
 
 def test_case2_point_denominator_guard(red_k4):
-    """Inside sqrt(eps) of the asymptote cn itself rounds onto -1.
-
-    The time-based guard band is narrower than that rounding radius, so
-    the evaluation must refuse on the denominator as well instead of
-    dividing by zero.
+    """Inside sqrt(eps) of the asymptote cn itself rounds onto -1, so the
+    evaluation must refuse on the denominator instead of dividing by zero.
     """
     (t1,) = asymptote_times(red_k4, 0.0, [0])
     with pytest.raises(AsymptoteProximityError) as excinfo:
         case2_Z(red_k4, t1 + 3e-9)
     assert excinfo.value.nearest_time == pytest.approx(t1, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "m", [1e-12, 0.0039, 0.0184, 0.5, 0.953, 1.0 - 1e-6, 1.0 - 5e-13]
+)
+@pytest.mark.parametrize("n", [-1, 0, 1, 10, 1000, 10**6])
+def test_case2_denominator_rule_covers_phase_band(m, n):
+    """The denominator rule 1 + cn < CN_DENOM_GUARD, the only case-2
+    guard, drops every phase within ASYMPTOTE_GUARD of the asymptote
+    2K + 4nK, and its band reaches sqrt(2 CN_DENOM_GUARD) in phase, since
+    1 + cn ~ d^2/2 at phase distance d."""
+    quarter = complete_K(m)
+    centre = (2.0 + 4.0 * n) * quarter
+    step = abs(np.spacing(centre))
+    u = np.unique(
+        np.concatenate(
+            [
+                centre + np.linspace(-2e-9, 2e-9, 2001),
+                centre + np.linspace(-1.6e-6, 1.6e-6, 6401),
+                centre + step * np.arange(-40, 41),
+            ]
+        )
+    )
+    dist = np.remainder(u - 2.0 * quarter, 4.0 * quarter)
+    dist = np.minimum(dist, 4.0 * quarter - dist)
+    _, cn, _ = jacobi_sn_cn_dn(u, m)
+    dropped = 1.0 + cn < CN_DENOM_GUARD
+    inside = dist < ASYMPTOTE_GUARD
+    # Far out the floats can be coarser than the phase band itself.
+    assert np.any(inside) or step > ASYMPTOTE_GUARD
+    assert np.all(dropped[inside])
+    widest = float(dist[dropped].max())
+    assert widest == pytest.approx(math.sqrt(2.0 * CN_DENOM_GUARD), rel=0.01)
 
 
 @pytest.mark.parametrize(
@@ -572,17 +612,18 @@ def test_trajectory_series_rejects_unknown_tag():
     t = np.array([0.0, 1.0])
     x = params.c * t
     z = np.array([-1.0, -1.0])
-    with pytest.raises(ContractViolationError):
-        TrajectorySeries(
-            k=params.k,
-            c=params.c,
-            t=t,
-            x=x,
-            z=z,
-            X=np.zeros_like(t),
-            Z=params.k * z,
-            case_tag="mystery",
-        )
+    for tag in ("mystery", "oracle-truncated"):
+        with pytest.raises(ContractViolationError):
+            TrajectorySeries(
+                k=params.k,
+                c=params.c,
+                t=t,
+                x=x,
+                z=z,
+                X=np.zeros_like(t),
+                Z=params.k * z,
+                case_tag=tag,
+            )
 
 
 def test_zseries_requires_increasing_time():
