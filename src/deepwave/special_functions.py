@@ -18,7 +18,11 @@ descending Landen phase recursion for the amplitude function
 dn from the identity that is better conditioned at the current point.
 The same recursion covers the whole domain 0 <= m < 1: at m = 0 the
 chain has one level and am(u) = u, and near m = 1 the chain is a few
-levels longer, so there is no special case at either end.
+levels longer, so there is no special case at either end.  An array of
+any shape is evaluated over blocks of its arguments, one Landen level at
+a time across a block, with the same libm sin/asin/cos/remainder calls
+and the same IEEE arithmetic in the same order as a scalar call, so
+every element equals the scalar call at that element bit for bit.
 
 All functions are pure; there is no cache or other shared state.
 """
@@ -26,6 +30,7 @@ All functions are pure; there is no cache or other shared state.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -38,6 +43,10 @@ _LANDEN_STOP = 2.0**-52
 
 # Safety cap on the chain's length; 0 <= m < 1 needs at most 10 levels.
 _MAX_LANDEN_LEVELS = 64
+
+# Arrays are evaluated this many arguments at a time, so the boxed floats
+# that each libm pass over a block needs stay a small, fixed allocation.
+_BLOCK = 4096
 
 
 def _check_m(m: float) -> None:
@@ -73,22 +82,25 @@ def jacobi_sn_cn_dn(
 
     Parameters
     ----------
-    u : float or 1-d array
-        Real argument(s).  Arguments beyond one full period are reduced
-        modulo 4K(m) before the recursion.  The reduction keeps the
-        recursion's argument small but not the phase exact: the
-        rounding of u and of 4K(m), carried over |u|/4K(m) periods,
-        shifts the phase by about ulp(u), so absolute errors grow like
-        |u| 2^-52 (about 1e-10 at |u| = 1e6).
+    u : float or array
+        Real argument(s); an array may have any shape.  Arguments
+        beyond one full period are reduced modulo 4K(m) before the
+        recursion.  The reduction keeps the recursion's argument small
+        but not the phase exact: the rounding of u and of 4K(m), carried
+        over |u|/4K(m) periods, shifts the phase by about ulp(u), so
+        absolute errors grow like |u| 2^-52 (about 1e-10 at |u| = 1e6).
     m : float
         Squared modulus, 0 <= m < 1.
 
     Returns
     -------
     (sn, cn, dn)
-        Three floats for a scalar u, three arrays shaped like u for an
-        array.  sn and cn lie in [-1, 1], dn in [sqrt(1-m), 1].  Every
-        element gets the same bits as a scalar call at that element.
+        Three floats for a scalar u (a 0-d array included), three
+        arrays shaped like u for an array.  sn and cn lie in [-1, 1], dn
+        in [sqrt(1-m), 1].  Arrays are evaluated one Landen level at a
+        time over blocks of 4096 arguments with the same libm calls, so
+        every element gets the same bits as a scalar call at that
+        element.
 
     Raises
     ------
@@ -102,12 +114,23 @@ def jacobi_sn_cn_dn(
     if not (isinstance(u, np.ndarray) and u.ndim):
         return _sn_cn_dn(float(u), m, chain, period)
     u = np.asarray(u, dtype=float)
-    # Three separate buffers and no tolist(): one freed 3n block or n
-    # boxed floats would leave the heap larger for the emitters that follow.
-    sn, cn, dn = np.empty_like(u), np.empty_like(u), np.empty_like(u)
-    for i, ui in enumerate(u):
-        sn[i], cn[i], dn[i] = _sn_cn_dn(float(ui), m, chain, period)
-    return sn, cn, dn
+    flat = u.ravel()
+    # Three output buffers filled a block at a time: the boxed floats of
+    # the libm calls never exceed one block, where n of them would leave
+    # the heap larger for the emitters that follow.
+    sn, cn, dn = np.empty(flat.size), np.empty(flat.size), np.empty(flat.size)
+    for lo in range(0, flat.size, _BLOCK):
+        block = flat[lo : lo + _BLOCK]
+        finite = np.isfinite(block)
+        if not finite.all():
+            i = lo + int(np.argmin(finite))
+            where = ", ".join(str(int(j)) for j in np.unravel_index(i, u.shape))
+            raise ParameterDomainError(
+                f"argument u must be finite, got {flat[i]} at u[{where}]"
+            )
+        hi = lo + block.size
+        sn[lo:hi], cn[lo:hi], dn[lo:hi] = _sn_cn_dn_block(block, m, chain, period)
+    return sn.reshape(u.shape), cn.reshape(u.shape), dn.reshape(u.shape)
 
 
 def _sn_cn_dn(
@@ -134,6 +157,37 @@ def _sn_cn_dn(
         # Equivalent identity, better conditioned when sn^2 is large.
         dn = math.sqrt((1.0 - m) + m * cn * cn)
     return sn, cn, dn
+
+
+def _sn_cn_dn_block(
+    u: np.ndarray, m: float, chain: list[tuple[float, float]], period: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_sn_cn_dn over a 1-d block of finite arguments, one level at a time.
+
+    Each step is the scalar step applied elementwise: libm's remainder,
+    sin, asin and cos per element, and numpy's ldexp, arithmetic, clamp
+    and sqrt, which round exactly as the scalar operations do.
+    """
+    big = np.abs(u) > period
+    if big.any():
+        u = u.copy()  # not the caller's array, of which u is a view
+        u[big] = [math.remainder(x, period) for x in u[big].tolist()]
+
+    phi = np.ldexp(chain[-1][0] * u, len(chain) - 1)  # 2^n a_n u
+    for a, c in reversed(chain[1:]):
+        s = np.clip(c / a * _libm(math.sin, phi), -1.0, 1.0)
+        phi = 0.5 * (phi + _libm(math.asin, s))
+
+    sn = _libm(math.sin, phi)
+    cn = _libm(math.cos, phi)
+    sn2 = sn * sn
+    dn = np.sqrt(np.where(sn2 <= 0.5, 1.0 - m * sn2, (1.0 - m) + m * cn * cn))
+    return sn, cn, dn
+
+
+def _libm(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """The math-module function f at every element of the 1-d array x."""
+    return np.frompyfunc(f, 1, 1)(x).astype(float)
 
 
 def _landen_chain(m: float) -> list[tuple[float, float]]:

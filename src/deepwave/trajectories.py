@@ -476,18 +476,16 @@ def _case2(
     the values at them only.  A phase is guarded when its 1 + cn falls
     below CN_DENOM_GUARD.
     """
-    if not np.all(np.isfinite(u)):
-        bad = float(u[np.argmin(np.isfinite(u))])
-        raise ParameterDomainError(f"case-2 phase must be finite, got {bad}")
-    rising = np.remainder(u - 2.0 * quarter, 4.0 * quarter) >= 2.0 * quarter
+    # The kernel rejects a non-finite phase before np.remainder sees it.
     sn, cn, dn = jacobi_sn_cn_dn(u, red.k2sq)
     denom = 1.0 + cn
     keep = ~(denom < CN_DENOM_GUARD)
-    sn, cn, dn, denom = sn[keep], cn[keep], dn[keep], denom[keep]
+    sn, cn, dn, denom, u = sn[keep], cn[keep], dn[keep], denom[keep], u[keep]
+    rising = np.remainder(u - 2.0 * quarter, 4.0 * quarter) >= 2.0 * quarter
     R = math.sqrt(red.Z0 * red.Z0 + red.p * red.Z0 + red.q)
     Z = red.Z0 + R * (1.0 - cn) / denom
     dZdt = 2.0 * red.C2 * R * sn * dn / (denom * denom)
-    return keep, Z, dZdt, rising[keep]
+    return keep, Z, dZdt, rising
 
 
 def _case2_point(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -296,6 +297,70 @@ def test_jacobi_array_equals_scalar_calls(us, m):
     assert _bits(sn) == _bits([s for s, _, _ in scalar])
     assert _bits(cn) == _bits([c for _, c, _ in scalar])
     assert _bits(dn) == _bits([d for _, _, d in scalar])
+
+
+@pytest.mark.parametrize("m", FROZEN_M)
+@pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("parity", [0, 1])
+def test_jacobi_array_matches_two_agm_reference_across_blocks(n, m, parity):
+    """Arrays one short of, at and past the 4096-argument block, and one
+    past two blocks: reduced (|u| > 4K) and unreduced arguments alternate,
+    so each kind sits on both sides of every block edge."""
+    rng = np.random.default_rng(n + parity)
+    period = 4.0 * _ref_complete_K(m)
+    small = rng.uniform(-period, period, n)
+    big = rng.uniform(period, 1e6, n) * rng.choice([-1.0, 1.0], n)
+    u = np.where(np.arange(n) % 2 == parity, big, small)
+    got = jacobi_sn_cn_dn(u, m)
+    want = [_ref_jacobi(x, m) for x in u.tolist()]
+    for i in range(3):
+        assert _bits(got[i]) == _bits([w[i] for w in want])
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        np.linspace(-40.0, 40.0, 6).reshape(2, 3),
+        np.linspace(-1e5, 1e5, 12).reshape(4, 3).T,
+        np.linspace(-40.0, 40.0, 3 * 4097).reshape(3, 1, 4097),
+        np.empty((0, 3)),
+    ],
+)
+def test_jacobi_array_of_any_shape(u):
+    got = jacobi_sn_cn_dn(u, 0.5)
+    flat = jacobi_sn_cn_dn(u.ravel(), 0.5)
+    for values, want in zip(got, flat):
+        assert values.shape == u.shape
+        assert _bits(values.ravel()) == _bits(want)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "shape, where, named",
+    [((8193,), (5000,), "u[5000]"), ((3, 4096), (1, 7), "u[1, 7]")],
+)
+def test_jacobi_array_names_non_finite_element_in_a_later_block(
+    bad, shape, where, named
+):
+    u = np.linspace(-5.0, 5.0, math.prod(shape)).reshape(shape)
+    u[where] = bad
+    with pytest.raises(ParameterDomainError) as err:
+        jacobi_sn_cn_dn(u, 0.5)
+    assert named in str(err.value)
+    assert str(bad) in str(err.value)
+
+
+def test_jacobi_array_memory_is_bounded_by_the_block():
+    """Three 0.8 MB results plus one block's temporaries: a boxed float
+    per argument of the whole array would add about 3.2 MB."""
+    u = np.linspace(-1e3, 1e3, 100_000)
+    tracemalloc.start()
+    try:
+        jacobi_sn_cn_dn(u, 0.953)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("u", [0.7, -3, np.float64(12.5), np.array(1e6)])
