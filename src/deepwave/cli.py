@@ -8,39 +8,28 @@ battery), ``field`` (point evaluation of the velocity/pressure field).
 Exit codes: 0 success, 2 usage error, 3 domain/classification error
 (printed as a single ``error:<code>: message`` line on stderr), 4
 validation failure.
+
+Only numpy-free modules are imported at the top.  Each command imports
+the rest of what it runs in its own body, so ``--help``, ``dispersion``,
+``stagnation`` and ``field`` start without loading numpy.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
 import click
-import numpy as np
 
-from .cubic_analysis import Case1Reduction, build_cubic, classify_roots
-from .emitters import (
-    csv_pieces,
-    emit_text,
-    field_json,
-    json_pieces,
-    svg_pieces,
-    trajectory_summary,
-)
 from .errors import DeepwaveError
-from .ode_oracle import IntegratorConfig, integrate_moving_frame
 from .scenario import ScenarioConfig, build_scenario
-from .stagnation import solve_stagnation
-from .trajectories import (
-    PeakonParams,
-    TrajectorySeries,
-    case1_series,
-    case2_series,
-    peakon_series,
-)
-from .validation import run_battery
 from .wave_field import WaveParams, evaluate_field
+
+if TYPE_CHECKING:
+    from .trajectories import TrajectorySeries
 
 
 @click.group(name="deepwave")
@@ -124,6 +113,14 @@ def dispersion(k_list: str, g: float, a: float, direction: int) -> None:
 )
 def trajectory(config_path: str | None, **kwargs) -> None:
     """Sample one particle path and emit it as CSV or JSON (plus SVG)."""
+    from .emitters import (
+        csv_pieces,
+        emit_text,
+        json_pieces,
+        svg_pieces,
+        trajectory_summary,
+    )
+
     sc = build_scenario(config_path, kwargs)
     params = sc.params()
     series, asymptote_x = _compute_series(sc, params)
@@ -143,6 +140,8 @@ def trajectory(config_path: str | None, **kwargs) -> None:
 @_scenario_options("k", "a", "g", "beta", "direction", "z_min", "z_max", "grid")
 def stagnation(config_path: str | None, **kwargs) -> None:
     """Report every stagnation level in the search window."""
+    from .stagnation import solve_stagnation
+
     sc = build_scenario(config_path, kwargs)
     report = solve_stagnation(sc.params(), sc.beta, sc.z_min, sc.z_max, sc.grid)
     lo, hi = report.search_interval
@@ -163,6 +162,8 @@ def stagnation(config_path: str | None, **kwargs) -> None:
 @click.pass_context
 def validate(ctx: click.Context, config_path: str | None, **kwargs) -> None:
     """Run the self-check battery; exit 4 unless every check passes."""
+    from .validation import run_battery
+
     sc = build_scenario(config_path, kwargs)
     results = run_battery(sc.params(), sc.beta)
     for i, res in enumerate(results, start=1):
@@ -180,13 +181,22 @@ def field(config_path: str | None, **kwargs) -> None:
     """Evaluate velocity, pressure and surface elevation at one point."""
     sc = build_scenario(config_path, kwargs)
     sample = evaluate_field(sc.params(), sc.x, sc.z, sc.t)
-    click.echo(field_json(sc.x, sc.z, sc.t, sample), nl=False)
+    payload = {"x": sc.x, "z": sc.z, "t": sc.t, **dataclasses.asdict(sample)}
+    click.echo(json.dumps(payload, indent=2))
 
 
 def _compute_series(
     sc: ScenarioConfig, params: WaveParams
 ) -> tuple[TrajectorySeries, tuple[float, ...]]:
     """Build the requested series plus the x locations of its asymptotes."""
+    from .cubic_analysis import Case1Reduction, build_cubic, classify_roots
+    from .trajectories import (
+        PeakonParams,
+        case1_series,
+        case2_series,
+        peakon_series,
+    )
+
     if sc.solution == "peakon":
         pk = PeakonParams(const1=sc.const1, const2=sc.const2)
         series = peakon_series(params, pk, sc.t_start, sc.t_end, sc.samples)
@@ -212,6 +222,10 @@ def _compute_series(
         return series, _case2_asymptote_x(params, series)
 
     # Oracle: untruncated dynamics from the closed form's launch state.
+    import numpy as np
+
+    from .ode_oracle import IntegratorConfig, integrate_moving_frame
+
     Z_init = red.Z1 if isinstance(red, Case1Reduction) else red.Z0
     r0 = (
         (params.k * params.c * Z_init - sc.beta)

@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .trajectories import TrajectorySeries
-from .wave_field import FieldSample
 
 SVG_WIDTH = 640.0
 SVG_HEIGHT = 480.0
@@ -114,20 +113,6 @@ def trajectory_summary(series: TrajectorySeries) -> str:
         marks = ", ".join(f"{t:.10g}" for t in series.asymptote_times)
         lines.append(f"asymptote times: {marks}")
     return "\n".join(lines) + "\n"
-
-
-def field_json(x: float, z: float, t: float, sample: FieldSample) -> str:
-    payload = {
-        "x": x,
-        "z": z,
-        "t": t,
-        "u": sample.u,
-        "v": sample.v,
-        "p": sample.p,
-        "eta": sample.eta,
-        "above_surface": sample.above_surface,
-    }
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def svg_pieces(

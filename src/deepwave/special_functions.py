@@ -82,8 +82,9 @@ def jacobi_sn_cn_dn(
 
     Parameters
     ----------
-    u : float or array
-        Real argument(s); an array may have any shape.  Arguments
+    u : float, array, list or tuple
+        Real argument(s); an array may have any shape, and a list or
+        tuple is evaluated as the array it converts to.  Arguments
         beyond one full period are reduced modulo 4K(m) before the
         recursion.  The reduction keeps the recursion's argument small
         but not the phase exact: the rounding of u and of 4K(m), carried
@@ -110,6 +111,8 @@ def jacobi_sn_cn_dn(
     _check_m(m)
     chain = _landen_chain(m)
     period = 4.0 * (math.pi / (2.0 * chain[-1][0]))  # 4K(m)
+    if isinstance(u, (list, tuple)):
+        u = np.asarray(u, dtype=float)
     # isinstance, not np.ndim: np.ndim on a float costs about 1 us.
     if not (isinstance(u, np.ndarray) and u.ndim):
         return _sn_cn_dn(float(u), m, chain, period)

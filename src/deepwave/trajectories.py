@@ -59,7 +59,7 @@ CN_DENOM_GUARD = 1e-12
 # turning-point rounding artifact.
 SQRT_ARG_TOL = 1e-9
 
-# A time argument of the closed forms: one instant or a 1-d array of them.
+# A time argument of the closed forms: one instant or an array of them.
 Times = float | np.ndarray
 
 CASE_TAGS = ("peakon", "case1", "case2", "oracle-full")
@@ -263,9 +263,9 @@ def peakon_series(
 def case1_Z(red: Case1Reduction, t: Times, t0: float = 0.0) -> Times:
     """Bounded vertical motion Z(t) = Z2 sn^2 + Z1 cn^2 at C1 (t - t0).
 
-    t is a float or a 1-d array; the result has the same form.  The
-    value always lies in [Z1, Z2]; Z(t0) = Z1 and the opposite turning
-    point Z2 is reached a half period later.
+    t is a float or an array of any shape; the result has the same form.
+    The value always lies in [Z1, Z2]; Z(t0) = Z1 and the opposite
+    turning point Z2 is reached a half period later.
     """
     return _like(t, _case1(red, red.C1 * (np.atleast_1d(t) - t0))[0])
 
@@ -283,7 +283,7 @@ def period_case1(red: Case1Reduction) -> float:
 def case2_Z(red: Case2Reduction, t: Times, t0: float = 0.0) -> Times:
     """Escaping vertical motion Z(t) = Z0 + sqrt(Z0^2+pZ0+q)(1-cn)/(1+cn).
 
-    t is a float or a 1-d array; the result has the same form.
+    t is a float or an array of any shape; the result has the same form.
     Z(t0) = Z0, Z >= Z0 always, and Z diverges where 1 + cn = 0.
 
     Raises
@@ -299,7 +299,11 @@ def case2_Z(red: Case2Reduction, t: Times, t0: float = 0.0) -> Times:
 
 
 def case2_dZdt(red: Case2Reduction, t: Times, t0: float = 0.0) -> Times:
-    """Time derivative of case2_Z: 2 C2 R sn dn / (1 + cn)^2."""
+    """Time derivative of case2_Z: 2 C2 R sn dn / (1 + cn)^2.
+
+    t is a float or an array of any shape; the result has the same form,
+    and guarded samples raise as in case2_Z.
+    """
     return _like(t, _case2_point(red, t, t0)[1])
 
 
@@ -491,19 +495,22 @@ def _case2(
 def _case2_point(
     red: Case2Reduction, t: Times, t0: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(Z, dZdt) of _case2 at every sample of t, or the guard's error."""
+    """(Z, dZdt) of _case2 at every sample of t, shaped like t, or the
+    guard's error."""
     quarter = complete_K(red.k2sq)
-    u = red.C2 * (np.atleast_1d(t) - t0)
+    t = np.atleast_1d(t)
+    u = red.C2 * (t - t0)
     keep, Z, dZdt, _ = _case2(red, quarter, u)
     if not np.all(keep):
         i = int(np.argmin(keep))
-        n = round((float(u[i]) / quarter - 2.0) / 4.0)
+        n = round((float(u.flat[i]) / quarter - 2.0) / 4.0)
         raise AsymptoteProximityError(
-            f"case-2 evaluation at t={float(np.atleast_1d(t)[i])} "
+            f"case-2 evaluation at t={float(t.flat[i])} "
             "is inside the asymptote guard band",
             nearest_time=_asymptote_times(red, quarter, t0, (n,))[0],
         )
-    return Z, dZdt
+    # Every sample was kept, so the flat values fill t's shape exactly.
+    return Z.reshape(t.shape), dZdt.reshape(t.shape)
 
 
 def _asymptote_times(

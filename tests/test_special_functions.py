@@ -392,6 +392,18 @@ def test_jacobi_empty_array():
 
 
 @pytest.mark.parametrize(
+    "u",
+    [[0.1, 0.2], (0.1, -7.5, 1e6), [[0.1, 0.2, 0.3], [-40.0, 3.5, 12.0]], [0.7], []],
+)
+def test_jacobi_list_or_tuple_equals_the_array(u):
+    got = jacobi_sn_cn_dn(u, 0.5)
+    want = jacobi_sn_cn_dn(np.array(u, dtype=float), 0.5)
+    for values, ref in zip(got, want):
+        assert isinstance(values, np.ndarray) and values.shape == ref.shape
+        assert _bits(values) == _bits(ref)
+
+
+@pytest.mark.parametrize(
     "call",
     [
         lambda: complete_K(0.9525930951624224),

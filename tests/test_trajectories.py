@@ -906,6 +906,31 @@ def test_array_call_matches_elementwise_scalars(all_scenarios, label):
         assert type(form(red, np.float64(ts[3]), 0.37)) is float
 
 
+@pytest.mark.parametrize("label", ["k1", "k2", "k4"])
+def test_array_call_keeps_the_shape_of_t(all_scenarios, label):
+    _, _, red = reduction_of(all_scenarios, label)
+    if isinstance(red, Case1Reduction):
+        forms = (case1_Z, case1_dZdt)
+    else:
+        forms = (case2_Z, case2_dZdt)
+    ts = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    for form in forms:
+        values = form(red, ts)
+        assert values.shape == (2, 3)
+        assert bits(values.ravel()).tolist() == bits(form(red, ts.ravel())).tolist()
+
+
+def test_case2_guard_names_the_guarded_time_of_a_2d_t(red_k4):
+    (t1,) = asymptote_times(red_k4, 0.0, [0])
+    ts = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    ts[1, 2] = t1
+    for form in (case2_Z, case2_dZdt):
+        with pytest.raises(AsymptoteProximityError) as err:
+            form(red_k4, ts)
+        assert err.value.nearest_time == t1
+        assert f"t={t1}" in str(err.value)
+
+
 @pytest.mark.parametrize(
     "half, n",
     [(1e-5, 2001), (1e-5, 2000), (1e-3, 4001), (0.4, 1001), (0.4, 1000), (1e-8, 2001)],
