@@ -9,9 +9,12 @@ Exit codes: 0 success, 2 usage error, 3 domain/classification error
 (printed as a single ``error:<code>: message`` line on stderr), 4
 validation failure.
 
-Only numpy-free modules are imported at the top.  Each command imports
-the rest of what it runs in its own body, so ``--help``, ``dispersion``,
-``stagnation`` and ``field`` start without loading numpy.
+The click commands only wire flags to plain functions, which take a
+resolved ScenarioConfig: trajectory_series, trajectory_output,
+stagnation_report and validate_report.  Only numpy-free modules are
+imported at the top; each function imports the rest of what it runs, so
+``--help``, ``dispersion``, ``stagnation`` and ``field`` start without
+loading numpy.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import dataclasses
 import json
 import math
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import click
 
@@ -113,48 +116,21 @@ def dispersion(k_list: str, g: float, a: float, direction: int) -> None:
 )
 def trajectory(config_path: str | None, **kwargs) -> None:
     """Sample one particle path and emit it as CSV or JSON (plus SVG)."""
-    from .emitters import (
-        csv_pieces,
-        emit_text,
-        json_pieces,
-        svg_pieces,
-        trajectory_summary,
-    )
+    from .emitters import emit_text
 
     sc = build_scenario(config_path, kwargs)
-    params = sc.params()
-    series, asymptote_x = _compute_series(sc, params)
-    emit_text(sc.out, csv_pieces(series) if sc.format == "csv" else json_pieces(series))
-    to_stdout = sc.out in (None, "-")
-    click.echo(trajectory_summary(series), nl=False, err=to_stdout)
-    if sc.svg:
-        emit_text(
-            sc.svg,
-            svg_pieces(
-                series, asymptote_x=asymptote_x, title=f"{series.case_tag} path"
-            ),
-        )
+    data, summary, svg = trajectory_output(sc)
+    emit_text(sc.out, data)
+    click.echo(summary, nl=False, err=sc.out in (None, "-"))
+    if svg is not None:
+        emit_text(sc.svg, svg)
 
 
 @cli.command()
 @_scenario_options("k", "a", "g", "beta", "direction", "z_min", "z_max", "grid")
 def stagnation(config_path: str | None, **kwargs) -> None:
     """Report every stagnation level in the search window."""
-    from .stagnation import solve_stagnation
-
-    sc = build_scenario(config_path, kwargs)
-    report = solve_stagnation(sc.params(), sc.beta, sc.z_min, sc.z_max, sc.grid)
-    lo, hi = report.search_interval
-    click.echo(
-        f"stagnation levels in [{lo:.10g}, {hi:.10g}]: "
-        f"{len(report.solutions)} found (grid {report.grid_size})"
-    )
-    for sol in report.solutions:
-        tail = "  tangency" if sol.tangency else ""
-        click.echo(
-            f"  Z* = {sol.Z_star:>18.12g}  branch={sol.branch:<5}  "
-            f"residual={sol.residual:.3e}{tail}"
-        )
+    click.echo(stagnation_report(build_scenario(config_path, kwargs)), nl=False)
 
 
 @cli.command()
@@ -162,17 +138,9 @@ def stagnation(config_path: str | None, **kwargs) -> None:
 @click.pass_context
 def validate(ctx: click.Context, config_path: str | None, **kwargs) -> None:
     """Run the self-check battery; exit 4 unless every check passes."""
-    from .validation import run_battery
-
-    sc = build_scenario(config_path, kwargs)
-    results = run_battery(sc.params(), sc.beta)
-    for i, res in enumerate(results, start=1):
-        status = "PASS" if res.passed else "FAIL"
-        click.echo(f"[{i:2d}/{len(results)}] {res.name:<24} {status}  {res.detail}")
-    n_pass = sum(1 for r in results if r.passed)
-    click.echo(f"{n_pass}/{len(results)} checks passed")
-    if n_pass != len(results):
-        ctx.exit(4)
+    code, text = validate_report(build_scenario(config_path, kwargs))
+    click.echo(text, nl=False)
+    ctx.exit(code)
 
 
 @cli.command()
@@ -185,69 +153,96 @@ def field(config_path: str | None, **kwargs) -> None:
     click.echo(json.dumps(payload, indent=2))
 
 
-def _compute_series(
-    sc: ScenarioConfig, params: WaveParams
+def trajectory_series(
+    sc: ScenarioConfig,
 ) -> tuple[TrajectorySeries, tuple[float, ...]]:
-    """Build the requested series plus the x locations of its asymptotes."""
+    """The series `deepwave trajectory` emits and the x of its asymptote
+    lines: x = c t_a + offset at each asymptote time t_a in the window,
+    the offset being const1 on the peakon and sign(A) pi/(2k) in case 2,
+    where X tends to sign(A) pi/2 on the rising side of each asymptote."""
     from .cubic_analysis import Case1Reduction, build_cubic, classify_roots
-    from .trajectories import (
-        PeakonParams,
-        case1_series,
-        case2_series,
-        peakon_series,
-    )
+    from .trajectories import PeakonParams, case1_series, case2_series, peakon_series
 
+    params, window = sc.params(), (sc.t_start, sc.t_end, sc.samples)
     if sc.solution == "peakon":
-        pk = PeakonParams(const1=sc.const1, const2=sc.const2)
-        series = peakon_series(params, pk, sc.t_start, sc.t_end, sc.samples)
-        marks = tuple(
-            params.c * ta + pk.const1
-            for ta in series.asymptote_times or ()
-            if sc.t_start <= ta <= sc.t_end
-        )
-        return series, marks
+        series = peakon_series(params, PeakonParams(sc.const1, sc.const2), *window)
+        offset = sc.const1
+    else:
+        red = classify_roots(build_cubic(params, sc.beta))
+        if sc.solution == "oracle":
+            return _oracle_series(sc, params, red), ()
+        build = case1_series if isinstance(red, Case1Reduction) else case2_series
+        series = build(params, red, sc.beta, *window, t0=sc.t0)
+        offset = math.copysign(math.pi / (2.0 * params.k), params.A)
+    times = series.asymptote_times or ()
+    marks = (params.c * ta + offset for ta in times if sc.t_start <= ta <= sc.t_end)
+    return series, tuple(marks)
 
-    red = classify_roots(build_cubic(params, sc.beta))
-    if sc.solution == "elliptic":
-        if isinstance(red, Case1Reduction):
-            return (
-                case1_series(
-                    params, red, sc.beta, sc.t_start, sc.t_end, sc.samples, t0=sc.t0
-                ),
-                (),
-            )
-        series = case2_series(
-            params, red, sc.beta, sc.t_start, sc.t_end, sc.samples, t0=sc.t0
-        )
-        return series, _case2_asymptote_x(params, series)
 
-    # Oracle: untruncated dynamics from the closed form's launch state.
+def trajectory_output(
+    sc: ScenarioConfig,
+) -> tuple[Iterator[str], str, Iterator[str] | None]:
+    """The pieces of the sample file, the summary and the pieces of the SVG
+    (None without --svg) that `deepwave trajectory` writes.  svg_pieces
+    checks the plotted ranges when called, so a path the SVG cannot show
+    fails here, before anything is written."""
+    from .emitters import csv_pieces, json_pieces, svg_pieces, trajectory_summary
+
+    series, asymptote_x = trajectory_series(sc)
+    data = (csv_pieces if sc.format == "csv" else json_pieces)(series)
+    title = f"{series.case_tag} path"
+    svg = svg_pieces(series, asymptote_x=asymptote_x, title=title) if sc.svg else None
+    return data, trajectory_summary(series), svg
+
+
+def stagnation_report(sc: ScenarioConfig) -> str:
+    """The stdout of `deepwave stagnation`: every level in the window."""
+    from .stagnation import solve_stagnation
+
+    report = solve_stagnation(sc.params(), sc.beta, sc.z_min, sc.z_max, sc.grid)
+    lo, hi = report.search_interval
+    text = (
+        f"stagnation levels in [{lo:.10g}, {hi:.10g}]: "
+        f"{len(report.solutions)} found (grid {report.grid_size})\n"
+    )
+    for sol in report.solutions:
+        tail = "  tangency" if sol.tangency else ""
+        text += (
+            f"  Z* = {sol.Z_star:>18.12g}  branch={sol.branch:<5}  "
+            f"residual={sol.residual:.3e}{tail}\n"
+        )
+    return text
+
+
+def validate_report(sc: ScenarioConfig) -> tuple[int, str]:
+    """The exit code and stdout of `deepwave validate`: 4 unless every
+    check of the battery passes."""
+    from .validation import run_battery
+
+    results = run_battery(sc.params(), sc.beta)
+    text = ""
+    for i, res in enumerate(results, start=1):
+        status = "PASS" if res.passed else "FAIL"
+        text += f"[{i:2d}/{len(results)}] {res.name:<24} {status}  {res.detail}\n"
+    n_pass = sum(1 for r in results if r.passed)
+    text += f"{n_pass}/{len(results)} checks passed\n"
+    return (0 if n_pass == len(results) else 4), text
+
+
+def _oracle_series(sc: ScenarioConfig, params: WaveParams, red) -> TrajectorySeries:
+    """The untruncated dynamics from the closed form's launch state."""
     import numpy as np
 
+    from .cubic_analysis import Case1Reduction
     from .ode_oracle import IntegratorConfig, integrate_moving_frame
 
     Z_init = red.Z1 if isinstance(red, Case1Reduction) else red.Z0
-    r0 = (
-        (params.k * params.c * Z_init - sc.beta)
-        * math.exp(-Z_init)
-        / (params.k * params.A)
-    )
+    kA = params.k * params.A
+    r0 = (params.k * params.c * Z_init - sc.beta) * math.exp(-Z_init) / kA
     X_init = math.copysign(1.0, params.A) * math.acos(min(max(r0, -1.0), 1.0))
-    cfg = IntegratorConfig.for_wave(
-        params, sc.t_start, sc.t_end, steps_per_period=2000, method="rk45"
-    )
+    cfg = IntegratorConfig.for_wave(params, sc.t_start, sc.t_end, method="rk45")
     ts = [float(v) for v in np.linspace(sc.t_start, sc.t_end, sc.samples)]
-    series = integrate_moving_frame(params, X_init, Z_init, cfg, sample_times=ts)
-    return series, ()
-
-
-def _case2_asymptote_x(
-    params: WaveParams, series: TrajectorySeries
-) -> tuple[float, ...]:
-    """Vertical-asymptote x lines x = c t_n + sign(A) pi/(2k): the limit of
-    X on the rising side of each asymptote is sign(A) pi/2."""
-    s = math.copysign(math.pi / (2.0 * params.k), params.A)
-    return tuple(params.c * ta + s for ta in series.asymptote_times or ())
+    return integrate_moving_frame(params, X_init, Z_init, cfg, sample_times=ts)
 
 
 def main(argv: list[str] | None = None) -> None:

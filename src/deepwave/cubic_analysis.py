@@ -29,13 +29,16 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import ContractViolationError, DegenerateRootsError
+from .errors import ContractViolationError, DegenerateRootsError, ParameterDomainError
 from .wave_field import WaveParams
 
 # |discriminant| at or below DISCRIMINANT_RTOL * scale^4 counts as a
 # repeated-root configuration (the discriminant is quartic in the
 # coefficients, hence the fourth power).
 DISCRIMINANT_RTOL = 1e-12
+
+# Beyond this coefficient scale, scale^4 overflows.
+SCALE_MAX = 1e77
 
 # Stored roots must satisfy |P(Z)| <= ROOT_RESIDUAL_RTOL * max(coeff scale,
 # sum |a_i| |Z|^i).
@@ -240,11 +243,15 @@ def classify_roots(coeffs: CubicCoeffs) -> CubicReduction:
         When the discriminant vanishes to within DISCRIMINANT_RTOL of the
         coefficient scale (repeated roots, no supported closed form) or
         when root refinement cannot reach the residual bound.
+    ParameterDomainError
+        When the scale exceeds SCALE_MAX or the discriminant overflows.
     """
     if coeffs.a3 == 0.0:
         raise ContractViolationError("leading coefficient a3 must be nonzero")
     scale = coeffs.scale()
     delta = discriminant(coeffs)
+    if not (scale <= SCALE_MAX and math.isfinite(delta)):
+        raise ParameterDomainError(f"cubic coefficient scale {scale} is out of range")
     if abs(delta) <= DISCRIMINANT_RTOL * scale ** 4:
         raise DegenerateRootsError(
             f"cubic discriminant {delta} is degenerate at coefficient scale {scale}"

@@ -19,6 +19,7 @@ trajectory_svg return the same pieces joined.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -122,11 +123,11 @@ def svg_pieces(
 ) -> Iterator[str]:
     """Render the (x, z) path as a standalone SVG document.
 
-    The ranges, ticks and frame come from the whole path; the polyline
-    points are mapped and formatted one slice at a time.  A path whose
-    plotted x or z range is not finite (an infinite or NaN coordinate)
-    raises ContractViolationError before the first piece; CSV and JSON
-    still emit such a path.
+    The ranges, ticks and frame come from the whole path when this is
+    called; the polyline points are mapped and formatted one slice at a
+    time as the pieces are read.  A path whose plotted x or z range cannot
+    be drawn (an infinite or NaN coordinate) raises ContractViolationError
+    at the call; CSV and JSON still emit such a path.
     """
     x = np.asarray(series.x, dtype=float)
     z = np.asarray(series.z, dtype=float)
@@ -174,8 +175,8 @@ def svg_pieces(
         'fill="none" stroke="#333333" stroke-width="1"/>'
     )
     out.append(frame)
-    out.extend(_ticks_x(x_lo, x_hi, sx))
-    out.extend(_ticks_y(z_lo, z_hi, sy))
+    out.extend(_ticks(x_lo, x_hi, sx, vertical=False))
+    out.extend(_ticks(z_lo, z_hi, sy, vertical=True))
 
     for xa in asymptote_x:
         out.append(
@@ -187,10 +188,6 @@ def svg_pieces(
     out.append(
         '<polyline fill="none" stroke="#1f6fb4" stroke-width="1.5" points="'
     )
-    yield "\n".join(out)
-    for j, piece in enumerate(_slices(x.size)):
-        pairs = zip(sx(x[piece]).tolist(), sy(z[piece]).tolist())
-        yield ("" if j == 0 else " ") + " ".join("%.3f,%.3f" % pair for pair in pairs)
     tail = [
         '"/>',
         f'<text x="{SVG_MARGIN + plot_w - 10.0:.3f}" '
@@ -200,7 +197,13 @@ def svg_pieces(
         'font-family="monospace" font-size="12">z</text>',
         "</svg>",
     ]
-    yield "\n".join(tail) + "\n"
+
+    def points() -> Iterator[str]:
+        for j, piece in enumerate(_slices(x.size)):
+            pairs = zip(sx(x[piece]).tolist(), sy(z[piece]).tolist())
+            yield ("" if j == 0 else " ") + " ".join("%.3f,%.3f" % pair for pair in pairs)
+
+    return itertools.chain(["\n".join(out)], points(), ["\n".join(tail) + "\n"])
 
 
 def trajectory_svg(
@@ -260,34 +263,24 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return [i * step for i in range(first, last + 1)]
 
 
-def _ticks_x(lo: float, hi: float, sx) -> list[str]:
-    y0 = SVG_HEIGHT - SVG_MARGIN
+def _ticks(lo: float, hi: float, to_px, vertical: bool) -> list[str]:
+    """Tick marks and labels along the bottom edge (x) or the left edge (z)."""
     out = []
     for tick in _nice_ticks(lo, hi):
-        px = sx(tick)
+        p = to_px(tick)
+        if vertical:
+            x0 = SVG_MARGIN
+            mark, label = (x0 - 5.0, p, x0, p), (x0 - 8.0, p + 3.0, "end")
+        else:
+            y0 = SVG_HEIGHT - SVG_MARGIN
+            mark, label = (p, y0, p, y0 + 5.0), (p, y0 + 18.0, "middle")
         out.append(
-            f'<line x1="{px:.3f}" y1="{y0:.3f}" x2="{px:.3f}" y2="{y0 + 5.0:.3f}" '
-            'stroke="#333333" stroke-width="1"/>'
+            '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" ' % mark
+            + 'stroke="#333333" stroke-width="1"/>'
         )
         out.append(
-            f'<text x="{px:.3f}" y="{y0 + 18.0:.3f}" text-anchor="middle" '
-            f'font-family="monospace" font-size="10">{tick:.6g}</text>'
-        )
-    return out
-
-
-def _ticks_y(lo: float, hi: float, sy) -> list[str]:
-    x0 = SVG_MARGIN
-    out = []
-    for tick in _nice_ticks(lo, hi):
-        py = sy(tick)
-        out.append(
-            f'<line x1="{x0 - 5.0:.3f}" y1="{py:.3f}" x2="{x0:.3f}" y2="{py:.3f}" '
-            'stroke="#333333" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{x0 - 8.0:.3f}" y="{py + 3.0:.3f}" text-anchor="end" '
-            f'font-family="monospace" font-size="10">{tick:.6g}</text>'
+            '<text x="%.3f" y="%.3f" text-anchor="%s" ' % label
+            + f'font-family="monospace" font-size="10">{tick:.6g}</text>'
         )
     return out
 

@@ -52,6 +52,10 @@ MIN_ADAPTIVE_DT = 1e-14
 # last step, so accumulated rounding of t += dt cannot leave a sliver step.
 SLIVER_FRACTION = 1e-6
 
+# Longest window for_wave accepts: the step count, and with it the run
+# time and the knots kept in memory, grows with the window.
+MAX_WAVE_PERIODS = 10_000
+
 _METHODS = ("rk4", "rk45")
 
 
@@ -95,9 +99,14 @@ class IntegratorConfig:
         steps_per_period: int = 2000,
         method: str = "rk4",
     ) -> "IntegratorConfig":
-        """Step size tied to the wave period, 2000 steps per period by default."""
+        """Step size tied to the wave period, 2000 steps per period by default,
+        over a window of at most MAX_WAVE_PERIODS wave periods."""
         if steps_per_period < 1:
             raise ParameterDomainError("steps_per_period must be positive")
+        if not t_end - t_start <= MAX_WAVE_PERIODS * params.wave_period:
+            raise ParameterDomainError(
+                f"[{t_start}, {t_end}] spans more than {MAX_WAVE_PERIODS} wave periods"
+            )
         dt = params.wave_period / steps_per_period
         dt = min(dt, t_end - t_start)
         return cls(t_start=t_start, t_end=t_end, dt=dt, method=method)
@@ -145,19 +154,10 @@ def integrate_full(
         return envelope * cos(theta), envelope * sin(theta)
 
     path = _integrate(rhs, x0, z0, cfg, sample_times, event=None)
-    t = np.array(path.t)
-    x = np.array(path.a)
-    z = np.array(path.b)
+    t, x, z = np.array(path.t), np.array(path.a), np.array(path.b)
     return TrajectorySeries(
-        k=k,
-        c=c,
-        t=t,
-        x=x,
-        z=z,
-        X=k * (x - c * t),
-        Z=k * z,
-        case_tag="oracle-full",
-        dZdt=k * np.array(path.fb),
+        k=k, c=c, t=t, x=x, z=z, X=k * (x - c * t), Z=k * z,
+        case_tag="oracle-full", dZdt=k * np.array(path.fb),
     )
 
 
@@ -184,19 +184,10 @@ def integrate_moving_frame(
         return envelope * cos(X) - kc, envelope * sin(X)
 
     path = _integrate(rhs, X0, Z0, cfg, sample_times, event=None)
-    t = np.array(path.t)
-    X = np.array(path.a)
-    Z = np.array(path.b)
+    t, X, Z = np.array(path.t), np.array(path.a), np.array(path.b)
     return TrajectorySeries(
-        k=k,
-        c=c,
-        t=t,
-        x=c * t + X / k,
-        z=Z / k,
-        X=X,
-        Z=Z,
-        case_tag="oracle-full",
-        dZdt=np.array(path.fb),
+        k=k, c=c, t=t, x=c * t + X / k, z=Z / k, X=X, Z=Z,
+        case_tag="oracle-full", dZdt=np.array(path.fb),
     )
 
 
@@ -234,12 +225,8 @@ def integrate_truncated(
         if Z_e > 0.0 and V_e > 0.0:
             E0 = dZdt0 * dZdt0 - coeffs.evaluate(Z0)
             blowup = t_event + _time_to_infinity(coeffs, Z_e, E0)
-    return ZSeries(
-        t=np.array(path.t),
-        Z=np.array(path.a),
-        dZdt=np.array(path.b),
-        blowup_time=blowup,
-    )
+    t, Z, dZdt = np.array(path.t), np.array(path.a), np.array(path.b)
+    return ZSeries(t=t, Z=Z, dZdt=dZdt, blowup_time=blowup)
 
 
 def residual_full_Z_ode(
@@ -396,20 +383,17 @@ def _integrate(
                     step = _rkf45_step(rhs, t, a, b, fa, fb, h_try)
                 except OverflowError:
                     step = None  # rejected and halved like a non-finite trial
-                if step is None:
-                    h = 0.5 * h_try
-                    if h < MIN_ADAPTIVE_DT * max(1.0, abs(t)):
-                        raise StiffnessError(
-                            "adaptive step size underflow", t_last=t, state_last=(a, b)
-                        )
-                    continue
-                a_new, b_new, err_scale = step
-                tol = max(
-                    cfg.abs_tol,
-                    cfg.rel_tol * max(abs(a), abs(b), abs(a_new), abs(b_new)),
-                )
-                if err_scale > tol:
-                    h = h_try * max(0.2, 0.9 * (tol / err_scale) ** 0.2)
+                if step is not None:
+                    a_new, b_new, err_scale = step
+                    tol = max(
+                        cfg.abs_tol,
+                        cfg.rel_tol * max(abs(a), abs(b), abs(a_new), abs(b_new)),
+                    )
+                if step is None or err_scale > tol:
+                    if step is None:
+                        h = 0.5 * h_try
+                    else:
+                        h = h_try * max(0.2, 0.9 * (tol / err_scale) ** 0.2)
                     if h < MIN_ADAPTIVE_DT * max(1.0, abs(t)):
                         raise StiffnessError(
                             "adaptive step size underflow", t_last=t, state_last=(a, b)

@@ -156,8 +156,13 @@ def build_scenario(
         resolved["const1"] = math.pi / (2.0 * resolved["k"])
     if resolved["samples"] < 2:
         raise ParameterDomainError(f"samples must be >= 2, got {resolved['samples']}")
-    if not resolved["t_end"] > resolved["t_start"]:
-        raise ParameterDomainError(
-            f"need t_end > t_start, got [{resolved['t_start']}, {resolved['t_end']}]"
-        )
+    check_window(resolved["t_start"], resolved["t_end"])
     return ScenarioConfig(**resolved)
+
+
+def check_window(t_start: float, t_end: float) -> None:
+    """Raise unless t_end > t_start with a finite t_end - t_start."""
+    if not t_end > t_start:
+        raise ParameterDomainError(f"need t_end > t_start, got [{t_start}, {t_end}]")
+    if t_end - t_start == math.inf:
+        raise ParameterDomainError(f"t_end - t_start overflows on [{t_start}, {t_end}]")

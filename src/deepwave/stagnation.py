@@ -100,8 +100,6 @@ def solve_stagnation(
 
     kA = params.k * abs(params.A)
     kc = params.k * params.c
-    if kA == 0.0:
-        raise ParameterDomainError(f"k|A| underflows to 0 for {params}")
     solutions = []
     for sigma in (1.0, -1.0):
         solutions.extend(_branch_roots(kA, kc, beta, sigma, Z_min, Z_max))

@@ -42,6 +42,7 @@ from .errors import (
     ParameterDomainError,
 )
 from .cubic_analysis import Case1Reduction, Case2Reduction
+from .scenario import check_window
 from .special_functions import complete_K, jacobi_sn_cn_dn
 from .wave_field import WaveParams, evaluate_field
 
@@ -61,6 +62,9 @@ SQRT_ARG_TOL = 1e-9
 
 # A time argument of the closed forms: one instant or an array of them.
 Times = float | np.ndarray
+
+# Most asymptotes a case-2 window may span: each is a metadata mark.
+MAX_ASYMPTOTES = 100_000
 
 CASE_TAGS = ("peakon", "case1", "case2", "oracle-full")
 
@@ -231,32 +235,30 @@ def peakon_series(
 
     Samples whose asymptote argument |kA t + const2| falls below the
     guard band are dropped, leaving a gap instead of huge finite values.
+    x = ct + const1 and kA t + const2 must be finite at both ends of the
+    window, and X = k const1 and the asymptote time t* too.
     """
-    t = _sample_grid(t_start, t_end, n_samples)
-    w = params.k * params.A * t + pk.const2
+    kA = params.k * params.A
+    t = _sample_grid(
+        params, t_start, t_end, n_samples,
+        ("c t + const1", lambda t: params.c * t + pk.const1, math.inf),
+        ("kA t + const2", lambda t: kA * t + pk.const2, math.inf),
+        ("X = k const1", lambda t: params.k * pk.const1, math.inf),
+        ("t*", lambda t: pk.blowup_time(params), math.inf),
+    )
+    w = kA * t + pk.const2
     keep = np.abs(w) >= ASYMPTOTE_GUARD
     if not np.any(keep):
         raise AsymptoteProximityError(
             "every requested sample sits inside the asymptote guard band",
             nearest_time=pk.blowup_time(params),
         )
-    t = t[keep]
-    w = w[keep]
-    x = params.c * t + pk.const1
+    t, w = t[keep], w[keep]
     Z = -np.log(np.abs(w))
-    z = Z / params.k
-    X = np.full_like(t, params.k * pk.const1)
     return TrajectorySeries(
-        k=params.k,
-        c=params.c,
-        t=t,
-        x=x,
-        z=z,
-        X=X,
-        Z=Z,
-        case_tag="peakon",
-        asymptote_times=(pk.blowup_time(params),),
-        dZdt=-params.k * params.A / w,
+        k=params.k, c=params.c, t=t, x=params.c * t + pk.const1, z=Z / params.k,
+        X=np.full_like(t, params.k * pk.const1), Z=Z, case_tag="peakon",
+        asymptote_times=(pk.blowup_time(params),), dZdt=-kA / w,
     )
 
 
@@ -349,7 +351,6 @@ def assemble_xz(
     *,
     case_tag: str,
     period: float | None = None,
-    asymptote_times: tuple[float, ...] | None = None,
 ) -> TrajectorySeries:
     """Assemble the full path (x, z) from a sampled Z(t).
 
@@ -385,7 +386,7 @@ def assemble_xz(
         drift = params.c * period + 2.0 * math.pi * net / params.k
     return _assemble(
         params, zs.t, Z, dZdt, cos_X, sheet, case_tag=case_tag, period=period,
-        drift_per_period=drift, asymptote_times=asymptote_times,
+        drift_per_period=drift,
     )
 
 
@@ -404,8 +405,8 @@ def case1_series(
     j), so the half period floor(u/K) of each sample fixes its sheet; the
     drift per period is c T plus 2 pi/k per net wrap at Z1 and Z2.
     """
-    t = _sample_grid(t_start, t_end, n_samples)
     quarter = complete_K(red.k1sq)
+    t = _sample_grid(params, t_start, t_end, n_samples, _phase(red.C1, t0, quarter))
     u = red.C1 * (t - t0)
     Z, dZdt = _case1(red, u)
     half = np.floor(np.divide(u, quarter, out=u), out=u).astype(np.int64)
@@ -436,8 +437,8 @@ def case2_series(
     minimum Z0 at the phases u = C2 (t - t0) = 0 (mod 4K), and X is
     4K-periodic in u: the asymptotes between periods are gaps.
     """
-    t = _sample_grid(t_start, t_end, n_samples)
     quarter = complete_K(red.k2sq)
+    t = _sample_grid(params, t_start, t_end, n_samples, _phase(red.C2, t0, quarter))
     keep, Z, dZdt, rising = _case2(red, quarter, red.C2 * (t - t0))
     if not np.any(keep):
         raise AsymptoteProximityError(
@@ -451,6 +452,10 @@ def case2_series(
     sheet = _sheets(params, half, _cos_negative(params, beta, red.Z0), False)
     n_lo = math.floor((red.C2 * (t_start - t0) / quarter - 2.0) / 4.0)
     n_hi = math.ceil((red.C2 * (t_end - t0) / quarter - 2.0) / 4.0)
+    if n_hi - n_lo > MAX_ASYMPTOTES:
+        raise ParameterDomainError(
+            f"[{t_start}, {t_end}] spans more than {MAX_ASYMPTOTES} asymptotes"
+        )
     marks = tuple(
         ta
         for ta in _asymptote_times(red, quarter, t0, range(n_lo, n_hi + 1))
@@ -517,6 +522,13 @@ def _asymptote_times(
     red: Case2Reduction, quarter: float, t0: float, n_values: Iterable[int]
 ) -> tuple[float, ...]:
     return tuple(t0 + (2.0 + 4.0 * n) * quarter / red.C2 for n in n_values)
+
+
+def _phase(C: float, t0: float, quarter: float):
+    """The elliptic phase u = C (t - t0) as a line for _sample_grid: |u|
+    must stay below 2^52 quarter periods K, beyond which one float step of
+    u nears K and the phase no longer tells the half periods apart."""
+    return "phase C (t - t0)", lambda t: C * (t - t0), 2.0**52 * quarter
 
 
 def _cos_phase(params: WaveParams, beta: float, Z: np.ndarray) -> np.ndarray:
@@ -598,11 +610,21 @@ def _like(t: Times, values: np.ndarray) -> Times:
     return float(values[0]) if np.ndim(t) == 0 else values
 
 
-def _sample_grid(t_start: float, t_end: float, n_samples: int) -> np.ndarray:
+def _sample_grid(
+    params: WaveParams, t_start: float, t_end: float, n_samples: int, *lines
+) -> np.ndarray:
+    """n_samples uniform times over [t_start, t_end], checked in Python
+    floats before numpy sees them: the window must pass check_window, and
+    at both ends, so at every sample, |c t|, |k c t| and |line(t)| of each
+    further (name, line, bound), with line linear in t, must stay below
+    their bounds."""
     if n_samples < 2:
         raise ParameterDomainError(f"need at least 2 samples, got {n_samples}")
-    if not t_end > t_start:
-        raise ParameterDomainError(
-            f"need t_end > t_start, got [{t_start}, {t_end}]"
-        )
+    check_window(t_start, t_end)
+    c, kc = params.c, params.k * params.c
+    frame = (("c t", lambda t: c * t, math.inf), ("k c t", lambda t: kc * t, math.inf))
+    for name, line, bound in (*frame, *lines):
+        for end in (t_start, t_end):
+            if not abs(value := line(end)) < bound:
+                raise ParameterDomainError(f"{name} = {value} at t={end} is too large")
     return np.linspace(t_start, t_end, n_samples)

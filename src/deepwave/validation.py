@@ -44,6 +44,10 @@ from .trajectories import (
 from .wave_field import WaveParams
 
 
+# Launch state (X, Z) of the checks that integrate the untruncated system.
+_LAUNCH = (math.pi / 3.0, 0.0)
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -52,7 +56,9 @@ class CheckResult:
 
 
 def run_battery(params: WaveParams, beta: float) -> list[CheckResult]:
-    """Run every check against one scenario, never stopping early."""
+    """Run every check against one scenario, never stopping early.  An
+    overflow shows in its check's result (an inf or NaN fails the bound),
+    so numpy's floating-point warnings are silenced."""
     checks = [
         _check_dispersion,
         _check_elliptic_identities,
@@ -69,7 +75,8 @@ def run_battery(params: WaveParams, beta: float) -> list[CheckResult]:
     results = []
     for check in checks:
         try:
-            results.append(check(params, beta))
+            with np.errstate(all="ignore"):
+                results.append(check(params, beta))
         except DeepwaveError as exc:
             name = check.__name__.removeprefix("_check_").replace("_", "-")
             results.append(
@@ -148,14 +155,7 @@ def _check_closed_form_vs_oracle(params: WaveParams, beta: float) -> CheckResult
             f"case 1 sup |Z_closed - Z_oracle| = {sup:.3e} over two periods",
         )
     t_blow = asymptote_times(red, 0.0, (0,))[0]
-    cfg = IntegratorConfig(
-        t_start=0.0,
-        t_end=4.0 * t_blow,
-        dt=t_blow / 1000.0,
-        method="rk45",
-        abs_tol=1e-12,
-        rel_tol=1e-10,
-    )
+    cfg = IntegratorConfig(0.0, 4.0 * t_blow, dt=t_blow / 1000.0, method="rk45")
     zs = integrate_truncated(coeffs, red.Z0, 0.0, cfg)
     mask = zs.t <= 0.8 * t_blow
     sup = float(np.max(np.abs(case2_Z(red, zs.t[mask]) - zs.Z[mask])))
@@ -173,9 +173,7 @@ def _check_closed_form_vs_oracle(params: WaveParams, beta: float) -> CheckResult
 def _check_drift(params: WaveParams, beta: float) -> CheckResult:
     red = _classify(params, beta)
     if not isinstance(red, Case1Reduction):
-        return CheckResult(
-            "drift", True, "not applicable: case 2 path has no period"
-        )
+        return CheckResult("drift", True, "not applicable: case 2 path has no period")
     T = period_case1(red)
     series = case1_series(params, red, beta, 0.0, T, 257)
     drift = float(series.x[-1] - series.x[0])
@@ -192,8 +190,7 @@ def _check_drift(params: WaveParams, beta: float) -> CheckResult:
 
 
 def _check_frame_equivalence(params: WaveParams, beta: float) -> CheckResult:
-    X0 = math.pi / 3.0
-    Z0 = 0.0
+    X0, Z0 = _LAUNCH
     t_end = 10.0 * params.wave_period
     cfg = IntegratorConfig.for_wave(params, 0.0, t_end, steps_per_period=4000)
     full = integrate_full(params, X0 / params.k, Z0 / params.k, cfg)
@@ -202,11 +199,8 @@ def _check_frame_equivalence(params: WaveParams, beta: float) -> CheckResult:
         float(np.max(np.abs(full.X - frame.X))),
         float(np.max(np.abs(full.Z - frame.Z))),
     )
-    return CheckResult(
-        "frame-equivalence",
-        sup <= 1e-8,
-        f"sup |(X,Z) gap| = {sup:.3e} over ten wave periods",
-    )
+    detail = f"sup |(X,Z) gap| = {sup:.3e} over ten wave periods"
+    return CheckResult("frame-equivalence", sup <= 1e-8, detail)
 
 
 def _check_stagnation_oracle(params: WaveParams, beta: float) -> CheckResult:
@@ -220,9 +214,7 @@ def _check_stagnation_oracle(params: WaveParams, beta: float) -> CheckResult:
             False,
             f"count mismatch: solver {len(found)}, dense scan {len(brute)}",
         )
-    gap = max(
-        (abs(a - b) for a, b in zip(found, brute)), default=0.0
-    )
+    gap = max((abs(a - b) for a, b in zip(found, brute)), default=0.0)
     return CheckResult(
         "stagnation-oracle",
         gap <= 1e-6,
@@ -231,8 +223,7 @@ def _check_stagnation_oracle(params: WaveParams, beta: float) -> CheckResult:
 
 
 def _check_untruncated_residual(params: WaveParams, beta: float) -> CheckResult:
-    X0 = math.pi / 3.0
-    Z0 = 0.0
+    X0, Z0 = _LAUNCH
     beta_exact = (
         params.k * params.c * Z0
         - params.k * params.A * math.exp(Z0) * math.cos(X0)
@@ -260,8 +251,7 @@ def _check_untruncated_residual(params: WaveParams, beta: float) -> CheckResult:
 
 
 def _check_rk4_convergence(params: WaveParams, beta: float) -> CheckResult:
-    X0 = math.pi / 3.0
-    Z0 = 0.0
+    X0, Z0 = _LAUNCH
     T = params.wave_period
     t_end = 2.0 * T
     coarse = integrate_moving_frame(

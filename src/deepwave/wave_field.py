@@ -16,11 +16,13 @@ All functions here are pure and safe for concurrent use.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ParameterDomainError
 
 TAU = 2.0 * math.pi
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,11 @@ class WaveParams:
             raise ParameterDomainError(f"density rho must be positive, got {self.rho}")
         if not math.isfinite(self.p0):
             raise ParameterDomainError(f"pressure constant p0 must be finite, got {self.p0}")
+        kA = self.k * self.A
+        if not (math.isfinite(self.c) and math.isfinite(kA) and kA != 0.0):
+            raise ParameterDomainError(
+                f"c = {self.c} and kA = {kA} must be finite, kA nonzero"
+            )
 
     @property
     def c(self) -> float:
@@ -103,41 +110,40 @@ class FieldSample:
 def phase(params: WaveParams, x: float, t: float) -> float:
     """Wave phase k(x - ct) reduced to [-pi, pi].
 
-    Reduction keeps trig evaluation accurate on long-time runs.
+    Reduction keeps trig evaluation accurate on long-time runs.  Raises
+    ParameterDomainError when k(x - ct) is not finite: a non-finite x or
+    t, or an overflow.
     """
-    return math.remainder(params.k * (x - params.c * t), TAU)
+    w = params.k * (x - params.c * t)
+    if not math.isfinite(w):
+        raise ParameterDomainError(f"phase k(x - ct) = {w} at x={x}, t={t}")
+    return math.remainder(w, TAU)
 
 
 def evaluate_field(params: WaveParams, x: float, z: float, t: float) -> FieldSample:
     """Evaluate velocity, pressure and surface elevation at (x, z, t).
 
-    The formulas are valid for any z; probes above the surface are not
-    rejected, they are flagged via ``above_surface`` instead so that a
-    path integrator may transiently overshoot without hard errors.
-
-    Parameters
-    ----------
-    params : WaveParams
-    x, z : float
-        Horizontal and vertical position (z = 0 is the mean surface,
-        z < 0 is below).
-    t : float
-        Time.
-
-    Returns
-    -------
-    FieldSample
+    z = 0 is the mean surface and z < 0 lies below it.  The formulas are
+    valid for any z: probes above the surface are flagged via
+    ``above_surface``, not rejected, so that a path integrator may
+    transiently overshoot without hard errors.  Raises
+    ParameterDomainError when x, z or t is not finite, or k(x - ct),
+    e^{kz} or a field value overflows.
     """
     th = phase(params, x, t)
     cos_th = math.cos(th)
     sin_th = math.sin(th)
-    envelope = params.A * math.exp(params.k * z)
+    # math.exp raises past log(max float); a NaN kz also maps to inf.
+    growth = math.exp(params.k * z) if params.k * z <= _LOG_MAX else math.inf
+    envelope = params.A * growth
     eta = params.a * cos_th
     p = (
         params.p0
         - params.rho * params.g * z
-        + params.rho * params.a * params.g * math.exp(params.k * z) * cos_th
+        + params.rho * params.a * params.g * growth * cos_th
     )
+    if not (math.isfinite(envelope) and math.isfinite(p)):
+        raise ParameterDomainError(f"field at z={z} overflows: e^(kz) or p")
     return FieldSample(
         u=envelope * cos_th,
         v=envelope * sin_th,

@@ -15,6 +15,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -22,7 +23,14 @@ import pytest
 
 from conftest import cli_env
 from deepwave import errors
-from deepwave.cli import cli, main
+from deepwave.cli import (
+    cli,
+    main,
+    stagnation_report,
+    trajectory_output,
+    trajectory_series,
+    validate_report,
+)
 from deepwave.cubic_analysis import Case1Reduction, build_cubic, classify_roots
 from deepwave.errors import DegenerateRootsError, ParameterDomainError
 from deepwave.scenario import (
@@ -548,6 +556,152 @@ class TestExitCodes:
         code, out, _ = run_cli(["--help"], capsys)
         assert code == 0
         assert "Usage" in out
+
+
+class TestCommandFunctions:
+    """The plain functions behind the click commands return exactly what
+    the commands print and write."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(k=1.0, beta=1.0, samples=300),
+            dict(k=4.0, beta=1.0, samples=5000, format="json"),
+            dict(k=4.0, beta=-1.0, direction=-1, samples=700),
+            dict(k=1.0, solution="peakon", t_start=-10.0, samples=301),
+            dict(k=1.0, beta=1.0, solution="oracle", t_end=2.0, samples=50),
+        ],
+    )
+    def test_trajectory_output_is_what_the_command_writes(
+        self, overrides, tmp_path, capsys
+    ):
+        data_path, svg_path = tmp_path / "data", tmp_path / "path.svg"
+        args = ["trajectory"]
+        for key, value in overrides.items():
+            args += ["--" + key.replace("_", "-"), str(value)]
+        args += ["--out", str(data_path), "--svg", str(svg_path)]
+        code, out, err = run_cli(args, capsys)
+        assert code == 0 and err == ""
+        sc = build_scenario(None, {**overrides, "svg": "unused.svg"})
+        data, summary, svg = trajectory_output(sc)
+        assert "".join(data) == data_path.read_text()
+        assert summary == out
+        assert "".join(svg) == svg_path.read_text()
+
+    def test_no_svg_pieces_without_svg(self):
+        assert trajectory_output(build_scenario(None, dict(samples=3)))[2] is None
+
+    def test_one_asymptote_line_rule(self):
+        # Case 2: x = c t_a + sign(A) pi/(2k) at every asymptote time.
+        for direction in (1, -1):
+            sc = build_scenario(None, dict(k=4.0, beta=direction, direction=direction))
+            series, marks = trajectory_series(sc)
+            p = sc.params()
+            offset = math.copysign(math.pi / (2.0 * p.k), p.A)
+            assert len(series.asymptote_times) >= 2
+            assert marks == tuple(p.c * ta + offset for ta in series.asymptote_times)
+        # Peakon: x = c t* + const1, only while t* lies in the window.
+        inside = build_scenario(None, dict(solution="peakon", t_start=-10.0))
+        series, marks = trajectory_series(inside)
+        (t_star,) = series.asymptote_times
+        assert marks == (inside.params().c * t_star + inside.const1,)
+        outside = build_scenario(None, dict(solution="peakon"))
+        assert trajectory_series(outside)[1] == ()
+        # Case 1 has no asymptote.
+        assert trajectory_series(build_scenario(None, dict(samples=10)))[1] == ()
+
+    def test_stagnation_report_is_the_command_stdout(self, capsys):
+        code, out, _ = run_cli(["stagnation", "--k", "4", "--beta", "1"], capsys)
+        assert code == 0
+        assert stagnation_report(build_scenario(None, dict(k=4.0))) == out
+
+    def test_validate_report_is_the_command_stdout(self, capsys):
+        code, out, _ = run_cli(["validate", "--k", "4", "--beta", "1"], capsys)
+        assert code == 0
+        assert validate_report(build_scenario(None, dict(k=4.0))) == (0, out)
+
+    def test_stagnation_report_loads_no_numpy(self):
+        code = (
+            "import sys; from deepwave.cli import build_scenario, stagnation_report; "
+            "text = stagnation_report(build_scenario(None, {'k': 4.0})); "
+            "assert text.startswith('stagnation levels'), text; "
+            "assert 'numpy' not in sys.modules"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=60, env=cli_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestOutOfRangeInput:
+    """Finite flags whose arithmetic overflows, and non-finite ones, exit 3
+    with one stderr line and no Python warning."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["trajectory", "--solution", "peakon", "--t-end", "1e308"],
+            ["trajectory", "--t-start", "-1e308", "--t-end", "1e308"],
+            ["trajectory", "--solution", "peakon", "--t-start", "-1e308",
+             "--t-end", "1e308"],
+            ["trajectory", "--solution", "oracle", "--t-start", "-1e308",
+             "--t-end", "1e308"],
+            ["trajectory", "--t-end", "inf"],
+            ["trajectory", "--t-start", "1e308", "--t-end", "1.7e308"],
+            ["trajectory", "--solution", "peakon", "--const2", "1e308"],
+            ["trajectory", "--k", "2", "--solution", "peakon", "--const1", "1e308"],
+            # The phase beyond 2^52 quarter periods, and a case-2 window
+            # over more than MAX_ASYMPTOTES asymptotes.
+            ["trajectory", "--t-end", "1e20"],
+            ["trajectory", "--t0", "1e308"],
+            ["trajectory", "--k", "4", "--t-end", "1e12"],
+            ["trajectory", "--solution", "oracle", "--t-end", "1e9"],
+            ["trajectory", "--beta", "1e39"],
+            ["field", "--k", "1", "--z", "1000"],
+            ["field", "--k", "10", "--x", "1e308"],
+            ["field", "--t", "nan"],
+            ["field", "--z", "-1e308"],
+            ["stagnation", "--k", "1e-200", "--a", "1e-200", "--g", "1"],
+            ["validate", "--k", "6.26e-145", "--g", "1.06e-281"],
+        ],
+    )
+    def test_exit_3_with_one_line(self, args, capsys):
+        if args[0] == "trajectory":
+            args = [*args, "--samples", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(args, capsys)
+        assert code == 3
+        assert out == ""
+        assert re.fullmatch(r"error:parameter-domain: .+\n", err)
+
+    def test_unplottable_svg_writes_nothing(self, tmp_path, capsys):
+        # x = c t + 1e308 rounds to one value, too large for a +-1 margin.
+        svg_path = tmp_path / "path.svg"
+        args = ["trajectory", "--solution", "peakon", "--const1", "1e308",
+                "--samples", "3", "--svg", str(svg_path)]
+        code, out, err = run_cli(args, capsys)
+        assert code == 3
+        assert out == ""
+        assert re.fullmatch(r"error:contract-violation: .+\n", err)
+        assert not svg_path.exists()
+
+    def test_dispersion_rejects_overflowing_speed(self, capsys):
+        code, _, err = run_cli(["dispersion", "--k", "1e-308"], capsys)
+        assert code == 3
+        assert re.fullmatch(r"error:parameter-domain: .+\n", err)
+
+    def test_long_finite_window_gives_finite_rows(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, _ = run_cli(
+                ["trajectory", "--t-end", "1e14", "--samples", "3"], capsys
+            )
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 3
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 def test_module_entry_point_runs():

@@ -14,13 +14,14 @@ from deepwave import (
     Case2Reduction,
     CubicCoeffs,
     DegenerateRootsError,
+    ParameterDomainError,
     WaveParams,
     build_cubic,
     classify_roots,
     complete_K,
     discriminant,
 )
-from deepwave.cubic_analysis import _case1_data, _case2_data
+from deepwave.cubic_analysis import SCALE_MAX, _case1_data, _case2_data
 from deepwave.errors import ContractViolationError
 
 
@@ -287,3 +288,12 @@ def test_reduce_case2_rejects_real_quadratic():
     # p^2 - 4q >= 0 means the "complex pair" is actually real.
     with pytest.raises(ContractViolationError):
         _case2_data(0.5, -3.0, 2.0, params.k * abs(params.A))
+
+
+@pytest.mark.parametrize("beta", [1e39, -1e39, 1e300])
+def test_coefficients_beyond_scale_max_rejected(beta):
+    """scale^4 of the discriminant test would overflow."""
+    coeffs = build_cubic(WaveParams(k=1.0, a=0.1, g=9.8), beta)
+    assert coeffs.scale() > SCALE_MAX
+    with pytest.raises(ParameterDomainError, match="out of range"):
+        classify_roots(coeffs)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deepwave.cli import _compute_series
+from deepwave.cli import trajectory_series
 from deepwave.emitters import (
     SVG_HEIGHT,
     SVG_MARGIN,
@@ -26,8 +26,7 @@ from deepwave.emitters import (
     Z_DISPLAY_CAP,
     _escape,
     _padded_range,
-    _ticks_x,
-    _ticks_y,
+    _ticks,
     csv_pieces,
     emit_text,
     json_pieces,
@@ -120,8 +119,8 @@ def reference_svg(series, asymptote_x=(), title=None) -> str:
         f'width="{plot_w:.3f}" height="{plot_h:.3f}" '
         'fill="none" stroke="#333333" stroke-width="1"/>'
     )
-    out.extend(_ticks_x(x_lo, x_hi, sx))
-    out.extend(_ticks_y(z_lo, z_hi, sy))
+    out.extend(_ticks(x_lo, x_hi, sx, vertical=False))
+    out.extend(_ticks(z_lo, z_hi, sy, vertical=True))
     for xa in asymptote_x:
         out.append(
             f'<line x1="{sx(xa):.3f}" y1="{SVG_MARGIN:.3f}" '
@@ -164,7 +163,7 @@ def assert_same_text(got: str, want: str) -> None:
 def _cli_series(**overrides):
     """(series, asymptote x marks) exactly as `deepwave trajectory` builds them."""
     sc = build_scenario(None, overrides)
-    return _compute_series(sc, sc.params())
+    return trajectory_series(sc)
 
 
 def _asymptote_window(samples):

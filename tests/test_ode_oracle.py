@@ -32,7 +32,7 @@ from deepwave import (
     residual_full_Z_ode,
 )
 from deepwave import ode_oracle
-from deepwave.cli import _compute_series
+from deepwave.cli import trajectory_series
 from deepwave.ode_oracle import (
     EVENT_DT,
     MIN_ADAPTIVE_DT,
@@ -42,6 +42,14 @@ from deepwave.ode_oracle import (
 from deepwave.scenario import build_scenario
 from deepwave.trajectories import asymptote_times, beta_from_initial
 from deepwave.validation import run_battery
+
+
+def test_for_wave_caps_the_window():
+    params = WaveParams(k=1.0, a=0.1, g=9.8)
+    longest = ode_oracle.MAX_WAVE_PERIODS * params.wave_period
+    assert IntegratorConfig.for_wave(params, 0.0, longest).t_end == longest
+    with pytest.raises(ParameterDomainError, match="wave periods"):
+        IntegratorConfig.for_wave(params, 0.0, 1.001 * longest)
 
 
 def test_config_validation():
@@ -723,7 +731,7 @@ def test_cli_oracle_dense_output_bit_identical():
         None, dict(k=1.0, beta=1.0, solution="oracle", samples=2000)
     )
     with twin() as runs:
-        series, _ = _compute_series(sc, sc.params())
+        series, _ = trajectory_series(sc)
     assert_twin_runs(runs, 1)
     assert series.t.size == 2000
 

@@ -346,11 +346,10 @@ def test_tiny_branch_values_give_no_false_level():
 
 
 def test_underflowing_envelope_rejected():
-    """k|A| = k^2 a c underflows to 0 here; the critical point
-    log(kc / k|A|) would divide by zero."""
-    params = WaveParams(k=1e-200, a=1e-200, g=1.0)
-    with pytest.raises(ParameterDomainError):
-        solve_stagnation(params, 1.0)
+    """k|A| = k^2 a c underflows to 0 here; WaveParams rejects it, as the
+    critical point log(kc / k|A|) would divide by zero."""
+    with pytest.raises(ParameterDomainError, match="kA = 0.0"):
+        WaveParams(k=1e-200, a=1e-200, g=1.0)
 
 
 def levels_finite_or_deepwave_error(params, beta, Z_min, Z_max):

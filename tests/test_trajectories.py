@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +44,7 @@ from deepwave import (
 from deepwave.trajectories import (
     ASYMPTOTE_GUARD,
     CN_DENOM_GUARD,
+    MAX_ASYMPTOTES,
     TrajectorySeries,
     ZSeries,
     _sample_grid,
@@ -588,6 +591,55 @@ def test_peakon_series_entirely_guarded():
         peakon_series(params, pk, t_star - 1e-12, t_star + 1e-12, 5)
 
 
+@pytest.mark.parametrize(
+    ("const1", "const2", "t_start", "t_end"),
+    [
+        (0.0, 1.0, 0.0, 1e308),  # c t overflows
+        (1.797e308, 1.0, 0.0, 1e305),  # c t + const1 overflows
+        (0.0, 1e308, 0.0, 10.0),  # t* = -const2/(kA) overflows
+        (0.0, 1.0, -1e308, 1e308),  # t_end - t_start overflows
+        (0.0, 1.0, 0.0, math.inf),
+    ],
+)
+def test_peakon_series_rejects_overflowing_lines(const1, const2, t_start, t_end):
+    params = WaveParams(k=1.0, a=0.1, g=9.8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ParameterDomainError):
+            peakon_series(params, PeakonParams(const1, const2), t_start, t_end, 3)
+
+
+@pytest.mark.parametrize(
+    ("t_start", "t_end", "t0"),
+    [
+        (1e308, 1.7e308, 0.0),  # C (t - t0) overflows
+        (0.0, 1e20, 0.0),  # beyond 2^52 quarter periods
+        (0.0, 1.0, 1e308),
+        (-1e308, 1e308, 0.0),
+    ],
+)
+def test_elliptic_series_reject_phase_out_of_range(
+    scenario_k1, red_k1, red_k4, t_start, t_end, t0
+):
+    params, beta = scenario_k1
+    k4 = WaveParams(k=4.0, a=0.1, g=9.8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ParameterDomainError):
+            case1_series(params, red_k1, beta, t_start, t_end, 3, t0=t0)
+        with pytest.raises(ParameterDomainError):
+            case2_series(k4, red_k4, 1.0, t_start, t_end, 3, t0=t0)
+
+
+def test_case2_series_caps_the_asymptote_marks(scenario_k4, red_k4):
+    params, beta = scenario_k4
+    period = 4.0 * complete_K(red_k4.k2sq) / red_k4.C2
+    fits = case2_series(params, red_k4, beta, 0.0, 1000.0 * period, 5)
+    assert 1000 <= len(fits.asymptote_times) <= 1001
+    with pytest.raises(ParameterDomainError, match="asymptotes"):
+        case2_series(params, red_k4, beta, 0.0, (MAX_ASYMPTOTES + 1) * period, 5)
+
+
 # ------------------------------------------------------- series contracts
 
 
@@ -690,7 +742,7 @@ def reference_guard_denominator(red, u, cn, t0):
 
 
 def reference_case1_series(params, red, beta, t_start, t_end, n_samples, t0=0.0):
-    t = _sample_grid(t_start, t_end, n_samples)
+    t = _sample_grid(params, t_start, t_end, n_samples)
     Z = np.empty_like(t)
     dZdt = np.empty_like(t)
     span = red.Z2 - red.Z1
@@ -708,7 +760,7 @@ def reference_case1_series(params, red, beta, t_start, t_end, n_samples, t0=0.0)
 
 
 def reference_case2_series(params, red, beta, t_start, t_end, n_samples, t0=0.0):
-    t = _sample_grid(t_start, t_end, n_samples)
+    t = _sample_grid(params, t_start, t_end, n_samples)
     quarter = complete_K(red.k2sq)
     u = red.C2 * (t - t0)
     dist = np.remainder(u - 2.0 * quarter, 4.0 * quarter)
@@ -740,13 +792,13 @@ def reference_case2_series(params, red, beta, t_start, t_end, n_samples, t0=0.0)
         for ta in asymptote_times(red, t0, range(n_lo, n_hi + 1))
         if t_start <= ta <= t_end
     )
-    return assemble_xz(
+    series = assemble_xz(
         params,
         beta,
         ZSeries(t=np.asarray(t_kept), Z=np.asarray(Z_vals), dZdt=np.asarray(dZdt_vals)),
         case_tag="case2",
-        asymptote_times=marks,
     )
+    return dataclasses.replace(series, asymptote_times=marks)
 
 
 def bits(values):

@@ -145,3 +145,45 @@ def test_parameter_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(ParameterDomainError):
         WaveParams(**base)
+
+
+@pytest.mark.parametrize(
+    ("k", "x", "z", "t"),
+    [
+        (1.0, 0.0, 1000.0, 0.0),  # e^{kz} overflows
+        (1.0, 0.0, -1e308, 0.0),  # the hydrostatic term rho g z overflows
+        (10.0, 1e308, 0.0, 0.0),  # k(x - ct) overflows
+        (1.0, 0.0, 0.0, math.nan),
+        (1.0, math.inf, 0.0, 0.0),
+        (1.0, 0.0, math.nan, 0.0),
+        (1.0, 0.0, -math.inf, 0.0),
+    ],
+)
+def test_field_rejects_non_finite_input_and_overflow(k, x, z, t):
+    with pytest.raises(ParameterDomainError):
+        evaluate_field(WaveParams(k=k, a=0.1, g=9.8), x, z, t)
+
+
+def test_field_just_below_exp_overflow_is_finite():
+    params = WaveParams(k=1.0, a=1e-300, g=9.8)
+    s = evaluate_field(params, 0.0, 700.0, 0.0)
+    assert all(math.isfinite(v) for v in (s.u, s.v, s.p, s.eta))
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, 1e308])
+def test_phase_rejects_non_finite_phase(t):
+    with pytest.raises(ParameterDomainError, match="phase"):
+        phase(WaveParams(k=10.0, a=0.1, g=9.8), 0.0, t)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(k=1e-308),  # c = sqrt(g/k) overflows
+        dict(k=6.26e-145, g=1.06e-281),  # kA underflows to 0
+        dict(k=1e308),  # kA overflows
+    ],
+)
+def test_wave_speed_and_kA_must_be_finite(kwargs):
+    with pytest.raises(ParameterDomainError):
+        WaveParams(**{**dict(k=1.0, a=0.1, g=9.8), **kwargs})
