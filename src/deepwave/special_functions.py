@@ -20,9 +20,13 @@ The same recursion covers the whole domain 0 <= m < 1: at m = 0 the
 chain has one level and am(u) = u, and near m = 1 the chain is a few
 levels longer, so there is no special case at either end.  An array of
 any shape is evaluated over blocks of its arguments, one Landen level at
-a time across a block, with the same libm sin/asin/cos/remainder calls
-and the same IEEE arithmetic in the same order as a scalar call, so
-every element equals the scalar call at that element bit for bit.
+a time across a block, in numpy wherever numpy rounds exactly as the
+scalar call does: sin and cos (numpy's float64 sin and cos are libm's),
+the period reduction (fmod, then a Sterbenz-exact subtraction of 4K),
+and the arithmetic, in the same order.  asin is the identity at the
+lower levels, where |s| < 2^-26; libm's asin runs at the levels above,
+because numpy's arcsin may differ from it in the last bit.  So every
+element equals the scalar call at that element bit for bit.
 
 All functions are pure; there is no cache or other shared state.
 """
@@ -44,9 +48,14 @@ _LANDEN_STOP = 2.0**-52
 # Safety cap on the chain's length; 0 <= m < 1 needs at most 10 levels.
 _MAX_LANDEN_LEVELS = 64
 
-# Arrays are evaluated this many arguments at a time, so the boxed floats
-# that each libm pass over a block needs stay a small, fixed allocation.
+# Arrays are evaluated this many arguments at a time, so the temporaries
+# of one block, the boxed floats of its libm asin calls included, stay a
+# small, fixed allocation.
 _BLOCK = 4096
+
+# Below this |s|, asin(s) = s (1 + s^2/6 + ...) rounds to s: the relative
+# correction is under 2^-52/6, less than half an ulp.
+_ASIN_IS_IDENTITY = 2.0**-26
 
 
 def _check_m(m: float) -> None:
@@ -99,9 +108,10 @@ def jacobi_sn_cn_dn(
         Three floats for a scalar u (a 0-d array included), three
         arrays shaped like u for an array.  sn and cn lie in [-1, 1], dn
         in [sqrt(1-m), 1].  Arrays are evaluated one Landen level at a
-        time over blocks of 4096 arguments with the same libm calls, so
-        every element gets the same bits as a scalar call at that
-        element.
+        time over blocks of 4096 arguments, with numpy sin, cos and fmod
+        where they round as the scalar call does and libm asin at the
+        levels where asin is not the identity, so every element gets
+        the same bits as a scalar call at that element.
 
     Raises
     ------
@@ -118,9 +128,10 @@ def jacobi_sn_cn_dn(
         return _sn_cn_dn(float(u), m, chain, period)
     u = np.asarray(u, dtype=float)
     flat = u.ravel()
-    # Three output buffers filled a block at a time: the boxed floats of
-    # the libm calls never exceed one block, where n of them would leave
-    # the heap larger for the emitters that follow.
+    # Three output buffers filled a block at a time: the temporaries, the
+    # boxed floats of the libm asin calls included, never exceed one
+    # block, where n of them would leave the heap larger for the emitters
+    # that follow.
     sn, cn, dn = np.empty(flat.size), np.empty(flat.size), np.empty(flat.size)
     for lo in range(0, flat.size, _BLOCK):
         block = flat[lo : lo + _BLOCK]
@@ -167,22 +178,43 @@ def _sn_cn_dn_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_sn_cn_dn over a 1-d block of finite arguments, one level at a time.
 
-    Each step is the scalar step applied elementwise: libm's remainder,
-    sin, asin and cos per element, and numpy's ldexp, arithmetic, clamp
-    and sqrt, which round exactly as the scalar operations do.
+    Each step gives the scalar step's bits elementwise:
+
+    - sin and cos are numpy's, which for float64 call the same libm
+      sin and cos as the math module.
+    - The period reduction is numpy's fmod, which is exact, then
+      r - copysign(4K, r) where |r| > 2K, exact by Sterbenz's lemma;
+      that is IEEE remainder except at an exact tie |r| = 2K, where
+      math.remainder picks the even quotient.
+    - At a level with c/a < 2^-26, |s| <= c/a, so asin(s) rounds to s
+      and s is used as it is; the clamp cannot bind there.  At the
+      levels above, numpy's arcsin may differ from libm's in the last
+      bit, so libm's asin runs there.
+    - ldexp, arithmetic, clamp and sqrt round as the scalar operations do.
     """
     big = np.abs(u) > period
     if big.any():
+        half = 0.5 * period
+        r = np.fmod(u[big], period)
+        far = np.abs(r) > half
+        r[far] -= np.copysign(period, r[far])
+        tie = np.abs(r) == half
+        if tie.any():
+            r[tie] = [math.remainder(x, period) for x in u[big][tie].tolist()]
         u = u.copy()  # not the caller's array, of which u is a view
-        u[big] = [math.remainder(x, period) for x in u[big].tolist()]
+        u[big] = r
 
     phi = np.ldexp(chain[-1][0] * u, len(chain) - 1)  # 2^n a_n u
     for a, c in reversed(chain[1:]):
-        s = np.clip(c / a * _libm(math.sin, phi), -1.0, 1.0)
-        phi = 0.5 * (phi + _libm(math.asin, s))
+        ratio = c / a
+        s = ratio * np.sin(phi)
+        if ratio < _ASIN_IS_IDENTITY:
+            phi = 0.5 * (phi + s)
+        else:
+            phi = 0.5 * (phi + _libm(math.asin, np.clip(s, -1.0, 1.0)))
 
-    sn = _libm(math.sin, phi)
-    cn = _libm(math.cos, phi)
+    sn = np.sin(phi)
+    cn = np.cos(phi)
     sn2 = sn * sn
     dn = np.sqrt(np.where(sn2 <= 0.5, 1.0 - m * sn2, (1.0 - m) + m * cn * cn))
     return sn, cn, dn

@@ -422,3 +422,116 @@ def test_one_landen_chain_per_call(call, monkeypatch):
     monkeypatch.setattr(special_functions, "_landen_chain", spy)
     call()
     assert len(built) == 1
+
+
+# The array kernel runs numpy sin and cos, fmod and an identity asin at
+# the lower Landen levels in place of libm calls; the tests below check
+# the premises that keep those steps bit-identical to the scalar kernel,
+# and the one libm call that is left.
+
+
+def _visited_phases(u: float, m: float) -> list[float]:
+    """Every phase the scalar recursion passes to sin or cos at u."""
+    chain = _landen_chain(m)
+    period = 4.0 * complete_K(m)
+    if abs(u) > period:
+        u = math.remainder(u, period)
+    phi = math.ldexp(chain[-1][0] * u, len(chain) - 1)
+    phases = [phi]
+    for a, c in reversed(chain[1:]):
+        s = max(-1.0, min(1.0, c / a * math.sin(phi)))
+        phi = 0.5 * (phi + math.asin(s))
+        phases.append(phi)
+    return phases
+
+
+@pytest.mark.parametrize("name", ["sin", "cos"])
+def test_premise_numpy_sin_cos_are_libm(name):
+    """The array kernel's sin and cos are numpy's; they must be libm's
+    bit for bit on the recursion's phases and on |u| up to 1e6."""
+    rng = np.random.default_rng(2024)
+    phases = []
+    for m in FROZEN_M:
+        period = 4.0 * complete_K(m)
+        us = np.concatenate(
+            [rng.uniform(-period, period, 300), rng.uniform(-1e6, 1e6, 300)]
+        )
+        phases += us.tolist()
+        for u in us.tolist():
+            phases += _visited_phases(u, m)
+    x = np.array(phases)
+    got = _bits(getattr(np, name)(x))
+    want = _bits([getattr(math, name)(v) for v in phases])
+    differ = [v for v, g, w in zip(phases, got, want) if g != w]
+    assert not differ, (
+        f"premise broken: np.{name} must equal math.{name} bit for bit, but "
+        f"{len(differ)} of {len(phases)} arguments differ (first {differ[0]!r}); "
+        f"this numpy build dispatches its own float64 {name} "
+        "(see numpy.show_runtime()), so arrays no longer match scalar calls"
+    )
+
+
+def test_premise_asin_is_the_identity_below_the_threshold():
+    """asin(s) == s for |s| < 2^-26, which lets the array kernel skip
+    asin at the Landen levels with c/a below that; 2^-26 itself too."""
+    limit = special_functions._ASIN_IS_IDENTITY
+    assert limit == 2.0**-26
+    rng = np.random.default_rng(26)
+    below = [limit, math.nextafter(limit, 0.0), 5e-324, 2.2250738585072014e-308]
+    below += [limit * (1.0 - i * 2.0**-53) for i in range(1, 2001)]
+    below += (2.0 ** rng.uniform(-1074.0, -26.0, 20000)).tolist()
+    s = [v for x in below for v in (x, -x)] + [0.0, -0.0]
+    differ = [x for x in s if _bits([math.asin(x)]) != _bits([x])]
+    assert not differ, (
+        "premise broken: math.asin(s) must round to s for |s| <= 2^-26, "
+        f"but it does not at {differ[:3]!r}; libm's asin changed, so the "
+        "array kernel's identity levels no longer match scalar calls"
+    )
+
+
+@pytest.mark.parametrize(
+    "m, asin_levels",
+    [(0.0038830911421148602, 2), (0.9525930951624224, 4), (1e-12, 0)],
+    ids=["k1", "k4", "m=1e-12"],
+)
+def test_jacobi_array_calls_libm_asin_only_above_the_threshold(
+    m, asin_levels, monkeypatch
+):
+    """One libm asin pass per block at each level with c/a >= 2^-26 and
+    no other per-element libm call: sin, cos and the reduction run in
+    numpy."""
+    calls = []
+    libm = special_functions._libm
+
+    def spy(f, x):
+        calls.append(f)
+        return libm(f, x)
+
+    monkeypatch.setattr(special_functions, "_libm", spy)
+    period = 4.0 * complete_K(m)
+    u = np.linspace(-3.0 * period, 3.0 * period, 2 * special_functions._BLOCK + 1)
+    jacobi_sn_cn_dn(u, m)
+    assert calls == [math.asin] * (3 * asin_levels)
+
+
+@pytest.mark.parametrize("m", [0.0, 1.0 - 2.0**-53])
+def test_jacobi_array_reduces_exact_ties_like_remainder(m):
+    """At |u| = (2q+1)·2K exactly, fmod leaves |r| = 2K and IEEE
+    remainder picks the even quotient; the array kernel must agree with
+    the scalar one there, for both quotient parities, and at ±0, one ulp
+    above 4K and ±1e6, on both sides of a block edge."""
+    period = 4.0 * complete_K(m)
+    half = 0.5 * period
+    ties = [(2 * q + 1) * half for q in (1, 2, 3, 4)]
+    for q, u in zip((1, 2, 3, 4), ties):
+        assert math.fmod(u, period) == half and math.fmod(-u, period) == -half
+        assert math.remainder(u, period) == (half if q % 2 == 0 else -half)
+    above = math.nextafter(period, math.inf)
+    special = ties + [-u for u in ties] + [0.0, -0.0, above, -above, 1e6, -1e6]
+    edge = special_functions._BLOCK
+    u = np.full(edge + len(special), 0.25)
+    u[edge - len(special) // 2 : edge - len(special) // 2 + len(special)] = special
+    got = jacobi_sn_cn_dn(u, m)
+    want = [_ref_jacobi(x, m) for x in u.tolist()]
+    for i in range(3):
+        assert _bits(got[i]) == _bits([w[i] for w in want])
