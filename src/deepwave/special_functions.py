@@ -195,12 +195,13 @@ def _sn_cn_dn_block(
     big = np.abs(u) > period
     if big.any():
         half = 0.5 * period
-        r = np.fmod(u[big], period)
+        wide = u[big]
+        r = np.fmod(wide, period)
         far = np.abs(r) > half
         r[far] -= np.copysign(period, r[far])
         tie = np.abs(r) == half
         if tie.any():
-            r[tie] = [math.remainder(x, period) for x in u[big][tie].tolist()]
+            r[tie] = [math.remainder(x, period) for x in wide[tie].tolist()]
         u = u.copy()  # not the caller's array, of which u is a view
         u[big] = r
 
