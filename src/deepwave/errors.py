@@ -57,6 +57,11 @@ class StiffnessError(DeepwaveError):
         self.t_last = t_last
         self.state_last = state_last
 
+    def __reduce__(self):
+        # args holds only the message, which str() and the CLI print, so
+        # pickle and copy need the other constructor arguments spelled out.
+        return type(self), (self.args[0], self.t_last, self.state_last), self.__dict__
+
 
 class EmptyReportError(DeepwaveError):
     """A root search found no solutions in the requested window; the caller

@@ -7,7 +7,10 @@ step is written out per component.  The derivative stored at each
 accepted knot is the next step's first stage, which saves one
 right-hand-side call per step.  Dense output between accepted knots
 uses cubic Hermite interpolation, which keeps the interpolation error
-below the local truncation error of either stepper.
+below the local truncation error of either stepper.  Knots and dense
+samples accumulate in float64 buffers (``array('d')``, 40 B per knot
+for t, the state and its derivative), which the public integrators
+hand to numpy as views, without a copy.
 
 Three systems are wrapped:
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -53,7 +57,8 @@ MIN_ADAPTIVE_DT = 1e-14
 SLIVER_FRACTION = 1e-6
 
 # Longest window for_wave accepts: the step count, and with it the run
-# time and the knots kept in memory, grows with the window.
+# time and the knots kept in memory (40 B each), grows with the window.
+# At for_wave's default step that is 2 * 10^7 RK4 knots, about 0.8 GB.
 MAX_WAVE_PERIODS = 10_000
 
 _METHODS = ("rk4", "rk45")
@@ -154,10 +159,10 @@ def integrate_full(
         return envelope * cos(theta), envelope * sin(theta)
 
     path = _integrate(rhs, x0, z0, cfg, sample_times, event=None)
-    t, x, z = np.array(path.t), np.array(path.a), np.array(path.b)
+    t, x, z = np.asarray(path.t), np.asarray(path.a), np.asarray(path.b)
     return TrajectorySeries(
         k=k, c=c, t=t, x=x, z=z, X=k * (x - c * t), Z=k * z,
-        case_tag="oracle-full", dZdt=k * np.array(path.fb),
+        case_tag="oracle-full", dZdt=k * np.asarray(path.fb),
     )
 
 
@@ -184,10 +189,10 @@ def integrate_moving_frame(
         return envelope * cos(X) - kc, envelope * sin(X)
 
     path = _integrate(rhs, X0, Z0, cfg, sample_times, event=None)
-    t, X, Z = np.array(path.t), np.array(path.a), np.array(path.b)
+    t, X, Z = np.asarray(path.t), np.asarray(path.a), np.asarray(path.b)
     return TrajectorySeries(
         k=k, c=c, t=t, x=c * t + X / k, z=Z / k, X=X, Z=Z,
-        case_tag="oracle-full", dZdt=np.array(path.fb),
+        case_tag="oracle-full", dZdt=np.asarray(path.fb),
     )
 
 
@@ -225,7 +230,7 @@ def integrate_truncated(
         if Z_e > 0.0 and V_e > 0.0:
             E0 = dZdt0 * dZdt0 - coeffs.evaluate(Z0)
             blowup = t_event + _time_to_infinity(coeffs, Z_e, E0)
-    t, Z, dZdt = np.array(path.t), np.array(path.a), np.array(path.b)
+    t, Z, dZdt = np.asarray(path.t), np.asarray(path.a), np.asarray(path.b)
     return ZSeries(t=t, Z=Z, dZdt=dZdt, blowup_time=blowup)
 
 
@@ -323,18 +328,19 @@ def _time_to_infinity(coeffs: CubicCoeffs, Z_e: float, E0: float) -> float:
 
 
 class _Path(NamedTuple):
-    """Knots or dense samples of one run, one float list per quantity.
+    """Knots or dense samples of one run, one float64 buffer per quantity.
 
     ``a`` and ``b`` are the two state components and ``fa``, ``fb``
     their time derivatives.  ``event`` is (t, a, b) of the last good
-    state when the event stopped the run, else None.
+    state when the event stopped the run, else None.  np.asarray views
+    each buffer without copying it.
     """
 
-    t: list[float]
-    a: list[float]
-    b: list[float]
-    fa: list[float]
-    fb: list[float]
+    t: array
+    a: array
+    b: array
+    fa: array
+    fb: array
     event: tuple[float, float, float] | None
 
 
@@ -368,7 +374,9 @@ def _integrate(
                 t_last=t,
                 state_last=(a, b),
             )
-        knots_t, knots_a, knots_b, knots_fa, knots_fb = [t], [a], [b], [fa], [fb]
+        knots_t, knots_a, knots_b, knots_fa, knots_fb = (
+            array("d", (v,)) for v in (t, a, b, fa, fb)
+        )
         event_hit: tuple[float, float, float] | None = None
 
         t_end = cfg.t_end
@@ -436,7 +444,7 @@ def _integrate(
 
 def _dense_output(rhs: RHS, knots: _Path, sample_times: Sequence[float]) -> _Path:
     """Cubic Hermite evaluation at requested times within the solved span."""
-    out = _Path([], [], [], [], [], knots.event)
+    out = _Path(*(array("d") for _ in range(5)), knots.event)
     t_lo = knots.t[0]
     t_hi = knots.t[-1]
     last = len(knots.t) - 2

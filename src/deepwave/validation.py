@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -46,6 +47,11 @@ from .wave_field import WaveParams
 
 # Launch state (X, Z) of the checks that integrate the untruncated system.
 _LAUNCH = (math.pi / 3.0, 0.0)
+
+# Points of the stagnation oracle's dense scan, and how many intervals
+# between them it evaluates at once (0.5 MB per temporary).
+_SCAN_POINTS = 1_000_000
+_SCAN_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -337,29 +343,53 @@ def _check_corrupted_beta_guard(params: WaveParams, beta: float) -> CheckResult:
 def _brute_stagnation(
     params: WaveParams, beta: float, lo: float, hi: float
 ) -> list[float]:
-    """Dense-scan oracle: 10^6-point grid plus pure bisection refinement."""
+    """Dense-scan oracle: the 10^6 points of np.linspace(lo, hi, 10**6),
+    scanned _SCAN_CHUNK + 1 at a time, plus pure bisection refinement
+    of every sign change between neighbours and every exact grid zero."""
     kA = params.k * abs(params.A)
     kc = params.k * params.c
-    Zg = np.linspace(lo, hi, 1_000_000)
-    s = kA * np.exp(Zg) - np.abs(kc * Zg - beta)
 
     def f(Z: float) -> float:
         return kA * math.exp(Z) - abs(kc * Z - beta)
 
     roots = []
-    for i in np.flatnonzero(np.sign(s[:-1]) * np.sign(s[1:]) < 0.0):
-        a, b = float(Zg[i]), float(Zg[i + 1])
-        fa = f(a)
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            fm = f(mid)
-            if fa * fm <= 0.0:
-                b = mid
-            else:
-                a, fa = mid, fm
-            if b - a <= 1e-13 * max(1.0, abs(mid)):
-                break
-        roots.append(0.5 * (a + b))
-    for i in np.flatnonzero(s == 0.0):
-        roots.append(float(Zg[i]))
+    for Zg in _scan_chunks(lo, hi):
+        s = kA * np.exp(Zg) - np.abs(kc * Zg - beta)
+        for i in np.flatnonzero(np.sign(s[:-1]) * np.sign(s[1:]) < 0.0):
+            a, b = float(Zg[i]), float(Zg[i + 1])
+            fa = f(a)
+            for _ in range(80):
+                mid = 0.5 * (a + b)
+                fm = f(mid)
+                if fa * fm <= 0.0:
+                    b = mid
+                else:
+                    a, fa = mid, fm
+                if b - a <= 1e-13 * max(1.0, abs(mid)):
+                    break
+            roots.append(0.5 * (a + b))
+        # A chunk's last point opens the next chunk, which counts its zero.
+        roots.extend(float(Z) for Z in Zg[:-1][s[:-1] == 0.0])
+    if s[-1] == 0.0:
+        roots.append(float(Zg[-1]))
     return sorted(roots)
+
+
+def _scan_chunks(lo: float, hi: float) -> Iterator[np.ndarray]:
+    """np.linspace(lo, hi, _SCAN_POINTS) in pieces of _SCAN_CHUNK + 1
+    points, each starting on the previous piece's last point.
+
+    Point i is i * step + lo with the last point pinned to hi, the same
+    operations np.linspace performs, so every point matches it bit for
+    bit.
+    """
+    last = _SCAN_POINTS - 1
+    step = (hi - lo) / last
+    for first in range(0, last, _SCAN_CHUNK):
+        end = min(first + _SCAN_CHUNK, last)
+        Zg = np.arange(first, end + 1, dtype=float)
+        Zg *= step
+        Zg += lo
+        if end == last:
+            Zg[-1] = hi
+        yield Zg

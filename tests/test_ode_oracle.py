@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
@@ -343,6 +344,25 @@ def test_dense_output_matches_knots(scenario_k1):
     take = base.X[:: 7], base.Z[:: 7]
     assert np.max(np.abs(again.X - take[0])) <= 1e-13
     assert np.max(np.abs(again.Z - take[1])) <= 1e-13
+
+
+def test_oracle_knot_memory_is_bounded(scenario_k1):
+    """A 10^5-step run keeps its knots as float64 buffers that the series
+    views, not as lists of boxed floats copied into arrays (24 MB traced
+    when it did)."""
+    params, _ = scenario_k1
+    t_end = 50.0 * params.wave_period
+    cfg = IntegratorConfig(0.0, t_end, dt=t_end / 100_000)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        series = integrate_moving_frame(params, 1.0, 0.0, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert series.t.size == 100_001
+    assert not series.t.flags.owndata  # a view of the knot buffer, not a copy
+    assert peak <= 14e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_residual_report_shape(scenario_k1):

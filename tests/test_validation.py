@@ -1,13 +1,31 @@
 """The self-check battery must pass on healthy scenarios, degrade to FAIL
-results (not exceptions) on broken ones, and print deterministically."""
+results (not exceptions) on broken ones, and print deterministically.
+
+The stagnation oracle's chunked scan is checked against a frozen copy of
+the whole-grid scan it replaced, and the battery's memory against a
+bound."""
 
 from __future__ import annotations
 
+import math
+import tracemalloc
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deepwave.cubic_analysis import Case1Reduction, build_cubic, classify_roots
 from deepwave.errors import DegenerateRootsError
-from deepwave.validation import CheckResult, run_battery
+from deepwave.stagnation import solve_stagnation
+from deepwave.validation import (
+    _SCAN_CHUNK,
+    _SCAN_POINTS,
+    CheckResult,
+    _brute_stagnation,
+    _scan_chunks,
+    run_battery,
+)
 from deepwave.wave_field import WaveParams
 
 EXPECTED_NAMES = [
@@ -77,3 +95,124 @@ def _degenerate_beta(params: WaveParams, lo: float, hi: float) -> float:
         except DegenerateRootsError:
             return mid
     pytest.fail("no degenerate discriminant window between the two cases")
+
+
+def test_battery_memory_is_bounded(scenario_k4):
+    """The battery holds no whole 10^6-point scan and no boxed oracle
+    knots (32 MB traced when it did)."""
+    params, beta = scenario_k4
+    run_battery(params, beta)  # build the cached quadrature rule first
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        results = run_battery(params, beta)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in results)
+    assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
+
+
+# ---------------------------------------------------------------------------
+# Frozen copy of the whole-grid stagnation scan that the chunked scan
+# replaced; the chunked scan must return exactly its levels.
+
+
+def _ref_brute_stagnation(params, beta, lo, hi):
+    kA = params.k * abs(params.A)
+    kc = params.k * params.c
+    Zg = np.linspace(lo, hi, 1_000_000)
+    s = kA * np.exp(Zg) - np.abs(kc * Zg - beta)
+
+    def f(Z):
+        return kA * math.exp(Z) - abs(kc * Z - beta)
+
+    roots = []
+    for i in np.flatnonzero(np.sign(s[:-1]) * np.sign(s[1:]) < 0.0):
+        a, b = float(Zg[i]), float(Zg[i + 1])
+        fa = f(a)
+        for _ in range(80):
+            mid = 0.5 * (a + b)
+            fm = f(mid)
+            if fa * fm <= 0.0:
+                b = mid
+            else:
+                a, fa = mid, fm
+            if b - a <= 1e-13 * max(1.0, abs(mid)):
+                break
+        roots.append(0.5 * (a + b))
+    for i in np.flatnonzero(s == 0.0):
+        roots.append(float(Zg[i]))
+    return sorted(roots)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def _assert_chunks_are_linspace(lo, hi):
+    chunks = list(_scan_chunks(lo, hi))
+    assert all(c.size <= _SCAN_CHUNK + 1 for c in chunks)
+    for prev, nxt in zip(chunks, chunks[1:]):
+        assert _bits(prev[-1:]) == _bits(nxt[:1])  # one shared point per edge
+    joined = np.concatenate([chunks[0]] + [c[1:] for c in chunks[1:]])
+    want = np.linspace(lo, hi, _SCAN_POINTS)
+    assert joined.size == want.size
+    assert joined[-1] == hi
+    np.testing.assert_array_equal(joined.view(np.uint64), want.view(np.uint64))
+
+
+def test_scan_chunks_match_linspace_on_reference_intervals(all_scenarios):
+    for _, params, beta in all_scenarios:
+        _assert_chunks_are_linspace(*solve_stagnation(params, beta).search_interval)
+
+
+@settings(max_examples=15)
+@given(
+    ends=st.lists(st.floats(-60.0, 5.0), min_size=2, max_size=2, unique=True).map(
+        sorted
+    )
+)
+@example(ends=[-1.3, 2.9])  # here lo + (n - 1) * step misses hi by one ulp
+def test_scan_chunks_match_linspace_on_drawn_intervals(ends):
+    _assert_chunks_are_linspace(*ends)
+
+
+def test_brute_stagnation_matches_whole_grid_scan(all_scenarios):
+    for label, params, beta in all_scenarios:
+        lo, hi = solve_stagnation(params, beta).search_interval
+        got = _brute_stagnation(params, beta, lo, hi)
+        assert got, label
+        assert _bits(got) == _bits(_ref_brute_stagnation(params, beta, lo, hi))
+
+
+@pytest.mark.parametrize("offset", [-0.5, 0.5, 1.5])
+@pytest.mark.parametrize("edge", [_SCAN_CHUNK, 5 * _SCAN_CHUNK])
+def test_brute_stagnation_finds_sign_change_at_chunk_edge(scenario_k1, edge, offset):
+    """A level between the grid points either side of a chunk edge."""
+    params, beta = scenario_k1
+    level = solve_stagnation(params, beta).solutions[0].Z_star
+    step = 1e-5
+    lo = level - (edge + offset) * step
+    hi = lo + (_SCAN_POINTS - 1) * step
+    grid = np.linspace(lo, hi, _SCAN_POINTS)
+    i = int(np.searchsorted(grid, level)) - 1
+    assert edge - 1 <= i <= edge + 1  # the level's grid interval touches the edge
+    got = _brute_stagnation(params, beta, lo, hi)
+    assert any(abs(z - level) <= 1e-9 for z in got)
+    assert _bits(got) == _bits(_ref_brute_stagnation(params, beta, lo, hi))
+
+
+@pytest.mark.parametrize("index", [0, _SCAN_CHUNK, 3 * _SCAN_CHUNK, _SCAN_POINTS - 1])
+def test_brute_stagnation_counts_grid_zero_once(scenario_k1, index):
+    """With beta = kA, Z = 0 is a level; with a power-of-two step it is
+    also grid point ``index`` exactly, here the first point, chunk edges
+    and the pinned last point."""
+    params, _ = scenario_k1
+    beta = params.k * abs(params.A)
+    step = 2.0**-16
+    lo = -index * step
+    hi = (_SCAN_POINTS - 1 - index) * step
+    got = _brute_stagnation(params, beta, lo, hi)
+    assert got.count(0.0) == 1
+    assert _bits(got) == _bits(_ref_brute_stagnation(params, beta, lo, hi))
