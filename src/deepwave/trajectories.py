@@ -31,6 +31,7 @@ by 2 arccos|cos X(Z_turn)|/k there: that jump is the truncation gap.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -618,6 +619,12 @@ def _sample_grid(
     at both ends, so at every sample, |c t|, |k c t| and |line(t)| of each
     further (name, line, bound), with line linear in t, must stay below
     their bounds."""
+    try:
+        n_samples = operator.index(n_samples)
+    except TypeError:
+        raise ParameterDomainError(
+            f"sample count must be an integer, got {n_samples!r}"
+        ) from None
     if n_samples < 2:
         raise ParameterDomainError(f"need at least 2 samples, got {n_samples}")
     check_window(t_start, t_end)

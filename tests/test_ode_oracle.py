@@ -69,6 +69,16 @@ def test_config_validation():
     assert cfg.dt <= 1.0
 
 
+@pytest.mark.parametrize("name", ["abs_tol", "rel_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1e-12])
+def test_config_rejects_non_finite_or_non_positive_tolerance(name, value):
+    """Checked at construction: a NaN tolerance accepts every RK45 trial
+    and stalls the run short of t_end, an infinite one accepts a few
+    huge steps and reports a path far from the oracle."""
+    with pytest.raises(ParameterDomainError, match="finite and positive"):
+        IntegratorConfig(0.0, 50.0, dt=1.0, method="rk45", **{name: value})
+
+
 def test_fixed_step_order_four(scenario_k1):
     """Halving dt shrinks the error ~16x against a much finer reference."""
     params, _ = scenario_k1

@@ -631,6 +631,39 @@ def test_elliptic_series_reject_phase_out_of_range(
             case2_series(k4, red_k4, 1.0, t_start, t_end, 3, t0=t0)
 
 
+def _builders(scenario_k1, red_k1, red_k4):
+    """case1_series, case2_series and peakon_series as functions of the
+    sample count, each on a window its reference scenario resolves."""
+    params, beta = scenario_k1
+    k4 = WaveParams(k=4.0, a=0.1, g=9.8)
+    return {
+        "case1": lambda n: case1_series(params, red_k1, beta, 0.0, 1.0, n),
+        "case2": lambda n: case2_series(k4, red_k4, 1.0, 0.0, 1.0, n),
+        "peakon": lambda n: peakon_series(params, PeakonParams(0.0, 1.0), 0.0, 1.0, n),
+    }
+
+
+@pytest.mark.parametrize("builder", ["case1", "case2", "peakon"])
+@pytest.mark.parametrize("n", [2.5, math.nan, 5.0])
+def test_series_reject_non_integral_sample_count(
+    scenario_k1, red_k1, red_k4, builder, n
+):
+    build = _builders(scenario_k1, red_k1, red_k4)[builder]
+    with pytest.raises(ParameterDomainError, match="must be an integer"):
+        build(n)
+
+
+@pytest.mark.parametrize("builder", ["case1", "case2", "peakon"])
+def test_series_accept_numpy_integer_sample_count(
+    scenario_k1, red_k1, red_k4, builder
+):
+    build = _builders(scenario_k1, red_k1, red_k4)[builder]
+    series, reference = build(np.int64(5)), build(5)
+    assert len(series.t) == 5
+    for name in ("t", "x", "z", "X", "Z"):
+        assert getattr(series, name).tobytes() == getattr(reference, name).tobytes()
+
+
 def test_case2_series_caps_the_asymptote_marks(scenario_k4, red_k4):
     params, beta = scenario_k4
     period = 4.0 * complete_K(red_k4.k2sq) / red_k4.C2
