@@ -18,15 +18,20 @@ descending Landen phase recursion for the amplitude function
 dn from the identity that is better conditioned at the current point.
 The same recursion covers the whole domain 0 <= m < 1: at m = 0 the
 chain has one level and am(u) = u, and near m = 1 the chain is a few
-levels longer, so there is no special case at either end.  An array of
-any shape is evaluated over blocks of its arguments, one Landen level at
-a time across a block, in numpy wherever numpy rounds exactly as the
-scalar call does: sin and cos (numpy's float64 sin and cos are libm's),
-the period reduction (fmod, then a Sterbenz-exact subtraction of 4K),
-and the arithmetic, in the same order.  asin is the identity at the
-lower levels, where |s| < 2^-26; libm's asin runs at the levels above,
-because numpy's arcsin may differ from it in the last bit.  So every
-element equals the scalar call at that element bit for bit.
+levels longer, so there is no special case at either end.
+
+There is one evaluation path.  A float is a one-argument array, and an
+array of any shape is evaluated over blocks of its arguments, one Landen
+level at a time across a block.  Its reference is the libm recursion:
+math.sin, math.cos, math.asin and math.remainder at one argument at a
+time, which tests/test_special_functions.py freezes as _ref_jacobi.
+The block runs in numpy wherever numpy rounds exactly as that recursion
+does: sin and cos (numpy's float64 sin and cos are libm's), the period
+reduction (fmod, then a Sterbenz-exact subtraction of 4K), and the
+arithmetic, in the same order.  asin is the identity at the lower
+levels, where |s| < 2^-26; libm's asin runs at the levels above, because
+numpy's arcsin may differ from it in the last bit.  So every element
+gets the libm recursion's bits at that element, whatever the shape.
 
 All functions are pure; there is no cache or other shared state.
 """
@@ -106,26 +111,22 @@ def jacobi_sn_cn_dn(
     -------
     (sn, cn, dn)
         Three floats for a scalar u (a 0-d array included), three
-        arrays shaped like u for an array.  sn and cn lie in [-1, 1], dn
-        in [sqrt(1-m), 1].  Arrays are evaluated one Landen level at a
-        time over blocks of 4096 arguments, with numpy sin, cos and fmod
-        where they round as the scalar call does and libm asin at the
-        levels where asin is not the identity, so every element gets
-        the same bits as a scalar call at that element.
+        arrays shaped like u otherwise.  sn and cn lie in [-1, 1], dn in
+        [sqrt(1-m), 1].  Every u, a scalar included, is evaluated one
+        Landen level at a time over blocks of 4096 arguments, with numpy
+        sin, cos and fmod where they round as libm does and libm asin at
+        the levels where asin is not the identity, so every element gets
+        the bits of the libm recursion at that element.
 
     Raises
     ------
     ParameterDomainError
-        When m lies outside [0, 1) or any element of u is not finite.
+        When m lies outside [0, 1) or any element of u is not finite;
+        for an array u the message names the first such element.
     """
     _check_m(m)
     chain = _landen_chain(m)
     period = 4.0 * (math.pi / (2.0 * chain[-1][0]))  # 4K(m)
-    if isinstance(u, (list, tuple)):
-        u = np.asarray(u, dtype=float)
-    # isinstance, not np.ndim: np.ndim on a float costs about 1 us.
-    if not (isinstance(u, np.ndarray) and u.ndim):
-        return _sn_cn_dn(float(u), m, chain, period)
     u = np.asarray(u, dtype=float)
     flat = u.ravel()
     # Three output buffers filled a block at a time: the temporaries, the
@@ -139,46 +140,22 @@ def jacobi_sn_cn_dn(
         if not finite.all():
             i = lo + int(np.argmin(finite))
             where = ", ".join(str(int(j)) for j in np.unravel_index(i, u.shape))
-            raise ParameterDomainError(
-                f"argument u must be finite, got {flat[i]} at u[{where}]"
-            )
+            at = f" at u[{where}]" if u.ndim else ""
+            raise ParameterDomainError(f"argument u must be finite, got {flat[i]}{at}")
         hi = lo + block.size
         sn[lo:hi], cn[lo:hi], dn[lo:hi] = _sn_cn_dn_block(block, m, chain, period)
+    if u.ndim == 0:
+        return float(sn[0]), float(cn[0]), float(dn[0])
     return sn.reshape(u.shape), cn.reshape(u.shape), dn.reshape(u.shape)
-
-
-def _sn_cn_dn(
-    u: float, m: float, chain: list[tuple[float, float]], period: float
-) -> tuple[float, float, float]:
-    """The Landen phase recursion at one argument u for a built chain."""
-    if not math.isfinite(u):
-        raise ParameterDomainError(f"argument u must be finite, got {u}")
-    if abs(u) > period:
-        u = math.remainder(u, period)
-
-    phi = math.ldexp(chain[-1][0] * u, len(chain) - 1)  # 2^n a_n u
-    for a, c in reversed(chain[1:]):
-        s = c / a * math.sin(phi)
-        s = max(-1.0, min(1.0, s))
-        phi = 0.5 * (phi + math.asin(s))
-
-    sn = math.sin(phi)
-    cn = math.cos(phi)
-    sn2 = sn * sn
-    if sn2 <= 0.5:
-        dn = math.sqrt(1.0 - m * sn2)
-    else:
-        # Equivalent identity, better conditioned when sn^2 is large.
-        dn = math.sqrt((1.0 - m) + m * cn * cn)
-    return sn, cn, dn
 
 
 def _sn_cn_dn_block(
     u: np.ndarray, m: float, chain: list[tuple[float, float]], period: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_sn_cn_dn over a 1-d block of finite arguments, one level at a time.
+    """The Landen phase recursion over a 1-d block of finite arguments,
+    one level at a time, for a built chain and period 4K(m).
 
-    Each step gives the scalar step's bits elementwise:
+    Each step gives the bits of the libm recursion's step elementwise:
 
     - sin and cos are numpy's, which for float64 call the same libm
       sin and cos as the math module.
@@ -190,7 +167,8 @@ def _sn_cn_dn_block(
       and s is used as it is; the clamp cannot bind there.  At the
       levels above, numpy's arcsin may differ from libm's in the last
       bit, so libm's asin runs there.
-    - ldexp, arithmetic, clamp and sqrt round as the scalar operations do.
+    - ldexp, arithmetic, clamp and sqrt round as the libm recursion's
+      float operations do.
     """
     big = np.abs(u) > period
     if big.any():

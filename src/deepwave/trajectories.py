@@ -190,10 +190,19 @@ def peakon_path(params: WaveParams, pk: PeakonParams, t: float) -> tuple[float, 
 
     Raises
     ------
+    ParameterDomainError
+        When c t + const1 or kA t + const2 is not finite, as peakon_series
+        rejects a window.
     AsymptoteProximityError
         When |kA t + const2| < 1e-300 (vertical-asymptote underflow).
     """
-    w = params.k * params.A * t + pk.const2
+    kA = params.k * params.A
+    _check_lines(
+        (t,),
+        ("c t + const1", lambda t: params.c * t + pk.const1, math.inf),
+        ("kA t + const2", lambda t: kA * t + pk.const2, math.inf),
+    )
+    w = kA * t + pk.const2
     if abs(w) < 1e-300:
         raise AsymptoteProximityError(
             f"peakon evaluation at t={t} is on the vertical asymptote",
@@ -269,13 +278,22 @@ def case1_Z(red: Case1Reduction, t: Times, t0: float = 0.0) -> Times:
     t is a float or an array of any shape; the result has the same form.
     The value always lies in [Z1, Z2]; Z(t0) = Z1 and the opposite
     turning point Z2 is reached a half period later.
+
+    Raises
+    ------
+    ParameterDomainError
+        When the phase C1 (t - t0) of a sample is not finite or passes
+        2^52 quarter periods K, as case1_series rejects a window.
     """
-    return _like(t, _case1(red, red.C1 * (np.atleast_1d(t) - t0))[0])
+    return _like(t, _case1_point(red, t, t0)[0])
 
 
 def case1_dZdt(red: Case1Reduction, t: Times, t0: float = 0.0) -> Times:
-    """Time derivative of case1_Z: 2 C1 (Z2 - Z1) sn cn dn."""
-    return _like(t, _case1(red, red.C1 * (np.atleast_1d(t) - t0))[1])
+    """Time derivative of case1_Z: 2 C1 (Z2 - Z1) sn cn dn.
+
+    t and the phase bound are as in case1_Z.
+    """
+    return _like(t, _case1_point(red, t, t0)[1])
 
 
 def period_case1(red: Case1Reduction) -> float:
@@ -291,6 +309,9 @@ def case2_Z(red: Case2Reduction, t: Times, t0: float = 0.0) -> Times:
 
     Raises
     ------
+    ParameterDomainError
+        When the phase C2 (t - t0) of a sample is not finite or passes
+        2^52 quarter periods K, as case2_series rejects a window.
     AsymptoteProximityError
         When any sample is guarded: its 1 + cn falls below
         CN_DENOM_GUARD, i.e. its phase C2 (t - t0) lies within about
@@ -304,8 +325,8 @@ def case2_Z(red: Case2Reduction, t: Times, t0: float = 0.0) -> Times:
 def case2_dZdt(red: Case2Reduction, t: Times, t0: float = 0.0) -> Times:
     """Time derivative of case2_Z: 2 C2 R sn dn / (1 + cn)^2.
 
-    t is a float or an array of any shape; the result has the same form,
-    and guarded samples raise as in case2_Z.
+    t is a float or an array of any shape; the result has the same form.
+    Out-of-range phases and guarded samples raise as in case2_Z.
     """
     return _like(t, _case2_point(red, t, t0)[1])
 
@@ -331,17 +352,34 @@ def beta_from_initial(
 
     Raises
     ------
+    ParameterDomainError
+        When Z or dZ/dt is not finite, or when the envelope k A e^Z, its
+        square or the anchor k c Z overflows.
     ContractViolationError
-        When |dZ/dt| exceeds the velocity envelope k |A| e^Z.
+        When |dZ/dt| exceeds the velocity envelope k |A| e^Z, its square
+        overflowing included.
     """
-    envelope = params.k * params.A * math.exp(Z_init)
-    disc = envelope * envelope - dZdt_init * dZdt_init
-    if disc < -1e-12 * max(envelope * envelope, dZdt_init * dZdt_init):
+    if not (math.isfinite(Z_init) and math.isfinite(dZdt_init)):
+        raise ParameterDomainError(
+            f"initial state (Z, dZ/dt) = ({Z_init}, {dZdt_init}) must be finite"
+        )
+    try:
+        envelope = params.k * params.A * math.exp(Z_init)
+    except OverflowError:
+        envelope = math.inf
+    envelope2 = envelope * envelope
+    anchor = params.k * params.c * Z_init
+    if not (math.isfinite(envelope2) and math.isfinite(anchor)):
+        raise ParameterDomainError(
+            f"field envelope k A e^Z or k c Z overflows at Z = {Z_init}"
+        )
+    rate2 = dZdt_init * dZdt_init
+    disc = envelope2 - rate2
+    if rate2 == math.inf or disc < -1e-12 * max(envelope2, rate2):
         raise ContractViolationError(
             f"vertical rate {dZdt_init} exceeds the field envelope {abs(envelope)}"
         )
     root = math.sqrt(max(disc, 0.0))
-    anchor = params.k * params.c * Z_init
     return BetaCandidates(plus=anchor + root, minus=anchor - root)
 
 
@@ -475,6 +513,13 @@ def _case1(red: Case1Reduction, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Z, dZdt
 
 
+def _case1_point(
+    red: Case1Reduction, t: Times, t0: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Z, dZdt) of _case1 at every sample of t, at least 1-d."""
+    return _case1(red, _point_phase(red.C1, t0, complete_K(red.k1sq), t))
+
+
 def _case2(
     red: Case2Reduction, quarter: float, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -505,7 +550,7 @@ def _case2_point(
     guard's error."""
     quarter = complete_K(red.k2sq)
     t = np.atleast_1d(t)
-    u = red.C2 * (t - t0)
+    u = _point_phase(red.C2, t0, quarter, t)
     keep, Z, dZdt, _ = _case2(red, quarter, u)
     if not np.all(keep):
         i = int(np.argmin(keep))
@@ -526,10 +571,20 @@ def _asymptote_times(
 
 
 def _phase(C: float, t0: float, quarter: float):
-    """The elliptic phase u = C (t - t0) as a line for _sample_grid: |u|
+    """The elliptic phase u = C (t - t0) as a line for _check_lines: |u|
     must stay below 2^52 quarter periods K, beyond which one float step of
     u nears K and the phase no longer tells the half periods apart."""
     return "phase C (t - t0)", lambda t: C * (t - t0), 2.0**52 * quarter
+
+
+def _point_phase(C: float, t0: float, quarter: float, t: Times) -> np.ndarray:
+    """The phase u = C (t - t0) at every sample of t, at least 1-d, with
+    _phase checked at the earliest and the latest sample, so at every
+    sample, as _sample_grid checks a window."""
+    t = np.atleast_1d(t)
+    if t.size:
+        _check_lines((float(t.min()), float(t.max())), _phase(C, t0, quarter))
+    return C * (t - t0)
 
 
 def _cos_phase(params: WaveParams, beta: float, Z: np.ndarray) -> np.ndarray:
@@ -629,9 +684,20 @@ def _sample_grid(
         raise ParameterDomainError(f"need at least 2 samples, got {n_samples}")
     check_window(t_start, t_end)
     c, kc = params.c, params.k * params.c
-    frame = (("c t", lambda t: c * t, math.inf), ("k c t", lambda t: kc * t, math.inf))
-    for name, line, bound in (*frame, *lines):
-        for end in (t_start, t_end):
-            if not abs(value := line(end)) < bound:
-                raise ParameterDomainError(f"{name} = {value} at t={end} is too large")
+    _check_lines(
+        (t_start, t_end),
+        ("c t", lambda t: c * t, math.inf),
+        ("k c t", lambda t: kc * t, math.inf),
+        *lines,
+    )
     return np.linspace(t_start, t_end, n_samples)
+
+
+def _check_lines(times: tuple[float, ...], *lines) -> None:
+    """|line(t)| < bound at every t of times for each (name, line, bound),
+    or a ParameterDomainError naming the first line and time that fail;
+    a NaN value fails too."""
+    for name, line, bound in lines:
+        for t in times:
+            if not abs(value := line(t)) < bound:
+                raise ParameterDomainError(f"{name} = {value} at t={t} is too large")

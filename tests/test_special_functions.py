@@ -291,9 +291,11 @@ def test_jacobi_array_matches_two_agm_reference_on_a_grid(m):
 
 @given(us=st.lists(wide_u, max_size=40), m=unit_m)
 def test_jacobi_array_equals_scalar_calls(us, m):
+    """Every element gets the bits of the frozen libm recursion called at
+    that element alone."""
     sn, cn, dn = jacobi_sn_cn_dn(np.array(us, dtype=float), m)
     assert sn.shape == cn.shape == dn.shape == (len(us),)
-    scalar = [jacobi_sn_cn_dn(u, m) for u in us]
+    scalar = [_ref_jacobi(u, m) for u in us]
     assert _bits(sn) == _bits([s for s, _, _ in scalar])
     assert _bits(cn) == _bits([c for _, c, _ in scalar])
     assert _bits(dn) == _bits([d for _, _, d in scalar])
@@ -380,10 +382,28 @@ def test_jacobi_array_rejects_one_non_finite_element(bad, where):
         jacobi_sn_cn_dn(u, 0.5)
 
 
-@pytest.mark.parametrize("u", [math.nan, math.inf])
-def test_jacobi_scalar_rejects_non_finite(u):
-    with pytest.raises(ParameterDomainError):
-        jacobi_sn_cn_dn(u, 0.5)
+@pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("scalar", [float, np.float64, np.array])
+def test_jacobi_scalar_rejects_non_finite(u, scalar):
+    """A float or 0-d u gets a message without an element index."""
+    with pytest.raises(ParameterDomainError) as err:
+        jacobi_sn_cn_dn(scalar(u), 0.5)
+    assert str(err.value) == f"argument u must be finite, got {u}"
+
+
+@pytest.mark.parametrize("u", [0.7, -3, np.float64(-31.0), np.array(1e6)])
+def test_jacobi_scalar_runs_one_block_of_one_element(u, monkeypatch):
+    """A scalar takes the array path: one block of one argument."""
+    blocks = []
+    block = special_functions._sn_cn_dn_block
+
+    def spy(v, *args):
+        blocks.append(v.shape)
+        return block(v, *args)
+
+    monkeypatch.setattr(special_functions, "_sn_cn_dn_block", spy)
+    jacobi_sn_cn_dn(u, 0.9525930951624224)
+    assert blocks == [(1,)]
 
 
 def test_jacobi_empty_array():
@@ -424,14 +444,15 @@ def test_one_landen_chain_per_call(call, monkeypatch):
     assert len(built) == 1
 
 
-# The array kernel runs numpy sin and cos, fmod and an identity asin at
-# the lower Landen levels in place of libm calls; the tests below check
-# the premises that keep those steps bit-identical to the scalar kernel,
-# and the one libm call that is left.
+# The kernel runs numpy sin and cos, fmod and an identity asin at the
+# lower Landen levels in place of libm calls, for every u, a float
+# included; the tests below check the premises that keep those steps
+# bit-identical to the libm recursion (_ref_jacobi), and the one libm
+# call that is left.
 
 
 def _visited_phases(u: float, m: float) -> list[float]:
-    """Every phase the scalar recursion passes to sin or cos at u."""
+    """Every phase the libm recursion passes to sin or cos at u."""
     chain = _landen_chain(m)
     period = 4.0 * complete_K(m)
     if abs(u) > period:
@@ -447,7 +468,7 @@ def _visited_phases(u: float, m: float) -> list[float]:
 
 @pytest.mark.parametrize("name", ["sin", "cos"])
 def test_premise_numpy_sin_cos_are_libm(name):
-    """The array kernel's sin and cos are numpy's; they must be libm's
+    """The kernel's sin and cos are numpy's; they must be libm's
     bit for bit on the recursion's phases and on |u| up to 1e6."""
     rng = np.random.default_rng(2024)
     phases = []
@@ -467,12 +488,12 @@ def test_premise_numpy_sin_cos_are_libm(name):
         f"premise broken: np.{name} must equal math.{name} bit for bit, but "
         f"{len(differ)} of {len(phases)} arguments differ (first {differ[0]!r}); "
         f"this numpy build dispatches its own float64 {name} "
-        "(see numpy.show_runtime()), so arrays no longer match scalar calls"
+        "(see numpy.show_runtime()), so the kernel no longer matches libm"
     )
 
 
 def test_premise_asin_is_the_identity_below_the_threshold():
-    """asin(s) == s for |s| < 2^-26, which lets the array kernel skip
+    """asin(s) == s for |s| < 2^-26, which lets the kernel skip
     asin at the Landen levels with c/a below that; 2^-26 itself too."""
     limit = special_functions._ASIN_IS_IDENTITY
     assert limit == 2.0**-26
@@ -485,7 +506,7 @@ def test_premise_asin_is_the_identity_below_the_threshold():
     assert not differ, (
         "premise broken: math.asin(s) must round to s for |s| <= 2^-26, "
         f"but it does not at {differ[:3]!r}; libm's asin changed, so the "
-        "array kernel's identity levels no longer match scalar calls"
+        "kernel's identity levels no longer match libm"
     )
 
 
@@ -517,8 +538,8 @@ def test_jacobi_array_calls_libm_asin_only_above_the_threshold(
 @pytest.mark.parametrize("m", [0.0, 1.0 - 2.0**-53])
 def test_jacobi_array_reduces_exact_ties_like_remainder(m):
     """At |u| = (2q+1)·2K exactly, fmod leaves |r| = 2K and IEEE
-    remainder picks the even quotient; the array kernel must agree with
-    the scalar one there, for both quotient parities, and at ±0, one ulp
+    remainder picks the even quotient; the kernel must agree with the
+    libm recursion there, for both quotient parities, and at ±0, one ulp
     above 4K and ±1e6, on both sides of a block edge."""
     period = 4.0 * complete_K(m)
     half = 0.5 * period

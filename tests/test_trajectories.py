@@ -474,6 +474,78 @@ def test_case2_rejects_non_finite_phase(red_k4, t, t0):
             form(red_k4, np.array([0.1, t]), t0)
 
 
+def _bits(values) -> list[int]:
+    """IEEE bit patterns, so -0.0 and 0.0 count as different."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+POINT_FORMS = {
+    "case1_Z": case1_Z,
+    "case1_dZdt": case1_dZdt,
+    "case2_Z": case2_Z,
+    "case2_dZdt": case2_dZdt,
+}
+
+
+@pytest.mark.parametrize("form", POINT_FORMS)
+@pytest.mark.parametrize(
+    "t, t0",
+    [
+        (1e17, 0.0),
+        (-1e17, 0.0),
+        (0.0, 1e17),
+        (np.array([0.0, 1e17]), 0.0),
+        (np.array([[1e17], [0.3]]), 0.0),
+    ],
+)
+def test_point_evaluators_reject_phase_beyond_the_bound(red_k1, red_k4, form, t, t0):
+    """The point evaluators keep the series builders' bound of 2^52
+    quarter periods on C (t - t0): at t = 1e17 (k1 and k4, beta = 1) the
+    phase has lost its half periods."""
+    red = red_k1 if form.startswith("case1") else red_k4
+    with pytest.raises(ParameterDomainError, match="phase"):
+        POINT_FORMS[form](red, t, t0)
+
+
+@pytest.mark.parametrize("case", ["case1", "case2"])
+def test_point_evaluators_keep_their_bits_just_inside_the_bound(
+    scenario_k1, red_k1, red_k4, case
+):
+    """At the last time whose phase passes the bound, Z and dZ/dt equal
+    the closed form evaluated without the check and the series builder's
+    last sample, bit for bit; one float step later all three refuse."""
+    if case == "case1":
+        (params, beta), red, C, m = scenario_k1, red_k1, red_k1.C1, red_k1.k1sq
+        Z_of, rate_of, build = case1_Z, case1_dZdt, case1_series
+    else:
+        params, beta = WaveParams(k=4.0, a=0.1, g=9.8), 1.0
+        red, C, m = red_k4, red_k4.C2, red_k4.k2sq
+        Z_of, rate_of, build = case2_Z, case2_dZdt, case2_series
+    bound = 2.0**52 * complete_K(m)
+    t = bound / C
+    while C * math.nextafter(t, math.inf) < bound:
+        t = math.nextafter(t, math.inf)
+    while not C * t < bound:
+        t = math.nextafter(t, 0.0)
+    sn, cn, _ = jacobi_sn_cn_dn(C * t, m)
+    if case == "case1":
+        unchecked = red.Z2 * sn * sn + red.Z1 * cn * cn
+    else:
+        R = math.sqrt(red.Z0 * red.Z0 + red.p * red.Z0 + red.q)
+        unchecked = red.Z0 + R * (1.0 - cn) / (1.0 + cn)
+    series = build(params, red, beta, t - 1.0, t, 2)
+    assert series.t[-1] == t
+    assert _bits(Z_of(red, t)) == _bits(unchecked) == _bits(series.Z[-1])
+    assert _bits(rate_of(red, t)) == _bits(series.dZdt[-1])
+    assert _bits(Z_of(red, np.array([t - 1.0, t]))) == _bits(series.Z)
+    beyond = math.nextafter(t, math.inf)
+    for form in (Z_of, rate_of):
+        with pytest.raises(ParameterDomainError, match="phase"):
+            form(red, beyond)
+    with pytest.raises(ParameterDomainError, match="phase"):
+        build(params, red, beta, t - 1.0, beyond, 2)
+
+
 def test_case2_series_conservation(scenario_k4, red_k4):
     params, beta = scenario_k4
     series = case2_series(params, red_k4, beta, 0.0, 0.3, 801)
@@ -518,11 +590,56 @@ def test_beta_recovery_from_closed_form_is_truncation_limited(
         assert 1e-5 <= gap <= 2e-2
 
 
-def test_beta_rejects_overspeed():
+@pytest.mark.parametrize(
+    "Z, factor",
+    # The last three overflow (dZ/dt)^2 but not the envelope's square.
+    [(0.0, 1.5), (0.0, 1e200), (0.0, -1e155), (300.0, 1e170)],
+)
+def test_beta_rejects_overspeed(Z, factor):
     params = WaveParams(k=1.0, a=0.1, g=9.8)
-    envelope = params.k * abs(params.A)  # at Z = 0
+    envelope = params.k * abs(params.A) * math.exp(Z)
     with pytest.raises(ContractViolationError):
-        beta_from_initial(params, 0.0, 1.5 * envelope)
+        beta_from_initial(params, Z, factor * envelope)
+
+
+@pytest.mark.parametrize(
+    "Z, rate",
+    [
+        (math.nan, 0.0),
+        (0.0, math.nan),
+        (math.inf, 0.0),
+        (0.0, -math.inf),
+        (1000.0, 0.0),  # e^Z overflows
+        (360.0, 0.0),  # (k A e^Z)^2 overflows
+        (-1e308, 0.0),  # k c Z overflows
+    ],
+)
+def test_beta_rejects_non_finite_or_overflowing_state(Z, rate):
+    params = WaveParams(k=1.0, a=0.1, g=9.8)
+    with pytest.raises(ParameterDomainError):
+        beta_from_initial(params, Z, rate)
+
+
+def _frozen_beta(params, Z_init, dZdt_init):
+    """beta_from_initial on valid input before it rejected overflow."""
+    envelope = params.k * params.A * math.exp(Z_init)
+    disc = envelope * envelope - dZdt_init * dZdt_init
+    root = math.sqrt(max(disc, 0.0))
+    anchor = params.k * params.c * Z_init
+    return anchor + root, anchor - root
+
+
+@given(
+    Z=st.floats(min_value=-745.0, max_value=350.0),
+    fraction=st.floats(min_value=-1.0, max_value=1.0),
+    k=st.sampled_from([1.0, 2.0, 4.0]),
+    direction=st.sampled_from([1, -1]),
+)
+def test_beta_keeps_its_bits_on_valid_input(Z, fraction, k, direction):
+    params = WaveParams(k=k, a=0.1, g=9.8, direction=direction)
+    rate = fraction * params.k * abs(params.A) * math.exp(Z)
+    got = beta_from_initial(params, Z, rate)
+    assert _bits(got) == _bits(_frozen_beta(params, Z, rate))
 
 
 def test_corrupted_beta_rejected_by_assembly(scenario_k1, red_k1):
@@ -554,6 +671,23 @@ def test_peakon_blowup_time():
     with pytest.raises(AsymptoteProximityError) as err:
         peakon_path(params, pk, t_star)
     assert err.value.nearest_time == t_star
+
+
+@pytest.mark.parametrize(
+    ("k", "const1", "const2", "t"),
+    [
+        (4.0, math.pi / 8.0, 1.0, 1e308),  # kA t + const2 overflows
+        (1.0, 1.797e308, 1.0, 1e305),  # c t + const1 overflows
+        (1.0, 0.0, 1.0, math.nan),
+        (1.0, 0.0, 1.0, -math.inf),
+        (1.0, math.inf, 1.0, 0.0),
+    ],
+)
+def test_peakon_path_rejects_overflowing_lines(k, const1, const2, t):
+    """The lines peakon_series checks at a window's ends, checked at t."""
+    params = WaveParams(k=k, a=0.1, g=9.8)
+    with pytest.raises(ParameterDomainError):
+        peakon_path(params, PeakonParams(const1, const2), t)
 
 
 def test_peakon_residual_on_aligned_side():
