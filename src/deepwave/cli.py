@@ -269,4 +269,9 @@ def main(argv: list[str] | None = None) -> None:
     except DeepwaveError as exc:
         click.echo(f"error:{exc.code}: {exc}", err=True)
         sys.exit(3)
+    except MemoryError as exc:
+        # numpy names the allocation it could not make; a bare one says nothing.
+        detail = str(exc) or "no detail"
+        click.echo(f"error:{DeepwaveError.code}: out of memory: {detail}", err=True)
+        sys.exit(3)
     sys.exit(rv if isinstance(rv, int) else 0)

@@ -109,13 +109,24 @@ def build_cubic(params: WaveParams, beta: float) -> CubicCoeffs:
     Returns
     -------
     CubicCoeffs
+
+    Raises
+    ------
+    ParameterDomainError
+        When a3 = (4/3) k^2 A^2 underflows to 0, i.e. the amplitude is too
+        small for the cubic to be represented.
     """
     k = params.k
     c = params.c
     A = params.A
     kA_sq = k * k * A * A
+    a3 = 4.0 * kA_sq / 3.0
+    if a3 == 0.0:
+        raise ParameterDomainError(
+            f"leading coefficient a3 = (4/3) k^2 A^2 underflows to 0 at kA = {k * A}"
+        )
     return CubicCoeffs(
-        a3=4.0 * kA_sq / 3.0,
+        a3=a3,
         a2=k * k * (2.0 * A * A - c * c),
         a1=2.0 * k * (k * A * A + beta * c),
         a0=kA_sq - beta * beta,

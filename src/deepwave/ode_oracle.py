@@ -365,7 +365,8 @@ def _integrate(
     of a cubic Hermite evaluation.  The event callable marks forbidden
     states; the crossing is located by step bisection down to EVENT_DT
     and the last good state is reported as the event state.  An
-    OverflowError from rhs (math.exp under a far too coarse step)
+    OverflowError from rhs (math.exp under a far too coarse step), or a
+    ValueError (math.remainder, cos or sin of an overflowed phase),
     rejects an adaptive trial step, which is then halved; anywhere else
     it ends the run in StiffnessError at the last accepted state.
     """
@@ -394,7 +395,7 @@ def _integrate(
             if adaptive:
                 try:
                     step = _rkf45_step(rhs, t, a, b, fa, fb, h_try)
-                except OverflowError:
+                except (OverflowError, ValueError):
                     step = None  # rejected and halved like a non-finite trial
                 if step is not None:
                     a_new, b_new, err_scale = step
@@ -441,7 +442,7 @@ def _integrate(
         if sample_times is None:
             return knots
         return _dense_output(rhs, knots, sample_times)
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:
         raise StiffnessError(
             "right-hand side overflowed", t_last=t, state_last=(a, b)
         ) from exc

@@ -181,36 +181,36 @@ class BetaCandidates(NamedTuple):
     minus: float
 
 
-def peakon_path(params: WaveParams, pk: PeakonParams, t: float) -> tuple[float, float]:
+def peakon_path(params: WaveParams, pk: PeakonParams, t: Times) -> tuple[Times, Times]:
     """Evaluate the peakon-like path at time t.
 
     Returns (x, z) with x = ct + const1 and z = -(1/k) log|kA t + const2|.
     z rises to +infinity as t approaches t* = -const2/(kA) from either
-    side and sinks to -infinity as |t| grows.
+    side and sinks to -infinity as |t| grows.  t is a float or an array of
+    any shape; x and z have the same form, and at the times of a
+    peakon_series they equal its x and z bit for bit.
 
     Raises
     ------
     ParameterDomainError
-        When c t + const1 or kA t + const2 is not finite, as peakon_series
-        rejects a window.
+        When c t + const1 or kA t + const2 is not finite at the earliest
+        or the latest t, as peakon_series rejects a window.
     AsymptoteProximityError
-        When |kA t + const2| < 1e-300 (vertical-asymptote underflow).
+        When |kA t + const2| < 1e-300 at some t (vertical-asymptote
+        underflow).  The two thresholds differ on purpose: a point call
+        returns every finite z, also at |kA t + const2| ~ 3e-10 next to
+        t*, while peakon_series leaves a gap of ASYMPTOTE_GUARD there.
     """
-    kA = params.k * params.A
-    _check_lines(
-        (t,),
-        ("c t + const1", lambda t: params.c * t + pk.const1, math.inf),
-        ("kA t + const2", lambda t: kA * t + pk.const2, math.inf),
-    )
-    w = kA * t + pk.const2
-    if abs(w) < 1e-300:
+    ts = _point_times(t, *_peakon_lines(params, pk))
+    keep, _, x, _, Z = _peakon(params, pk, ts, 1e-300)
+    if not np.all(keep):
         raise AsymptoteProximityError(
-            f"peakon evaluation at t={t} is on the vertical asymptote",
+            f"peakon evaluation at t={float(ts.flat[np.argmin(keep)])} "
+            "is on the vertical asymptote",
             nearest_time=pk.blowup_time(params),
         )
-    x = params.c * t + pk.const1
-    z = -math.log(abs(w)) / params.k
-    return x, z
+    # Every sample was kept, so the flat values fill t's shape exactly.
+    return _like(t, x.reshape(ts.shape)), _like(t, (Z / params.k).reshape(ts.shape))
 
 
 def peakon_residuals(
@@ -248,27 +248,22 @@ def peakon_series(
     x = ct + const1 and kA t + const2 must be finite at both ends of the
     window, and X = k const1 and the asymptote time t* too.
     """
-    kA = params.k * params.A
-    t = _sample_grid(
-        params, t_start, t_end, n_samples,
-        ("c t + const1", lambda t: params.c * t + pk.const1, math.inf),
-        ("kA t + const2", lambda t: kA * t + pk.const2, math.inf),
+    grid = _sample_grid(
+        params, t_start, t_end, n_samples, *_peakon_lines(params, pk),
         ("X = k const1", lambda t: params.k * pk.const1, math.inf),
         ("t*", lambda t: pk.blowup_time(params), math.inf),
     )
-    w = kA * t + pk.const2
-    keep = np.abs(w) >= ASYMPTOTE_GUARD
+    keep, t, x, w, Z = _peakon(params, pk, grid, ASYMPTOTE_GUARD)
+    del grid  # freed before the series' frame checks, which set the peak
     if not np.any(keep):
         raise AsymptoteProximityError(
             "every requested sample sits inside the asymptote guard band",
             nearest_time=pk.blowup_time(params),
         )
-    t, w = t[keep], w[keep]
-    Z = -np.log(np.abs(w))
     return TrajectorySeries(
-        k=params.k, c=params.c, t=t, x=params.c * t + pk.const1, z=Z / params.k,
+        k=params.k, c=params.c, t=t, x=x, z=Z / params.k,
         X=np.full_like(t, params.k * pk.const1), Z=Z, case_tag="peakon",
-        asymptote_times=(pk.blowup_time(params),), dZdt=-kA / w,
+        asymptote_times=(pk.blowup_time(params),), dZdt=-(params.k * params.A) / w,
     )
 
 
@@ -505,6 +500,27 @@ def case2_series(
     )
 
 
+def _peakon(
+    params: WaveParams, pk: PeakonParams, t: np.ndarray, guard: float
+) -> tuple[np.ndarray, ...]:
+    """Peakon closed form (keep, t, x, w, Z) at the times t whose asymptote
+    argument w = kA t + const2 has |w| >= guard: keep, shaped like t, marks
+    those times, and t, x, w and Z hold the values at them only, flat."""
+    w = params.k * params.A * t + pk.const2
+    keep = np.abs(w) >= guard
+    t, w = t[keep], w[keep]
+    return keep, t, params.c * t + pk.const1, w, -np.log(np.abs(w))
+
+
+def _peakon_lines(params: WaveParams, pk: PeakonParams):
+    """The peakon's lines c t + const1 and kA t + const2, for _check_lines."""
+    kA = params.k * params.A
+    return (
+        ("c t + const1", lambda t: params.c * t + pk.const1, math.inf),
+        ("kA t + const2", lambda t: kA * t + pk.const2, math.inf),
+    )
+
+
 def _case1(red: Case1Reduction, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Case-1 closed form (Z, dZdt) at every phase u = C1 (t - t0)."""
     sn, cn, dn = jacobi_sn_cn_dn(u, red.k1sq)
@@ -517,7 +533,8 @@ def _case1_point(
     red: Case1Reduction, t: Times, t0: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """(Z, dZdt) of _case1 at every sample of t, at least 1-d."""
-    return _case1(red, _point_phase(red.C1, t0, complete_K(red.k1sq), t))
+    t = _point_times(t, _phase(red.C1, t0, complete_K(red.k1sq)))
+    return _case1(red, red.C1 * (t - t0))
 
 
 def _case2(
@@ -549,8 +566,8 @@ def _case2_point(
     """(Z, dZdt) of _case2 at every sample of t, shaped like t, or the
     guard's error."""
     quarter = complete_K(red.k2sq)
-    t = np.atleast_1d(t)
-    u = _point_phase(red.C2, t0, quarter, t)
+    t = _point_times(t, _phase(red.C2, t0, quarter))
+    u = red.C2 * (t - t0)
     keep, Z, dZdt, _ = _case2(red, quarter, u)
     if not np.all(keep):
         i = int(np.argmin(keep))
@@ -577,14 +594,14 @@ def _phase(C: float, t0: float, quarter: float):
     return "phase C (t - t0)", lambda t: C * (t - t0), 2.0**52 * quarter
 
 
-def _point_phase(C: float, t0: float, quarter: float, t: Times) -> np.ndarray:
-    """The phase u = C (t - t0) at every sample of t, at least 1-d, with
-    _phase checked at the earliest and the latest sample, so at every
-    sample, as _sample_grid checks a window."""
+def _point_times(t: Times, *lines) -> np.ndarray:
+    """t as an array, at least 1-d, with each (name, line, bound) checked
+    at the earliest and the latest sample, so at every sample, as
+    _sample_grid checks a window; a NaN sample fails."""
     t = np.atleast_1d(t)
     if t.size:
-        _check_lines((float(t.min()), float(t.max())), _phase(C, t0, quarter))
-    return C * (t - t0)
+        _check_lines((float(t.min()), float(t.max())), *lines)
+    return t
 
 
 def _cos_phase(params: WaveParams, beta: float, Z: np.ndarray) -> np.ndarray:

@@ -658,6 +658,7 @@ class TestOutOfRangeInput:
             ["trajectory", "--k", "4", "--t-end", "1e12"],
             ["trajectory", "--solution", "oracle", "--t-end", "1e9"],
             ["trajectory", "--beta", "1e39"],
+            ["trajectory", "--a", "1e-200"],  # (4/3) k^2 A^2 underflows
             ["field", "--k", "1", "--z", "1000"],
             ["field", "--k", "10", "--x", "1e308"],
             ["field", "--t", "nan"],
@@ -686,6 +687,31 @@ class TestOutOfRangeInput:
         assert out == ""
         assert re.fullmatch(r"error:contract-violation: .+\n", err)
         assert not svg_path.exists()
+
+    def test_validate_reports_an_underflowing_amplitude(self, capsys):
+        code, out, _ = run_cli(["validate", "--a", "1e-200"], capsys)
+        assert code == 4
+        line = next(line for line in out.splitlines() if "classification" in line)
+        assert "FAIL  raised ParameterDomainError: leading coefficient a3" in line
+        assert "ContractViolationError" not in out
+
+    def test_out_of_memory_exits_3_with_one_line(self, tmp_path, monkeypatch, capsys):
+        """A sample count numpy cannot allocate, simulated by a series build
+        that raises as numpy does: one error:internal: line, no file."""
+        import deepwave.trajectories
+
+        def build(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(deepwave.trajectories, "case1_series", build)
+        out_path = tmp_path / "samples.csv"
+        code, out, err = run_cli(["trajectory", "--out", str(out_path)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error:internal: out of memory: Unable to allocate 745. GiB for an array\n"
+        )
+        assert not out_path.exists()
 
     def test_dispersion_rejects_overflowing_speed(self, capsys):
         code, _, err = run_cli(["dispersion", "--k", "1e-308"], capsys)

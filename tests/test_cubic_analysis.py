@@ -217,6 +217,13 @@ def test_zero_leading_coefficient_rejected():
         classify_roots(CubicCoeffs(a3=0.0, a2=1.0, a1=0.0, a0=-1.0))
 
 
+def test_underflowing_leading_coefficient_is_a_domain_error():
+    """(4/3) k^2 A^2 underflows to 0 at a = 1e-200: the caller's amplitude
+    is out of range, where a hand-built a3 = 0 (above) breaks a contract."""
+    with pytest.raises(ParameterDomainError, match="underflows"):
+        build_cubic(WaveParams(k=1.0, a=1e-200, g=9.8), 1.0)
+
+
 def test_discriminant_sign_matches_root_count():
     rng = random.Random(31)
     for _ in range(200):

@@ -268,6 +268,38 @@ def test_overflowing_initial_state_raises_stiffness(integrate, method):
     assert (info.value.t_last, info.value.state_last) == (0.0, (0.0, 800.0))
 
 
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_overflowing_phase_raises_stiffness(method):
+    """k (x - c t) overflows to inf at x = 1e308, k = 4, and math.remainder
+    rejects it: StiffnessError at the initial state, never a ValueError."""
+    params = WaveParams(k=4.0, a=0.1, g=9.8)
+    cfg = IntegratorConfig(0.0, 1.0, 0.01, method=method)
+    with pytest.raises(StiffnessError) as info:
+        integrate_full(params, 1e308, 0.0, cfg)
+    assert (info.value.t_last, info.value.state_last) == (0.0, (1e308, 0.0))
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_domain_error_in_a_step(method):
+    """A right-hand side that raises ValueError off its domain, as
+    math.remainder does on an overflowed phase: a fixed step ends in
+    StiffnessError at the last accepted state, an adaptive trial is
+    rejected and halved and the run reaches t_end."""
+
+    def rhs(t, a, b):
+        return -a + 0.0 * math.log(a), 0.0  # a' = -a; log rejects a <= 0
+
+    cfg = IntegratorConfig(0.0, 4.0, dt=4.0, method=method)
+    if method == "rk4":
+        with pytest.raises(StiffnessError) as info:
+            ode_oracle._integrate(rhs, 1.0, 0.0, cfg, None, event=None)
+        assert (info.value.t_last, info.value.state_last) == (0.0, (1.0, 0.0))
+        return
+    path = ode_oracle._integrate(rhs, 1.0, 0.0, cfg, None, event=None)
+    assert path.t[-1] == 4.0
+    assert path.a[-1] == pytest.approx(math.exp(-4.0), rel=1e-8)
+
+
 def finite_or_deepwave_error(run) -> None:
     try:
         out = run()

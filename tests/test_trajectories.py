@@ -668,9 +668,11 @@ def test_peakon_blowup_time():
     pk = PeakonParams(const1=1.0, const2=2.0 * params.k * params.A)
     t_star = pk.blowup_time(params)
     assert t_star == -2.0
-    with pytest.raises(AsymptoteProximityError) as err:
-        peakon_path(params, pk, t_star)
-    assert err.value.nearest_time == t_star
+    for t in (t_star, np.array([[0.5, -1.0], [t_star, 3.0]])):
+        with pytest.raises(AsymptoteProximityError) as err:
+            peakon_path(params, pk, t)
+        assert err.value.nearest_time == t_star
+        assert f"t={t_star}" in str(err.value)
 
 
 @pytest.mark.parametrize(
@@ -681,10 +683,13 @@ def test_peakon_blowup_time():
         (1.0, 0.0, 1.0, math.nan),
         (1.0, 0.0, 1.0, -math.inf),
         (1.0, math.inf, 1.0, 0.0),
+        (1.0, 0.0, 1.0, np.array([0.1, math.nan, 0.3])),
+        (4.0, math.pi / 8.0, 1.0, np.array([[0.0, 1.0], [1e308, 2.0]])),
     ],
 )
 def test_peakon_path_rejects_overflowing_lines(k, const1, const2, t):
-    """The lines peakon_series checks at a window's ends, checked at t."""
+    """The lines peakon_series checks at a window's ends, checked at the
+    earliest and the latest t."""
     params = WaveParams(k=k, a=0.1, g=9.8)
     with pytest.raises(ParameterDomainError):
         peakon_path(params, PeakonParams(const1, const2), t)
@@ -741,6 +746,52 @@ def test_peakon_series_rejects_overflowing_lines(const1, const2, t_start, t_end)
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ParameterDomainError):
             peakon_series(params, PeakonParams(const1, const2), t_start, t_end, 3)
+
+
+@pytest.mark.parametrize(("k", "direction"), [(1.0, 1), (4.0, 1), (2.0, -1)])
+def test_peakon_path_equals_the_series_bit_for_bit(k, direction):
+    """At the series' times, the point call returns the series' x and z,
+    as one array and sample by sample as floats."""
+    params = WaveParams(k=k, a=0.1, g=9.8, direction=direction)
+    pk = PeakonParams(const1=math.pi / (2.0 * k), const2=1.0)
+    series = peakon_series(params, pk, -10.0, 10.0, 20001)
+    x, z = peakon_path(params, pk, series.t)
+    assert bits(x).tolist() == bits(series.x).tolist()
+    assert bits(z).tolist() == bits(series.z).tolist()
+    points = [peakon_path(params, pk, t) for t in series.t.tolist()]
+    assert all(type(v) is float for point in points for v in point)
+    assert bits(points).tolist() == bits(np.stack([x, z], axis=1)).tolist()
+
+
+def test_peakon_path_keeps_the_form_of_t():
+    params = WaveParams(k=2.0, a=0.1, g=9.8)
+    pk = PeakonParams(const1=math.pi / 4.0, const2=1.0)
+    ts = np.linspace(-3.0, 3.0, 6).reshape(2, 3)
+    x, z = peakon_path(params, pk, ts)
+    assert x.shape == z.shape == (2, 3)
+    flat = peakon_path(params, pk, ts.ravel().tolist())
+    assert bits(flat).tolist() == bits([x.ravel(), z.ravel()]).tolist()
+    for t in (ts[1, 2], float(ts[1, 2]), np.array(ts[1, 2])):
+        point = peakon_path(params, pk, t)
+        assert all(type(v) is float for v in point)
+        assert bits(point).tolist() == bits([x[1, 2], z[1, 2]]).tolist()
+    x, z = peakon_path(params, pk, np.array([]))
+    assert x.shape == z.shape == (0,)
+
+
+def test_peakon_point_and_series_share_one_kernel(monkeypatch):
+    import deepwave.trajectories as tr
+
+    calls = []
+    kernel = tr._peakon
+    monkeypatch.setattr(
+        tr, "_peakon", lambda *args: calls.append(args[3]) or kernel(*args)
+    )
+    params = WaveParams(k=1.0, a=0.1, g=9.8)
+    pk = PeakonParams(const1=math.pi / 2.0, const2=1.0)
+    peakon_path(params, pk, 0.5)
+    peakon_series(params, pk, 0.0, 1.0, 11)
+    assert calls == [1e-300, ASYMPTOTE_GUARD]
 
 
 @pytest.mark.parametrize(
