@@ -118,7 +118,7 @@ def dispersion(k_list: str, g: float, a: float, direction: int) -> None:
 
 @cli.command()
 @_scenario_options(
-    "k", "a", "g", "beta", "direction", "p0", "t_start", "t_end", "samples",
+    "k", "a", "g", "beta", "direction", "t_start", "t_end", "samples",
     "solution", "const1", "const2", "t0", "out", "format", "svg",
 )
 def trajectory(config_path: str | None, **kwargs) -> None:
@@ -248,7 +248,7 @@ def _oracle_series(sc: ScenarioConfig, params: WaveParams, red) -> TrajectorySer
     r0 = (params.k * params.c * Z_init - sc.beta) * math.exp(-Z_init) / kA
     X_init = math.copysign(1.0, params.A) * math.acos(min(max(r0, -1.0), 1.0))
     cfg = IntegratorConfig.for_wave(params, sc.t_start, sc.t_end, method="rk45")
-    ts = [float(v) for v in np.linspace(sc.t_start, sc.t_end, sc.samples)]
+    ts = np.linspace(sc.t_start, sc.t_end, sc.samples)
     return integrate_moving_frame(params, X_init, Z_init, cfg, sample_times=ts)
 
 

@@ -128,16 +128,14 @@ class ResidualReport:
     max_residual_eq1 bounds |Z'^2 - (k^2 A^2 e^{2Z} - (kcZ - beta)^2)|,
     the energy form; max_residual_eq2 bounds |Z' - kA e^Z sin X|, the
     kinematic form, which amplifies the same gap near turning points.
-    Samples inside excluded_windows (turning-point neighbourhoods where
-    |Z'| < 1% of its peak, and overflow territory |Z| > 300) do not
-    contribute; n_samples counts the contributing ones.
+    Samples near turning points (|Z'| < 1% of its peak) and in overflow
+    territory (|Z| > 300) do not contribute; n_samples counts the
+    contributing ones.
     """
 
     max_residual_eq1: float
     max_residual_eq2: float
-    rms_residual: float
     n_samples: int
-    excluded_windows: tuple[tuple[float, float], ...]
 
 
 def integrate_full(
@@ -265,9 +263,8 @@ def residual_full_Z_ode(
     peak = np.max(np.abs(dZdt[include])) if np.any(include) else 0.0
     include &= np.abs(dZdt) >= 0.01 * peak
 
-    windows = _excluded_windows(t, ~include)
     if not np.any(include):
-        return ResidualReport(0.0, 0.0, 0.0, 0, windows)
+        return ResidualReport(0.0, 0.0, 0)
 
     Zi = Z[include]
     Xi = series.X[include]
@@ -275,25 +272,10 @@ def residual_full_Z_ode(
     envelope = kA * np.exp(Zi)
     eq1 = np.abs(Vi * Vi - (envelope * envelope - (kc * Zi - beta) ** 2))
     eq2 = np.abs(Vi - envelope * np.sin(Xi))
-    rms = math.sqrt((np.sum(eq1 * eq1) + np.sum(eq2 * eq2)) / (2.0 * Zi.size))
     return ResidualReport(
         max_residual_eq1=float(np.max(eq1)),
         max_residual_eq2=float(np.max(eq2)),
-        rms_residual=rms,
         n_samples=int(Zi.size),
-        excluded_windows=windows,
-    )
-
-
-def _excluded_windows(
-    t: np.ndarray, excluded: np.ndarray
-) -> tuple[tuple[float, float], ...]:
-    """Contiguous runs of excluded samples as (t_lo, t_hi) windows."""
-    padded = np.concatenate(([0], np.asarray(excluded, dtype=np.int8), [0]))
-    edges = np.flatnonzero(np.diff(padded))
-    # Edges alternate: a run starts at edges[0::2] and ends before edges[1::2].
-    return tuple(
-        (float(t[i]), float(t[j - 1])) for i, j in zip(edges[0::2], edges[1::2])
     )
 
 
@@ -370,6 +352,8 @@ def _integrate(
     rejects an adaptive trial step, which is then halved; anywhere else
     it ends the run in StiffnessError at the last accepted state.
     """
+    if sample_times is not None:  # before the run, so outside its error handler
+        sample_times = np.asarray(sample_times, dtype=float)
     t = cfg.t_start
     a, b = a0, b0
     try:
@@ -448,24 +432,30 @@ def _integrate(
         ) from exc
 
 
-def _dense_output(rhs: RHS, knots: _Path, sample_times: Sequence[float]) -> _Path:
-    """Cubic Hermite evaluation at requested times within the solved span."""
+def _dense_output(rhs: RHS, knots: _Path, times: np.ndarray) -> _Path:
+    """Cubic Hermite evaluation at requested times within the solved span.
+
+    The times must be finite, strictly increasing and inside the span up
+    to 1e-12 either side; those past an escape event are dropped.  The
+    loop runs on Python floats, whatever sequence the caller passed.
+    """
+    t_lo, t_hi = knots.t[0], knots.t[-1]
+    if times.ndim != 1 or not np.all(np.isfinite(times)):
+        raise ParameterDomainError("sample times must be finite and 1-d")
+    if not np.all(np.diff(times) > 0.0):
+        raise ParameterDomainError("sample times must increase strictly")
+    if knots.event is not None:
+        times = times[times <= t_hi + 1e-12]  # cut short by the event
+    outside = times[(times < t_lo - 1e-12) | (times > t_hi + 1e-12)]
+    if outside.size:
+        raise ParameterDomainError(
+            f"sample time {outside[0]} outside the integrated span [{t_lo}, {t_hi}]"
+        )
+    if not times.size:
+        raise ParameterDomainError("no sample times fell inside the integrated span")
     out = _Path(*(array("d") for _ in range(5)), knots.event)
-    t_lo = knots.t[0]
-    t_hi = knots.t[-1]
     last = len(knots.t) - 2
-    previous = None
-    for ts in sample_times:
-        if previous is not None and ts <= previous:
-            raise ParameterDomainError("sample times must increase strictly")
-        previous = ts
-        if ts < t_lo - 1e-12 or ts > t_hi + 1e-12:
-            if knots.event is not None and ts > t_hi:
-                continue  # cut short by the event
-            raise ParameterDomainError(
-                f"sample time {ts} outside the integrated span [{t_lo}, {t_hi}]"
-            )
-        ts = min(max(ts, t_lo), t_hi)
+    for ts in np.clip(times, t_lo, t_hi).tolist():
         i = min(max(bisect_right(knots.t, ts) - 1, 0), last)
         a, b = _hermite(knots, i, ts)
         fa, fb = rhs(ts, a, b)
@@ -474,8 +464,6 @@ def _dense_output(rhs: RHS, knots: _Path, sample_times: Sequence[float]) -> _Pat
         out.b.append(b)
         out.fa.append(fa)
         out.fb.append(fb)
-    if not out.t:
-        raise ParameterDomainError("no sample times fell inside the integrated span")
     return out
 
 

@@ -101,26 +101,14 @@ class ZSeries:
     blowup_time: float | None = None
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        Z = np.asarray(self.Z, dtype=float)
-        if t.shape != Z.shape or t.ndim != 1 or t.size == 0:
-            raise ContractViolationError("ZSeries needs matching 1-d t and Z arrays")
-        if t.size > 1 and not np.all(np.diff(t) > 0.0):
-            raise ContractViolationError("ZSeries times must increase strictly")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "Z", Z)
-        if self.dZdt is not None:
-            d = np.asarray(self.dZdt, dtype=float)
-            if d.shape != t.shape:
-                raise ContractViolationError("ZSeries dZdt must match t in shape")
-            object.__setattr__(self, "dZdt", d)
+        _store_samples(self, ("t", "Z"))
 
 
 @dataclass(frozen=True)
 class TrajectorySeries:
     """Sampled particle path with both physical and moving-frame samples.
 
-    Invariants checked on construction: t strictly increasing, and the
+    Invariants checked on construction: those of _store_samples, and the
     frame maps X = k(x - ct), Z = k z hold at every sample.
     """
 
@@ -140,32 +128,15 @@ class TrajectorySeries:
     def __post_init__(self):
         if self.case_tag not in CASE_TAGS:
             raise ContractViolationError(f"unknown case tag {self.case_tag!r}")
-        arrays = {}
-        for name in ("t", "x", "z", "X", "Z"):
-            arrays[name] = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arrays[name])
-        n = arrays["t"].size
-        if n == 0 or any(a.shape != (n,) for a in arrays.values()):
-            raise ContractViolationError("series arrays must share one 1-d shape")
-        if n > 1 and not np.all(np.diff(arrays["t"]) > 0.0):
-            raise ContractViolationError("series times must increase strictly")
-        if self.dZdt is not None:
-            d = np.asarray(self.dZdt, dtype=float)
-            if d.shape != (n,):
-                raise ContractViolationError("dZdt must match the sample count")
-            object.__setattr__(self, "dZdt", d)
+        t = _store_samples(self, ("t", "x", "z", "X", "Z"))
         # Frame consistency, with the tolerance scaled by the phases k c t
         # and X, whose rounding floors grow on long runs.
-        scale = np.maximum(1.0, np.abs(self.k * self.c * arrays["t"]))
-        np.maximum(scale, np.abs(arrays["X"]), out=scale)
-        if np.any(
-            np.abs(arrays["X"] - self.k * (arrays["x"] - self.c * arrays["t"]))
-            > 1e-12 * scale
-        ):
+        scale = np.maximum(1.0, np.abs(self.k * self.c * t))
+        np.maximum(scale, np.abs(self.X), out=scale)
+        if np.any(np.abs(self.X - self.k * (self.x - self.c * t)) > 1e-12 * scale):
             raise ContractViolationError("X samples violate X = k(x - ct)")
         if np.any(
-            np.abs(arrays["Z"] - self.k * arrays["z"])
-            > 1e-12 * np.maximum(1.0, np.abs(arrays["Z"]))
+            np.abs(self.Z - self.k * self.z) > 1e-12 * np.maximum(1.0, np.abs(self.Z))
         ):
             raise ContractViolationError("Z samples violate Z = k z")
 
@@ -332,8 +303,23 @@ def asymptote_times(
     """Vertical-asymptote times t_n = t0 + (2 + 4n) K(k2^2) / C2.
 
     Consecutive asymptotes are one cn period 4K/C2 apart.
+
+    Raises
+    ------
+    ParameterDomainError
+        When t0 is not finite, or when an n or a resulting time is not a
+        finite float.
     """
-    return _asymptote_times(red, complete_K(red.k2sq), t0, n_values)
+    try:
+        times = _asymptote_times(red, complete_K(red.k2sq), t0, n_values)
+        finite = math.isfinite(t0) and all(map(math.isfinite, times))
+    except OverflowError:  # an integer n beyond the float range
+        finite = False
+    if not finite:
+        raise ParameterDomainError(
+            f"t0 = {t0} and each asymptote time t0 + (2 + 4n) K/C2 must be finite"
+        )
+    return times
 
 
 def beta_from_initial(
@@ -676,6 +662,24 @@ def _assemble(
     return TrajectorySeries(
         k=params.k, c=params.c, t=t, x=x, z=Z / params.k, X=X, Z=Z, dZdt=dZdt, **meta
     )
+
+
+def _store_samples(series, names: tuple[str, ...]) -> np.ndarray:
+    """Store the named sample fields of series, and dZdt when set, as float
+    arrays of one non-empty 1-d shape with t strictly increasing and free
+    of NaN (an infinite end stays allowed); returns t."""
+    if series.dZdt is not None:
+        names += ("dZdt",)
+    arrays = [np.asarray(getattr(series, name), dtype=float) for name in names]
+    t = arrays[0]
+    if t.ndim != 1 or t.size == 0 or any(a.shape != t.shape for a in arrays):
+        raise ContractViolationError("series arrays must share one non-empty 1-d shape")
+    # A NaN time fails a step, or, as the only sample, the first test.
+    if np.isnan(t[0]) or not np.all(np.diff(t) > 0.0):
+        raise ContractViolationError("series times must increase strictly, with no NaN")
+    for name, values in zip(names, arrays):
+        object.__setattr__(series, name, values)
+    return t
 
 
 def _like(t: Times, values: np.ndarray) -> Times:

@@ -266,7 +266,7 @@ def _check_rk4_convergence(params: WaveParams, beta: float) -> CheckResult:
     # Sampling the finer runs at the coarse knots keeps the comparison on
     # integration points (the knot grids nest up to rounding), so the
     # measured errors are pure step errors, not interpolation artifacts.
-    ts = [float(t) for t in coarse.t]
+    ts = coarse.t
     runs = [coarse] + [
         integrate_moving_frame(
             params, X0, Z0, IntegratorConfig(0.0, t_end, dt=T / n), sample_times=ts

@@ -239,7 +239,7 @@ class TestDocumentedSurface:
                 "trajectory",
                 [
                     "--config", "--k", "--a", "--g", "--beta", "--direction",
-                    "--p0", "--t-start", "--t-end", "--samples", "--solution",
+                    "--t-start", "--t-end", "--samples", "--solution",
                     "--const1", "--const2", "--t0", "--out", "--format", "--svg",
                 ],
             ),
@@ -513,6 +513,7 @@ class TestExitCodes:
             ["trajectory", "--direction", "0"],
             ["trajectory", "--solution", "spline"],
             ["trajectory", "--format", "xml"],
+            ["trajectory", "--p0", "5"],  # the pressure offset is field's only
             ["dispersion", "--direction", "0"],
         ],
     )

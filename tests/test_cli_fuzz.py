@@ -78,7 +78,7 @@ VALUES = {
 
 FLAGS = {
     "trajectory": (
-        "k", "a", "g", "beta", "direction", "p0", "t_start", "t_end", "samples",
+        "k", "a", "g", "beta", "direction", "t_start", "t_end", "samples",
         "solution", "const1", "const2", "t0", "out", "format", "svg",
     ),
     "stagnation": ("k", "a", "g", "beta", "direction", "z_min", "z_max", "grid"),

@@ -34,12 +34,7 @@ from deepwave import (
 )
 from deepwave import ode_oracle
 from deepwave.cli import trajectory_series
-from deepwave.ode_oracle import (
-    EVENT_DT,
-    MIN_ADAPTIVE_DT,
-    SLIVER_FRACTION,
-    _excluded_windows,
-)
+from deepwave.ode_oracle import EVENT_DT, MIN_ADAPTIVE_DT, SLIVER_FRACTION
 from deepwave.scenario import build_scenario
 from deepwave.trajectories import asymptote_times, beta_from_initial
 from deepwave.validation import run_battery
@@ -376,6 +371,67 @@ def test_dense_output_contracts(scenario_k1):
         integrate_moving_frame(params, 0.3, -0.2, cfg, sample_times=[0.5, 0.5])
 
 
+def three_integrators(scenario_k1):
+    """integrate_full, integrate_moving_frame and integrate_truncated on
+    k1 over one second, each as a function of sample_times alone."""
+    params, beta = scenario_k1
+    coeffs = build_cubic(params, beta)
+    Z1 = classify_roots(coeffs).Z1
+    cfg = IntegratorConfig(0.0, 1.0, dt=0.01)
+    return {
+        "full": lambda ts: integrate_full(params, 1.0, 0.0, cfg, sample_times=ts),
+        "moving": lambda ts: integrate_moving_frame(
+            params, 1.0, 0.0, cfg, sample_times=ts
+        ),
+        "truncated": lambda ts: integrate_truncated(
+            coeffs, Z1, 0.0, cfg, sample_times=ts
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["full", "moving", "truncated"])
+@pytest.mark.parametrize(
+    "times", [[math.nan], [0.1, math.nan, 0.5], [math.inf], [0.1, -math.inf]]
+)
+def test_dense_output_rejects_non_finite_times(scenario_k1, name, times):
+    """A non-finite sample time is the caller's error, not a NaN row (one
+    time) or a series contract violation (several)."""
+    with pytest.raises(ParameterDomainError, match="sample times must be finite"):
+        three_integrators(scenario_k1)[name](times)
+
+
+@pytest.mark.parametrize("name", ["full", "moving", "truncated"])
+def test_dense_output_same_bits_for_list_and_array(scenario_k1, name):
+    run = three_integrators(scenario_k1)[name]
+    times = np.linspace(0.0, 1.0, 37)
+    got, want = run(times), run(times.tolist())
+    fields = ("t", "Z", "dZdt") + (() if name == "truncated" else ("x", "z", "X"))
+    for field in fields:
+        np.testing.assert_array_equal(
+            bits(getattr(got, field)), bits(getattr(want, field)), err_msg=field
+        )
+
+
+def test_dense_output_checks_times_before_the_event_cut(scenario_k4):
+    """Times past the escape event are dropped, but only after every time
+    has passed the finite and increasing checks."""
+    params, beta = scenario_k4
+    coeffs = build_cubic(params, beta)
+    red = classify_roots(coeffs)
+    cfg = IntegratorConfig(0.0, 3.0, dt=1e-3)
+    zs = integrate_truncated(coeffs, red.Z0, 0.0, cfg, sample_times=[0.0, 0.1, 2.9])
+    assert zs.t.tolist() == [0.0, 0.1]
+    for times, match in (
+        ([0.0, 0.1, math.nan], "finite"),
+        ([0.0, 0.1, 2.9, 2.8], "increase strictly"),
+        ([-1.0, 0.1, 2.9], "outside the integrated span"),
+    ):
+        with pytest.raises(ParameterDomainError, match=match):
+            integrate_truncated(coeffs, red.Z0, 0.0, cfg, sample_times=times)
+    with pytest.raises(ParameterDomainError, match="no sample times fell inside"):
+        integrate_truncated(coeffs, red.Z0, 0.0, cfg, sample_times=[2.8, 2.9])
+
+
 def test_dense_output_matches_knots(scenario_k1):
     """Interpolating exactly at knot times returns the knot states."""
     params, _ = scenario_k1
@@ -419,11 +475,8 @@ def test_residual_report_shape(scenario_k1):
     assert rep.n_samples > 1000
     assert rep.max_residual_eq1 <= 1e-8
     assert rep.max_residual_eq2 <= 1e-10
-    assert rep.rms_residual <= rep.max_residual_eq1 + rep.max_residual_eq2
-    # The trajectory crosses turning points, so windows were excluded.
-    assert len(rep.excluded_windows) >= 1
-    for lo, hi in rep.excluded_windows:
-        assert lo < hi
+    # The trajectory crosses turning points, so samples were excluded.
+    assert rep.n_samples < series.t.size
 
 
 def test_residual_flags_wrong_constant(scenario_k1):
@@ -439,51 +492,6 @@ def test_residual_flags_wrong_constant(scenario_k1):
     rep_good = residual_full_Z_ode(params, beta, series)
     rep_bad = residual_full_Z_ode(params, beta + 0.5, series)
     assert rep_bad.max_residual_eq1 > 100.0 * max(rep_good.max_residual_eq1, 1e-12)
-
-
-# --- _excluded_windows -------------------------------------------------
-
-
-def reference_windows(t, excluded):
-    """The per-sample scan _excluded_windows replaced."""
-    windows = []
-    start = None
-    for i, flag in enumerate(excluded):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            windows.append((float(t[start]), float(t[i - 1])))
-            start = None
-    if start is not None:
-        windows.append((float(t[start]), float(t[-1])))
-    return tuple(windows)
-
-
-@pytest.mark.parametrize(
-    "mask, expected",
-    [
-        ("0000000", ()),
-        ("1111111", ((0.0, 6.0),)),
-        ("1100011", ((0.0, 1.0), (5.0, 6.0))),
-        ("1010101", ((0.0, 0.0), (2.0, 2.0), (4.0, 4.0), (6.0, 6.0))),
-        ("0100010", ((1.0, 1.0), (5.0, 5.0))),
-        ("0011100", ((2.0, 4.0),)),
-        ("1", ((0.0, 0.0),)),
-        ("0", ()),
-        ("", ()),
-    ],
-)
-def test_excluded_windows_runs(mask, expected):
-    t = np.arange(float(len(mask)))
-    excluded = np.array([c == "1" for c in mask], dtype=bool)
-    assert _excluded_windows(t, excluded) == expected
-
-
-@given(st.lists(st.booleans(), min_size=1, max_size=64))
-def test_excluded_windows_match_scan(flags):
-    t = np.linspace(-1.0, 2.0, len(flags)) ** 3
-    excluded = np.array(flags, dtype=bool)
-    assert _excluded_windows(t, excluded) == reference_windows(t, excluded)
 
 
 # --- reference steppers ------------------------------------------------

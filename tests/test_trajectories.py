@@ -325,6 +325,24 @@ def test_series_build_one_landen_chain_besides_the_kernel(
 # ---------------------------------------------------------------- case 2
 
 
+@pytest.mark.parametrize(
+    "t0, n_values",
+    [
+        (0.0, (10**400,)),
+        (0.0, (-(10**400),)),
+        (math.nan, (0,)),
+        (math.inf, ()),
+        (0.0, (0, math.nan)),
+        (0.0, (1e308,)),
+    ],
+)
+def test_asymptote_times_reject_non_finite(red_k4, t0, n_values):
+    """An index beyond the float range used to escape as a raw
+    OverflowError, and a NaN t0 came back as a NaN time."""
+    with pytest.raises(ParameterDomainError, match="must be finite"):
+        asymptote_times(red_k4, t0, n_values)
+
+
 def test_case2_starts_at_root_and_stays_above(red_k4):
     assert case2_Z(red_k4, 0.0) == pytest.approx(red_k4.Z0, abs=1e-14)
     for t in np.linspace(-0.4, 0.4, 200):
@@ -899,6 +917,39 @@ def test_trajectory_series_rejects_unknown_tag():
 def test_zseries_requires_increasing_time():
     with pytest.raises(ContractViolationError):
         ZSeries(t=np.array([0.0, 0.0, 1.0]), Z=np.zeros(3))
+
+
+@pytest.mark.parametrize("t", [[math.nan], [0.0, math.nan], [math.nan, 1.0]])
+def test_series_reject_nan_time(t):
+    """One sample has no step to fail, so a lone NaN time needs a test
+    of its own."""
+    Z = np.zeros(len(t))
+    with pytest.raises(ContractViolationError, match="no NaN"):
+        ZSeries(t=t, Z=Z)
+    with pytest.raises(ContractViolationError, match="no NaN"):
+        TrajectorySeries(
+            k=1.0, c=0.0, t=t, x=Z, z=Z, X=Z, Z=Z, case_tag="oracle-full"
+        )
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(t=[], Z=[]),
+        dict(t=[[0.0, 1.0]], Z=[[0.0, 0.0]]),
+        dict(t=[0.0, 1.0], Z=[0.0]),
+        dict(t=[0.0, 1.0], Z=[0.0, 0.0], dZdt=[0.0]),
+    ],
+)
+def test_series_reject_mismatched_arrays(fields):
+    with pytest.raises(ContractViolationError, match="one non-empty 1-d shape"):
+        ZSeries(**fields)
+    Z = fields["Z"]
+    with pytest.raises(ContractViolationError, match="one non-empty 1-d shape"):
+        TrajectorySeries(
+            k=1.0, c=0.0, t=fields["t"], x=Z, z=Z, X=Z, Z=Z, case_tag="case1",
+            dZdt=fields.get("dZdt"),
+        )
 
 
 # ------------------------------------------- frozen per-sample reference
