@@ -61,6 +61,10 @@ SLIVER_FRACTION = 1e-6
 # At for_wave's default step that is 2 * 10^7 RK4 knots, about 0.8 GB.
 MAX_WAVE_PERIODS = 10_000
 
+# Most steps a fixed-step (RK4) run may take: for_wave's default step
+# over MAX_WAVE_PERIODS.
+MAX_RK4_STEPS = 20_000_000
+
 _METHODS = ("rk4", "rk45")
 
 
@@ -98,6 +102,22 @@ class IntegratorConfig:
                 f"tolerances must be finite and positive, got "
                 f"abs_tol={self.abs_tol}, rel_tol={self.rel_tol}"
             )
+        if self.method == "rk4":
+            # Below the adaptive floor a step may not move t at all
+            # (1e6 + 1e-12 == 1e6), and the run would never end.
+            floor = MIN_ADAPTIVE_DT * max(1.0, abs(self.t_start), abs(self.t_end))
+            if self.dt < floor:
+                raise ParameterDomainError(
+                    f"rk4 dt must be at least {floor:.3g} on "
+                    f"[{self.t_start}, {self.t_end}], got {self.dt}"
+                )
+            # A remainder below SLIVER_FRACTION * dt joins the last step,
+            # so this admits exactly the runs of at most MAX_RK4_STEPS steps.
+            if (self.t_end - self.t_start) / self.dt > MAX_RK4_STEPS + SLIVER_FRACTION:
+                raise ParameterDomainError(
+                    f"rk4 run of more than {MAX_RK4_STEPS} steps: "
+                    f"dt={self.dt} on [{self.t_start}, {self.t_end}]"
+                )
 
     @classmethod
     def for_wave(
@@ -353,7 +373,14 @@ def _integrate(
     it ends the run in StiffnessError at the last accepted state.
     """
     if sample_times is not None:  # before the run, so outside its error handler
-        sample_times = np.asarray(sample_times, dtype=float)
+        try:
+            sample_times = np.asarray(sample_times, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:  # ragged or not numbers
+            raise ParameterDomainError("sample times must be finite and 1-d") from exc
+        if sample_times.ndim != 1 or not np.all(np.isfinite(sample_times)):
+            raise ParameterDomainError("sample times must be finite and 1-d")
+        if not np.all(np.diff(sample_times) > 0.0):
+            raise ParameterDomainError("sample times must increase strictly")
     t = cfg.t_start
     a, b = a0, b0
     try:
@@ -435,15 +462,11 @@ def _integrate(
 def _dense_output(rhs: RHS, knots: _Path, times: np.ndarray) -> _Path:
     """Cubic Hermite evaluation at requested times within the solved span.
 
-    The times must be finite, strictly increasing and inside the span up
-    to 1e-12 either side; those past an escape event are dropped.  The
-    loop runs on Python floats, whatever sequence the caller passed.
+    _integrate has checked the times finite, 1-d and strictly increasing;
+    they must lie inside the span up to 1e-12 either side, and those past
+    an escape event are dropped.  The loop runs on Python floats.
     """
     t_lo, t_hi = knots.t[0], knots.t[-1]
-    if times.ndim != 1 or not np.all(np.isfinite(times)):
-        raise ParameterDomainError("sample times must be finite and 1-d")
-    if not np.all(np.diff(times) > 0.0):
-        raise ParameterDomainError("sample times must increase strictly")
     if knots.event is not None:
         times = times[times <= t_hi + 1e-12]  # cut short by the event
     outside = times[(times < t_lo - 1e-12) | (times > t_hi + 1e-12)]

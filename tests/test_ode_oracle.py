@@ -37,7 +37,11 @@ from deepwave.cli import trajectory_series
 from deepwave.ode_oracle import EVENT_DT, MIN_ADAPTIVE_DT, SLIVER_FRACTION
 from deepwave.scenario import build_scenario
 from deepwave.trajectories import asymptote_times, beta_from_initial
-from deepwave.validation import run_battery
+from deepwave.validation import _FRAME_STEPS_PER_PERIOD, run_battery
+
+# The frame-equivalence check's step count, and the 4000 it ran at before:
+# 40 000 steps over its ten periods, where a sliver step once showed.
+FRAME_STEPS = [_FRAME_STEPS_PER_PERIOD, 4000]
 
 
 def test_for_wave_caps_the_window():
@@ -62,6 +66,42 @@ def test_config_validation():
     cfg = IntegratorConfig.for_wave(WaveParams(k=1.0, a=0.1, g=9.8), 0.0, 1.0)
     assert cfg.method == "rk4"
     assert cfg.dt <= 1.0
+
+
+def test_rk4_step_that_cannot_move_t_raises():
+    """1e6 + 1e-12 == 1e6, so this run once stepped forever in place; the
+    fixed step now obeys the adaptive stepper's floor."""
+    with pytest.raises(ParameterDomainError, match="rk4 dt must be at least"):
+        IntegratorConfig(1e6, 1e6 + 1.0, dt=1e-12)
+    IntegratorConfig(1e6, 1e6 + 1.0, dt=1e-7)
+    # RK45 meets the floor inside the run, as StiffnessError
+    IntegratorConfig(1e6, 1e6 + 1.0, dt=1e-12, method="rk45")
+
+
+def test_rk4_step_count_is_bounded():
+    bound = ode_oracle.MAX_RK4_STEPS
+    IntegratorConfig(0.0, 1.0, dt=1.0 / bound)
+    for dt in (1.0 / (bound + 1), 1e-8):
+        with pytest.raises(ParameterDomainError, match="more than"):
+            IntegratorConfig(0.0, 1.0, dt=dt)
+    with pytest.raises(ParameterDomainError, match="more than"):
+        IntegratorConfig.for_wave(
+            WaveParams(k=1.0, a=0.1, g=9.8), 0.0, 1.0, steps_per_period=10**9
+        )
+    IntegratorConfig(0.0, 1.0, dt=1e-8, method="rk45")
+
+
+@pytest.mark.parametrize("k", [0.2, 1.0, 2.0, 4.0, 8.0, 0.37])
+@pytest.mark.parametrize("t_start", [0.0, -3.7, 1e3])
+def test_longest_for_wave_window_at_the_default_step_is_accepted(k, t_start):
+    """MAX_RK4_STEPS admits for_wave's default step over MAX_WAVE_PERIODS,
+    whichever way the window and the step round."""
+    params = WaveParams(k=k, a=0.01, g=9.8)
+    t_end = t_start + ode_oracle.MAX_WAVE_PERIODS * params.wave_period
+    cfg = IntegratorConfig.for_wave(params, t_start, t_end)
+    assert cfg.method == "rk4"
+    steps = (cfg.t_end - cfg.t_start) / cfg.dt
+    assert steps == pytest.approx(ode_oracle.MAX_RK4_STEPS)
 
 
 @pytest.mark.parametrize("name", ["abs_tol", "rel_tol"])
@@ -96,15 +136,17 @@ def test_fixed_step_order_four(scenario_k1):
     assert 12.0 <= e_coarse / e_half <= 20.0
 
 
-def test_frame_equivalence_run_has_no_sliver_step(scenario_k1):
-    """Ten periods at 4000 steps per period are 40 000 steps ending at t_end;
-    accumulated rounding of t += dt once added a 3.5e-12 sliver step."""
+@pytest.mark.parametrize("steps_per_period", FRAME_STEPS)
+def test_frame_equivalence_run_has_no_sliver_step(scenario_k1, steps_per_period):
+    """Ten periods of the frame-equivalence run end at t_end after exactly
+    ten times steps_per_period steps; at 4000 per period, accumulated
+    rounding of t += dt once added a 3.5e-12 sliver step."""
     params, _ = scenario_k1
     cfg = IntegratorConfig.for_wave(
-        params, 0.0, 10.0 * params.wave_period, steps_per_period=4000
+        params, 0.0, 10.0 * params.wave_period, steps_per_period=steps_per_period
     )
     series = integrate_moving_frame(params, math.pi / 3.0, 0.0, cfg)
-    assert series.t.size == 40001
+    assert series.t.size == 10 * steps_per_period + 1
     assert series.t[-1] == cfg.t_end
 
 
@@ -398,6 +440,45 @@ def test_dense_output_rejects_non_finite_times(scenario_k1, name, times):
     time) or a series contract violation (several)."""
     with pytest.raises(ParameterDomainError, match="sample times must be finite"):
         three_integrators(scenario_k1)[name](times)
+
+
+@pytest.mark.parametrize("name", ["full", "moving", "truncated"])
+@pytest.mark.parametrize(
+    "times", [[[0.1], [0.2, 0.3]], ["a"], [0.1, "b"], [10**400], [[0.1, 0.2]], [None]]
+)
+def test_malformed_sample_times_raise_parameter_domain(scenario_k1, name, times):
+    """Ragged or non-numeric times are the caller's error, not numpy's raw
+    ValueError."""
+    with pytest.raises(ParameterDomainError, match="sample times must be finite"):
+        three_integrators(scenario_k1)[name](times)
+
+
+@pytest.mark.parametrize("name", ["full", "moving", "truncated"])
+@pytest.mark.parametrize(
+    "times, match",
+    [
+        ([math.nan], "finite"),
+        ([0.5, 0.1], "increase strictly"),
+        ([[0.1], [0.2, 0.3]], "finite"),
+    ],
+)
+def test_sample_times_rejected_before_the_first_step(
+    scenario_k1, monkeypatch, name, times, match
+):
+    steps = []
+    step = ode_oracle._rk4_step
+
+    def counted_step(*args):
+        steps.append(args[1])
+        return step(*args)
+
+    monkeypatch.setattr(ode_oracle, "_rk4_step", counted_step)
+    run = three_integrators(scenario_k1)[name]
+    with pytest.raises(ParameterDomainError, match=match):
+        run(times)
+    assert steps == []
+    run([0.5])
+    assert len(steps) == 100  # the spy sees every step of a good run
 
 
 @pytest.mark.parametrize("name", ["full", "moving", "truncated"])
@@ -781,18 +862,19 @@ def assert_twin_runs(runs, count):
         assert_same_outcome(got, want)
 
 
-def test_frame_equivalence_runs_bit_identical(scenario_k1):
+@pytest.mark.parametrize("steps_per_period", FRAME_STEPS)
+def test_frame_equivalence_runs_bit_identical(scenario_k1, steps_per_period):
     """The frame-equivalence check's RK4 runs, full and moving frame."""
     params, _ = scenario_k1
     X0, Z0 = math.pi / 3.0, 0.0
     cfg = IntegratorConfig.for_wave(
-        params, 0.0, 10.0 * params.wave_period, steps_per_period=4000
+        params, 0.0, 10.0 * params.wave_period, steps_per_period=steps_per_period
     )
     with twin() as runs:
         integrate_full(params, X0 / params.k, Z0 / params.k, cfg)
         integrate_moving_frame(params, X0, Z0, cfg)
     assert_twin_runs(runs, 2)
-    assert len(runs[0][0].t) > 40000
+    assert len(runs[0][0].t) == 10 * steps_per_period + 1
 
 
 def test_cli_oracle_dense_output_bit_identical():

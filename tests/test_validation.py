@@ -9,20 +9,26 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from deepwave import validation
 from deepwave.cubic_analysis import Case1Reduction, build_cubic, classify_roots
 from deepwave.errors import DegenerateRootsError
+from deepwave.ode_oracle import IntegratorConfig, integrate_full, integrate_moving_frame
 from deepwave.stagnation import solve_stagnation
 from deepwave.validation import (
+    _FRAME_STEPS_PER_PERIOD,
+    _LAUNCH,
     _SCAN_CHUNK,
     _SCAN_POINTS,
     CheckResult,
     _brute_stagnation,
+    _check_frame_equivalence,
     _scan_chunks,
     run_battery,
 )
@@ -111,6 +117,45 @@ def test_battery_memory_is_bounded(scenario_k4):
         tracemalloc.stop()
     assert all(r.passed for r in results)
     assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
+
+
+# The reference scenarios and a wave travelling the other way.
+FRAME_SCENARIOS = [
+    (dict(k=1.0, a=0.1, g=9.8), 1.0),
+    (dict(k=2.0, a=0.1, g=9.8), -1.0),
+    (dict(k=4.0, a=0.1, g=9.8), 1.0),
+    (dict(k=1.0, a=0.1, g=9.8, direction=-1), 1.0),
+]
+
+
+@pytest.mark.parametrize("kwargs, beta", FRAME_SCENARIOS)
+def test_frame_gap_is_rounding_at_the_checks_step_count(kwargs, beta):
+    """The frame map commutes with RK4 steps, so at the check's coarse
+    step the gap is rounding, far below its 1e-8 bound."""
+    params = WaveParams(**kwargs)
+    X0, Z0 = _LAUNCH
+    cfg = IntegratorConfig.for_wave(
+        params, 0.0, 10.0 * params.wave_period,
+        steps_per_period=_FRAME_STEPS_PER_PERIOD,
+    )
+    full = integrate_full(params, X0 / params.k, Z0 / params.k, cfg)
+    frame = integrate_moving_frame(params, X0, Z0, cfg)
+    assert np.max(np.abs(full.X - frame.X)) <= 1e-10
+    assert np.max(np.abs(full.Z - frame.Z)) <= 1e-10
+    assert _check_frame_equivalence(params, beta).passed
+
+
+@pytest.mark.parametrize("kwargs, beta", FRAME_SCENARIOS)
+def test_frame_check_fails_on_a_wrong_frame_term(monkeypatch, kwargs, beta):
+    """With the moving frame's kc off by one part in 10^6, the check
+    fails at its own step count."""
+    def integrate_skewed(params, *args, **kw):
+        off = SimpleNamespace(k=params.k, c=params.c * (1.0 + 1e-6), A=params.A)
+        return integrate_moving_frame(off, *args, **kw)
+
+    monkeypatch.setattr(validation, "integrate_moving_frame", integrate_skewed)
+    result = _check_frame_equivalence(WaveParams(**kwargs), beta)
+    assert not result.passed, result.detail
 
 
 # ---------------------------------------------------------------------------
