@@ -114,7 +114,8 @@ def build_cubic(params: WaveParams, beta: float) -> CubicCoeffs:
     ------
     ParameterDomainError
         When a3 = (4/3) k^2 A^2 underflows to 0, i.e. the amplitude is too
-        small for the cubic to be represented.
+        small for the cubic to be represented, or when a coefficient is not
+        finite (beta or the wave too large for float64, or beta NaN).
     """
     k = params.k
     c = params.c
@@ -125,12 +126,15 @@ def build_cubic(params: WaveParams, beta: float) -> CubicCoeffs:
         raise ParameterDomainError(
             f"leading coefficient a3 = (4/3) k^2 A^2 underflows to 0 at kA = {k * A}"
         )
-    return CubicCoeffs(
+    coeffs = CubicCoeffs(
         a3=a3,
         a2=k * k * (2.0 * A * A - c * c),
         a1=2.0 * k * (k * A * A + beta * c),
         a0=kA_sq - beta * beta,
     )
+    if not all(map(math.isfinite, (coeffs.a3, coeffs.a2, coeffs.a1, coeffs.a0))):
+        raise ParameterDomainError(f"cubic coefficients are not finite: {coeffs}")
+    return coeffs
 
 
 def discriminant(coeffs: CubicCoeffs) -> float:

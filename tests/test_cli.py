@@ -660,6 +660,8 @@ class TestOutOfRangeInput:
             ["trajectory", "--solution", "oracle", "--t-end", "1e9"],
             ["trajectory", "--beta", "1e39"],
             ["trajectory", "--a", "1e-200"],  # (4/3) k^2 A^2 underflows
+            # a0 = k^2 A^2 - beta^2 overflows to -inf
+            ["trajectory", "--k", "1e100", "--a", "1e-101", "--beta", "1e200"],
             ["field", "--k", "1", "--z", "1000"],
             ["field", "--k", "10", "--x", "1e308"],
             ["field", "--t", "nan"],

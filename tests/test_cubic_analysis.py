@@ -224,6 +224,20 @@ def test_underflowing_leading_coefficient_is_a_domain_error():
         build_cubic(WaveParams(k=1.0, a=1e-200, g=9.8), 1.0)
 
 
+@pytest.mark.parametrize(
+    "k, a, beta",
+    [(1e100, 1e-101, 1e200), (1e100, 1e-101, -1e200), (1.0, 0.1, 1e300),
+     (1.0, 0.1, math.nan)],
+)
+def test_non_finite_coefficient_is_a_domain_error(k, a, beta):
+    """a0 = k^2 A^2 - beta^2 overflows to -inf at beta = +-1e200 with
+    k = 1e100, a = 1e-101 (whose discriminant then reads NaN) and at
+    beta = 1e300 on k1; a NaN beta makes a1 and a0 NaN.  build_cubic
+    rejects each where the coefficients are made."""
+    with pytest.raises(ParameterDomainError, match="not finite"):
+        build_cubic(WaveParams(k=k, a=a, g=9.8), beta)
+
+
 def test_discriminant_sign_matches_root_count():
     rng = random.Random(31)
     for _ in range(200):
@@ -297,9 +311,11 @@ def test_reduce_case2_rejects_real_quadratic():
         _case2_data(0.5, -3.0, 2.0, params.k * abs(params.A))
 
 
-@pytest.mark.parametrize("beta", [1e39, -1e39, 1e300])
+@pytest.mark.parametrize("beta", [1e39, -1e39, 1e150])
 def test_coefficients_beyond_scale_max_rejected(beta):
-    """scale^4 of the discriminant test would overflow."""
+    """scale^4 of the discriminant test would overflow.  (At beta = 1e300
+    a0 itself overflows, which build_cubic rejects: see
+    test_non_finite_coefficient_is_a_domain_error.)"""
     coeffs = build_cubic(WaveParams(k=1.0, a=0.1, g=9.8), beta)
     assert coeffs.scale() > SCALE_MAX
     with pytest.raises(ParameterDomainError, match="out of range"):

@@ -20,11 +20,14 @@ from hypothesis import strategies as st
 
 from deepwave.cli import trajectory_series
 from deepwave.emitters import (
+    SAMPLE_COLUMNS,
     SVG_HEIGHT,
     SVG_MARGIN,
     SVG_WIDTH,
     Z_DISPLAY_CAP,
+    _decimal_text,
     _escape,
+    _g17_planes,
     _padded_range,
     _ticks,
     csv_pieces,
@@ -358,3 +361,117 @@ def test_emitters_finite_or_deepwave_error(
         assert meta[key] is None or math.isfinite(meta[key])
     assert all(math.isfinite(v) for v in meta["asymptote_times"] or ())
     assert "nan" not in svg and "inf" not in svg
+
+
+# The array decimal writer against the % operator it replaces, on at
+# least 10^6 seeded values per format, in chunks so neither text is held
+# whole.
+WRITER_VALUES = 1_000_000
+_WRITER_CHUNK = 100_000
+
+
+def _random_bits(rng, n):
+    """Doubles from uniform random bit patterns: every exponent,
+    subnormals, infinities and NaNs included."""
+    return rng.integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64)
+
+
+def _near_powers_of_ten(lo, hi):
+    """Each power of ten 10^lo..10^hi, the four doubles below it and the
+    one above, and the doubles nearest 9.999...95e(k-1) to 9.999...99e(k-1)
+    (sixteen nines), whose 17 digits round up to 10^k or stay below it."""
+    powers = np.array([float(f"1e{k}") for k in range(lo, hi + 1)])
+    below = [powers]
+    for _ in range(4):
+        below.append(np.nextafter(below[-1], 0.0))
+    nines = [
+        float(f"9.999999999999999{d}e{k}") for k in range(lo - 1, hi) for d in (5, 8, 9)
+    ]
+    return np.concatenate([*below, np.nextafter(powers, np.inf), nines])
+
+
+def _signed(rng, values):
+    return values * rng.choice([-1.0, 1.0], size=values.size)
+
+
+def assert_writer_matches(values, spec):
+    for i in range(0, values.size, _WRITER_CHUNK):
+        chunk = values[i : i + _WRITER_CHUNK]
+        got = _decimal_text(chunk.reshape(-1, 1), spec, "\n")
+        want = "".join(spec % v + "\n" for v in chunk.tolist())
+        assert_same_text(got, want)
+
+
+def test_writer_matches_percent_17g():
+    rng = np.random.default_rng(20240611)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+    # m/4 for odd m in [4e15, 9e15) ends in an exact 17-digit tie.
+    ties = (2 * rng.integers(2 * 10**15, 45 * 10**14, size=2000) + 1) / 4.0
+    values = np.concatenate([
+        special,
+        _signed(rng, _near_powers_of_ten(-300, 300)),
+        _signed(rng, ties),
+        rng.uniform(-20.0, 20.0, size=200_000),
+        _signed(rng, 10.0 ** rng.uniform(-6.0, 18.0, size=300_000)),
+        # About 250 draws at each binary exponent; all but the fixed
+        # notation range -4..16 go through %.
+        _random_bits(rng, WRITER_VALUES // 2),
+    ])
+    assert values.size >= WRITER_VALUES
+    assert_writer_matches(values, "%.17g")
+
+
+def test_writer_matches_percent_3f():
+    rng = np.random.default_rng(20240612)
+    bits = _random_bits(rng, 2 * WRITER_VALUES)
+    with np.errstate(invalid="ignore"):
+        # Up to 1e20, so the expected text stays small; every exponent
+        # beyond it is covered by a thousand wider values.
+        small = bits[~(np.abs(bits) >= 1e20)][: WRITER_VALUES // 2]
+    wide = bits[np.isfinite(bits)][:1000]
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+               99999.9995, -99999.9995, 99999.99949999999, 1e5, 1e15]
+    # Odd multiples of 1/16 are exact ties at three decimals.
+    ties = (2 * rng.integers(-40_000, 40_000, size=20_000) + 1) / 16.0
+    values = np.concatenate([
+        special,
+        [0.0625, -0.0625, 2.0625, -2.0625, 0.1875, 0.9375],
+        ties,
+        wide,
+        _signed(rng, _near_powers_of_ten(-30, 20)),
+        rng.uniform(-SVG_HEIGHT, 2.0 * SVG_HEIGHT, size=300_000),
+        _signed(rng, 10.0 ** rng.uniform(-5.0, 6.0, size=200_000)),
+        small,
+    ])
+    assert values.size >= WRITER_VALUES
+    assert_writer_matches(values, "%.3f")
+
+
+def test_writer_rows_and_separators():
+    """Value j of each row is followed by seps[j]; a row with a value
+    that goes through % keeps its place among the others."""
+    block = np.array([[1.5, -0.0, math.nan], [0.0625, 2.5e-7, 123.0], [-7.0, 1.0, 2.0]])
+    for spec, seps in (("%.17g", ",;\n"), ("%.3f", ", \n")):
+        want = "".join(
+            "".join(spec % v + sep for v, sep in zip(row, seps)) for row in block.tolist()
+        )
+        assert _decimal_text(block, spec, seps) == want
+    assert _decimal_text(block, "%.17g", ",;\n") == (
+        "1.5,-0;nan\n0.0625,2.4999999999999999e-07;123\n-7,1;2\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "ref",
+    [dict(k=2.0, beta=-1.0), dict(k=1.0, beta=1.0), dict(k=4.0, beta=1.0),
+     dict(k=1.0, beta=1.0, solution="peakon")],
+    ids=["k2", "k1", "k4", "k1-peakon"],
+)
+def test_writer_fallback_is_rare_on_reference_series(ref):
+    """On the 10^5-sample reference series, at most 0.1 % of the CSV
+    values go through %, so the array path is what emission runs."""
+    series, _ = _cli_series(**ref, t_start=0.0, t_end=10.0, samples=100_000)
+    values = np.concatenate([getattr(series, name) for name in SAMPLE_COLUMNS])
+    _, fallback = _g17_planes(values)
+    assert fallback.sum() <= 1e-3 * values.size

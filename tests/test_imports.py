@@ -67,11 +67,23 @@ def test_bare_import_loads_no_submodule():
     assert not [name for name in loaded if name.startswith("deepwave.")]
 
 
-def test_elliptic_trajectory_loads_only_what_it_runs():
-    loaded = modules_after(run_main("trajectory", "--k", "4", "--samples", "20"))
-    assert {"numpy", "deepwave.trajectories", "deepwave.emitters"} <= loaded
-    for name in ("deepwave.validation", "deepwave.ode_oracle", "deepwave.stagnation"):
-        assert name not in loaded
+def test_elliptic_trajectory_loads_only_what_it_runs(tmp_path):
+    """Also with --svg: the decimal writer behind CSV and SVG numbers
+    builds its powers of ten from ints, so neither fractions nor decimal
+    is imported."""
+    svg = tmp_path / "path.svg"
+    runs = [
+        ["trajectory", "--k", "4", "--samples", "20"],
+        ["trajectory", "--k", "4", "--samples", "20",
+         "--out", str(tmp_path / "path.csv"), "--svg", str(svg)],
+    ]
+    for argv in runs:
+        loaded = modules_after(run_main(*argv))
+        assert {"numpy", "deepwave.trajectories", "deepwave.emitters"} <= loaded
+        for name in ("deepwave.validation", "deepwave.ode_oracle", "deepwave.stagnation",
+                     "fractions", "decimal"):
+            assert name not in loaded, name
+    assert svg.read_text().endswith("</svg>\n")
 
 
 def test_submodule_import_through_the_package():
