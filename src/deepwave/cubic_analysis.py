@@ -139,15 +139,27 @@ def build_cubic(params: WaveParams, beta: float) -> CubicCoeffs:
 
 def discriminant(coeffs: CubicCoeffs) -> float:
     """Discriminant of the cubic; positive iff three distinct real roots,
-    negative iff one real root and a complex pair."""
+    negative iff one real root and a complex pair.
+
+    Raises ParameterDomainError when it is not finite: its terms are
+    quartic in the coefficients and overflow beyond a coefficient scale
+    of about 1e77.
+    """
     a, b, c, d = coeffs.a3, coeffs.a2, coeffs.a1, coeffs.a0
-    return (
+    delta = (
         18.0 * a * b * c * d
         - 4.0 * b * b * b * d
         + b * b * c * c
         - 4.0 * a * c * c * c
         - 27.0 * a * a * d * d
     )
+    if not math.isfinite(delta):
+        raise _scale_error(coeffs.scale())
+    return delta
+
+
+def _scale_error(scale: float) -> ParameterDomainError:
+    return ParameterDomainError(f"cubic coefficient scale {scale} is out of range")
 
 
 def _newton_polish(coeffs: CubicCoeffs, Z: float) -> float:
@@ -265,8 +277,8 @@ def classify_roots(coeffs: CubicCoeffs) -> CubicReduction:
         raise ContractViolationError("leading coefficient a3 must be nonzero")
     scale = coeffs.scale()
     delta = discriminant(coeffs)
-    if not (scale <= SCALE_MAX and math.isfinite(delta)):
-        raise ParameterDomainError(f"cubic coefficient scale {scale} is out of range")
+    if not scale <= SCALE_MAX:
+        raise _scale_error(scale)
     if abs(delta) <= DISCRIMINANT_RTOL * scale ** 4:
         raise DegenerateRootsError(
             f"cubic discriminant {delta} is degenerate at coefficient scale {scale}"

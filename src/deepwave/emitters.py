@@ -13,9 +13,11 @@ Formatting policy, fixed per file type so golden files stay stable:
   dashed.
 
 The CSV numbers and the SVG path coordinates are the bytes the ``%``
-operator writes, produced by an array writer (_decimal_text) a block of
-rows at a time; a row holding a value it does not cover is written by
-``%``.
+operator writes, and the JSON sample floats the bytes json.dumps writes
+(``float.__repr__``, or ``NaN``, ``Infinity``, ``-Infinity``).  An array
+writer (_decimal_text) produces them a block of values at a time; a row
+holding a value it does not cover is written by ``%`` or json.dumps.
+Only the JSON metadata goes through json.dumps as a whole.
 
 All emitted text uses "\n" newlines regardless of platform.  Each
 format is a generator of pieces covering _PIECE samples each, which
@@ -67,10 +69,9 @@ def trajectory_csv(series: TrajectorySeries) -> str:
 def json_pieces(series: TrajectorySeries) -> Iterator[str]:
     """The document json.dumps(indent=2) writes for metadata and samples.
 
-    Only the metadata goes through the indenting encoder.  Each slice of
-    a sample array is encoded flat by the C encoder and its ", "
-    separators are turned into the indented line breaks; a float repr
-    (and json's NaN and Infinity) never contains ", ".
+    Only the metadata goes through json.dumps.  The sample arrays are
+    laid out here, each slice of a column written by _decimal_text in
+    json's float text, one value per indented line.
     """
     meta = {
         "case": series.case_tag,
@@ -89,12 +90,14 @@ def json_pieces(series: TrajectorySeries) -> Iterator[str]:
     }
     head = json.dumps({"metadata": meta}, indent=2)[: -len("\n}")]
     yield head + ',\n  "samples": {\n'
+    sep = ",\n      "
     for i, name in enumerate(SAMPLE_COLUMNS):
         yield ("" if i == 0 else ",\n") + f'    "{name}": [\n      '
         column = getattr(series, name)
         for j, piece in enumerate(_slices(column.size)):
-            flat = json.dumps(column[piece].tolist())[1:-1]
-            yield ("" if j == 0 else ",\n      ") + flat.replace(", ", ",\n      ")
+            # Each value ends in the separator; the piece's last one is cut.
+            text = _decimal_text(column[piece, None], "repr", (sep,))
+            yield ("" if j == 0 else sep) + text[: -len(sep)]
         yield "\n    ]"
     yield "\n  }\n}\n"
 
@@ -302,14 +305,16 @@ def _escape(text: str) -> str:
 # integer D = round(|v|·10^s), the fixed-precision conversion of Ryū
 # printf (Adams 2019), with the exact product |v|·10^s taken as Dekker's
 # TwoProduct (Dekker 1971; Ogita, Rump & Oishi 2005) instead of in wide
-# integers.  The text is laid out in a uint8 matrix, one plane per output
-# column, with NUL bytes as padding that bytes.translate deletes.  A row
-# holding a value whose rounding is in doubt, or whose text this layout
-# does not cover, is written by the % operator, so every byte is the one
-# % writes.
+# integers.  json's shortest round-trip digits are picked among such
+# roundings at 15, 16 and 17 digits (_repr_planes).  The text is laid out
+# in a uint8 matrix, one plane per output column, with NUL bytes as
+# padding that bytes.translate deletes.  A row holding a value whose
+# rounding is in doubt, or whose text this layout does not cover, is
+# written a value at a time by the % operator or json.dumps, so every
+# byte is the one they write.
 
-# Rows per sub-block: the planes of 1024 CSV rows take about 1 MB.
-_BLOCK_ROWS = 1024
+# Values per sub-block: the planes of 1024 CSV rows take about 1 MB.
+_BLOCK_VALUES = 5120
 # Dekker's splitting constant 2^27 + 1.
 _SPLIT = 134217729.0
 # A fraction this close to one half may round either way; the computed
@@ -326,7 +331,8 @@ def _split(x):
 
 # 10^s for s = 0..22, each an exact double, with its Dekker halves as
 # rows 1 and 2.  Fixed notation needs no other power: s = 16 - X with
-# the %g exponent X in -5..16 (-5 only to be flagged), or 3 for %.3f.
+# the %g exponent X in -5..16 (-5 only to be flagged), 3 for %.3f, and
+# 15 - X or 16 - X with repr's X in -4..15.
 _POWERS = np.array([float(10**s) for s in range(23)])
 _POW10 = np.stack([_POWERS, *_split(_POWERS)])
 # The four decimal digits of 0..9999, most significant first, built in
@@ -371,10 +377,9 @@ def _digit_planes(groups):
 
 
 def _g17_planes(v):
-    """The planes of "%.17g" % v for 1-d v (sign, "0.000" lead, 17 digits
-    with the point among them), and the values they do not cover: zero,
-    non-finite, the exponent notation %g uses outside X = -4..16, and
-    roundings in doubt."""
+    """The planes of "%.17g" % v for 1-d v, and the values they do not
+    cover: zero, non-finite, the exponent notation %g uses outside
+    X = -4..16, and roundings in doubt."""
     a = np.abs(v)
     with np.errstate(invalid="ignore"):
         ok = (a >= 1e-5) & (a < 1e17)
@@ -384,7 +389,60 @@ def _g17_planes(v):
     X = np.clip(np.floor(np.log10(a)), -5, 16).astype(np.int8)
     D, doubt = _round_scaled(a, 16 - X)
     bad = ~ok | doubt | (D < 10**16) | (D >= 10**17) | (X < -4)
+    return _fixed_planes(v, D, X, bad, 0), bad
 
+
+def _repr_planes(v):
+    """The planes of json's float text for 1-d v: repr's shortest
+    round-trip digits, in the fixed notation repr uses for X = -4..15,
+    with ".0" on integral values.  Also the values they do not cover:
+    zero, non-finite, exponent notation, and roundings in doubt.
+
+    The digits are those of the first of the correctly rounded 15-, 16-
+    and 17-digit candidates that reads back as v, trailing zeros cut
+    (Steele & White 1990; Adams 2018).  A candidate C·10^-s with C below
+    2^54, and even from 2^53 on, reads back as the one IEEE division
+    C / 10^s (Clinger 1990).  Two facts spare the rest:
+
+    * 15-digit candidates lie at least 4.5 ulp apart, so one reads back
+      only within a ninth of their spacing from v.  Rounding the 16-digit
+      candidate half up finds it, even where that rounding is in doubt.
+    * A 16-digit candidate of 2^53 or more is within half an ulp of v
+      unless its rounding is a tie.
+
+    Taking the nearest candidate of each length, and the second fact,
+    need v's rounding interval to be symmetric, which it is except at a
+    power of two; but each power of two in 2^-13..2^53 is a decimal of at
+    most 16 digits, which its 16-digit candidate then is.
+
+    A 16- or 17-digit rounding in doubt may be a tie between two
+    candidates that both read back, such as 757559187828183.2 and .3 for
+    757559187828183.25; repr's pick is left to the fallback."""
+    a = np.abs(v)
+    with np.errstate(invalid="ignore"):
+        ok = (a >= 1e-4) & (a < 1e16)
+    a[~ok] = 1.0
+    X = np.clip(np.floor(np.log10(a)), -4, 15).astype(np.int8)
+    D17, doubt17 = _round_scaled(a, 16 - X)
+    s16 = 15 - X
+    D16, doubt16 = _round_scaled(a, s16)
+    # The 15-digit candidate, written with 16 digits.
+    C15 = (D16 + 5) // 10 * 10
+    scale = _POWERS.take(s16)
+    short = C15 / scale == a
+    reads16 = (D16 >= 2**53) | (D16 / scale == a)
+    D = np.where(short, C15 * 10, np.where(reads16, D16 * 10, D17))
+    # As in _g17_planes, a misjudged X leaves D17 outside 10^16..10^17.
+    bad = ~ok | (D17 < 10**16) | (D17 >= 10**17)
+    bad |= ~short & (doubt16 | ~reads16 & doubt17)
+    return _fixed_planes(v, D, X, bad, 1), bad
+
+
+def _fixed_planes(v, D, X, bad, fraction_min):
+    """The planes of the fixed notation of 1-d v (sign, "0.000" lead, 17
+    digits with the point among them) from its 17 digits D and decimal
+    exponent X: the trailing zeros after the point are cut, but
+    fraction_min digits stay after it.  D is overwritten where bad."""
     n = v.size
     D[bad] = 10**16
     # D's leading digit, then four groups of four digits.
@@ -397,8 +455,8 @@ def _g17_planes(v):
     trail = _TRAILING4.take(groups[1:])
     zero = trail == 4
     tz = trail[3] + zero[3] * (trail[2] + zero[2] * (trail[1] + zero[1] * trail[0]))
-    # %g strips the trailing zeros after the point; 16 - X digits follow it.
-    keep = 17 - np.minimum(tz, 16 - X)
+    # 16 - X digits follow the point.
+    keep = 17 - np.minimum(tz, 16 - fraction_min - X)
     digits = _digit_planes(groups)[3:]
     digits[:17] *= _COLUMN[:17] < keep
 
@@ -415,7 +473,7 @@ def _g17_planes(v):
     body[1:] += digits[:17] * ~before[1:]
     at = np.flatnonzero(point)
     body[X[at] + 1, at] = 46
-    return planes, bad
+    return planes
 
 
 def _f3_planes(v):
@@ -444,29 +502,41 @@ def _f3_planes(v):
     return planes, bad
 
 
-_PLANES = {"%.17g": _g17_planes, "%.3f": _f3_planes}
+# Each spec's planes and the per-value text of the values they do not
+# cover: json.dumps of a float is float.__repr__, or NaN, Infinity or
+# -Infinity.
+_SPECS = {
+    "%.17g": (_g17_planes, "%.17g".__mod__),
+    "%.3f": (_f3_planes, "%.3f".__mod__),
+    "repr": (_repr_planes, json.dumps),
+}
 
 
-def _decimal_text(block: np.ndarray, spec: str, seps: str) -> str:
-    """The text of spec % value for each value of a 2-d float block, value
-    j of each row followed by seps[j]: "%.17g" or "%.3f" formatting, byte
-    for byte, without a call per value."""
-    planes_of = _PLANES[spec]
-    row_format = "".join(spec + sep for sep in seps)
-    sep_codes = np.frombuffer(seps.encode(), np.uint8)
+def _decimal_text(block: np.ndarray, spec: str, seps: Sequence[str]) -> str:
+    """The text of each value of a 2-d float block, value j of each row
+    followed by the string seps[j]: "%.17g" or "%.3f" formatting, or
+    "repr" for json's float text, byte for byte, without a call per
+    value."""
+    planes_of, text_of = _SPECS[spec]
+    codes = [sep.encode() for sep in seps]
+    width = max(map(len, codes))
+    # Separators padded with NULs to one width, one row per column.
+    sep_codes = np.frombuffer(b"".join(c.ljust(width, b"\0") for c in codes), np.uint8)
+    sep_codes = sep_codes.reshape(len(codes), width)
+    step = _BLOCK_VALUES // len(codes)
     out = []
-    for start in range(0, len(block), _BLOCK_ROWS):
-        sub = block[start : start + _BLOCK_ROWS]
+    for start in range(0, len(block), step):
+        sub = block[start : start + step]
         rows, cols = sub.shape
         planes, bad = planes_of(sub.ravel())
-        matrix = np.empty((rows, cols, len(planes) + 1), np.uint8)
-        matrix[..., :-1] = planes.T.reshape(rows, cols, -1)
-        matrix[..., -1] = sep_codes
+        matrix = np.empty((rows, cols, len(planes) + width), np.uint8)
+        matrix[..., : len(planes)] = planes.T.reshape(rows, cols, -1)
+        matrix[..., len(planes) :] = sep_codes
         done = 0
         for r in np.flatnonzero(bad.reshape(rows, cols).any(axis=1)).tolist():
             if r > done:
                 out.append(matrix[done:r].tobytes().translate(None, b"\0").decode())
-            out.append(row_format % tuple(sub[r].tolist()))
+            out.append("".join(text_of(v) + sep for v, sep in zip(sub[r].tolist(), seps)))
             done = r + 1
         out.append(matrix[done:].tobytes().translate(None, b"\0").decode())
     return "".join(out)

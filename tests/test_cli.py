@@ -659,6 +659,9 @@ class TestOutOfRangeInput:
             ["trajectory", "--k", "4", "--t-end", "1e12"],
             ["trajectory", "--solution", "oracle", "--t-end", "1e9"],
             ["trajectory", "--beta", "1e39"],
+            # The discriminant overflows to -inf and NaN.
+            ["trajectory", "--beta", "1e80"],
+            ["trajectory", "--beta", "1e150"],
             ["trajectory", "--a", "1e-200"],  # (4/3) k^2 A^2 underflows
             # a0 = k^2 A^2 - beta^2 overflows to -inf
             ["trajectory", "--k", "1e100", "--a", "1e-101", "--beta", "1e200"],

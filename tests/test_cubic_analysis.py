@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import mpmath
 import numpy as np
@@ -309,6 +310,19 @@ def test_reduce_case2_rejects_real_quadratic():
     # p^2 - 4q >= 0 means the "complex pair" is actually real.
     with pytest.raises(ContractViolationError):
         _case2_data(0.5, -3.0, 2.0, params.k * abs(params.A))
+
+
+@pytest.mark.parametrize("beta", [1e150, 1e80])
+def test_non_finite_discriminant_is_a_domain_error(beta):
+    """The coefficients are finite, but the discriminant's quartic terms
+    overflow: it read NaN at beta 1e150 and -inf at 1e80.  classify_roots
+    raises the same scale message as before."""
+    coeffs = build_cubic(WaveParams(k=1.0, a=0.1, g=9.8), beta)
+    message = re.escape(f"cubic coefficient scale {coeffs.scale()} is out of range")
+    with pytest.raises(ParameterDomainError, match=message):
+        discriminant(coeffs)
+    with pytest.raises(ParameterDomainError, match=message):
+        classify_roots(coeffs)
 
 
 @pytest.mark.parametrize("beta", [1e39, -1e39, 1e150])

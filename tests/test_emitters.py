@@ -29,6 +29,7 @@ from deepwave.emitters import (
     _escape,
     _g17_planes,
     _padded_range,
+    _repr_planes,
     _ticks,
     csv_pieces,
     emit_text,
@@ -191,7 +192,12 @@ def cli_series():
     peakon = _cli_series(
         k=1.0, beta=1.0, t_start=0.0, t_end=10.0, samples=3001, solution="peakon"
     )
-    cases = {"k1": k1, "k4": k4, "peakon": peakon}
+    # k2 runs into the Landen stall; the oracle path is RK45 output.
+    k2 = _cli_series(k=2.0, beta=-1.0, t_start=0.0, t_end=10.0, samples=3001)
+    oracle = _cli_series(
+        k=1.0, beta=1.0, t_start=0.4, t_end=10.4, samples=2000, solution="oracle"
+    )
+    cases = {"k1": k1, "k2": k2, "k4": k4, "peakon": peakon, "oracle": oracle}
     for n in PIECE_EDGES:
         cases[f"k1-n{n}"] = _cli_series(
             k=1.0, beta=1.0, t_start=0.4, t_end=10.4, samples=n
@@ -222,7 +228,8 @@ def test_k4_series_has_dropped_samples_and_marks(cli_series):
 
 @pytest.mark.parametrize(
     "name",
-    ["k1", "k4", "peakon", *(f"k1-n{n}" for n in PIECE_EDGES), "k4-n8193"],
+    ["k1", "k2", "k4", "peakon", "oracle", *(f"k1-n{n}" for n in PIECE_EDGES),
+     "k4-n8193"],
 )
 def test_bytes_match_reference(cli_series, name):
     series, marks = cli_series[name]
@@ -363,9 +370,9 @@ def test_emitters_finite_or_deepwave_error(
     assert "nan" not in svg and "inf" not in svg
 
 
-# The array decimal writer against the % operator it replaces, on at
-# least 10^6 seeded values per format, in chunks so neither text is held
-# whole.
+# The array decimal writer against the % operator and json.dumps it
+# replaces, on at least 10^6 seeded values per format, in chunks so
+# neither text is held whole.
 WRITER_VALUES = 1_000_000
 _WRITER_CHUNK = 100_000
 
@@ -390,15 +397,32 @@ def _near_powers_of_ten(lo, hi):
     return np.concatenate([*below, np.nextafter(powers, np.inf), nines])
 
 
+def _with_neighbours(values, count):
+    """values and the count doubles on each side of each."""
+    out = [values]
+    for toward in (0.0, np.inf):
+        step = values
+        for _ in range(count):
+            step = np.nextafter(step, toward)
+            out.append(step)
+    return np.concatenate(out)
+
+
 def _signed(rng, values):
     return values * rng.choice([-1.0, 1.0], size=values.size)
+
+
+def reference_text(spec, v):
+    """What the writer must write for v: spec % v, or for "repr" the text
+    json gives v in an array."""
+    return json.dumps([v])[1:-1] if spec == "repr" else spec % v
 
 
 def assert_writer_matches(values, spec):
     for i in range(0, values.size, _WRITER_CHUNK):
         chunk = values[i : i + _WRITER_CHUNK]
         got = _decimal_text(chunk.reshape(-1, 1), spec, "\n")
-        want = "".join(spec % v + "\n" for v in chunk.tolist())
+        want = "".join(reference_text(spec, v) + "\n" for v in chunk.tolist())
         assert_same_text(got, want)
 
 
@@ -448,17 +472,78 @@ def test_writer_matches_percent_3f():
     assert_writer_matches(values, "%.3f")
 
 
+def test_writer_matches_repr():
+    rng = np.random.default_rng(20241020)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1e-4, 1e16]
+    # Every power of two and the three doubles on each side of it.
+    powers = _with_neighbours(np.ldexp(1.0, np.arange(-1074, 1024)), 3)
+
+    def odd(lo, hi, n):
+        return 2 * rng.integers(lo // 2, hi // 2, size=n) + 1
+
+    # Exact ties: odd m/4 in [1e14, 1e15) and odd m/8 in [1e13, 1e14) at
+    # 16 digits, such as 757559187828183.25; odd m/8 in [1e14, 1e15) and
+    # odd m/4 in [1e15, 2.25e15) at 17.
+    ties = np.concatenate([
+        [757559187828183.25],
+        odd(4 * 10**14, 4 * 10**15, 20_000) / 4.0,
+        odd(8 * 10**13, 8 * 10**14, 20_000) / 8.0,
+        odd(8 * 10**14, 8 * 10**15, 20_000) / 8.0,
+        odd(4 * 10**15, 9 * 10**15, 20_000) / 4.0,
+    ])
+    # Leading digits 9.1 to 10.5, whose 16-digit candidate is 2^53 or more.
+    high16 = rng.uniform(9.1, 10.5, size=100_000) * 10.0 ** rng.integers(
+        -5, 17, size=100_000
+    )
+    # Both sides of the fixed-notation range, 1e-4 and 1e16.
+    edges = np.concatenate([
+        _with_neighbours(np.array([1e-4, 1e16]), 40),
+        10.0 ** rng.uniform(-4.3, -3.7, size=50_000),
+        10.0 ** rng.uniform(15.7, 16.3, size=50_000),
+    ])
+    # Short decimals, whose 15-digit candidate reads back.
+    short = np.rint(rng.uniform(-1e6, 1e6, size=100_000)) / 10.0 ** rng.integers(
+        0, 9, size=100_000
+    )
+    values = np.concatenate([
+        special,
+        _signed(rng, powers),
+        _signed(rng, ties),
+        _signed(rng, high16),
+        _signed(rng, edges),
+        _signed(rng, _near_powers_of_ten(-10, 20)),
+        short,
+        rng.uniform(-20.0, 20.0, size=100_000),
+        _signed(rng, 10.0 ** rng.uniform(-6.0, 18.0, size=100_000)),
+        _random_bits(rng, WRITER_VALUES // 2),
+    ])
+    assert values.size >= WRITER_VALUES
+    assert_writer_matches(values, "repr")
+
+
 def test_writer_rows_and_separators():
-    """Value j of each row is followed by seps[j]; a row with a value
-    that goes through % keeps its place among the others."""
-    block = np.array([[1.5, -0.0, math.nan], [0.0625, 2.5e-7, 123.0], [-7.0, 1.0, 2.0]])
-    for spec, seps in (("%.17g", ",;\n"), ("%.3f", ", \n")):
+    """Value j of each row is followed by seps[j], a string of any
+    length; a row with a value that is written one at a time keeps its
+    place among the others."""
+    block = np.array(
+        [[1.5, -0.0, math.nan], [0.3, 12.5, -3.0], [0.0625, 2.5e-7, 123.0], [-7.0, 1.0, 2.0]]
+    )
+    for spec, seps in (
+        ("%.17g", ",;\n"), ("%.3f", ", \n"), ("repr", (", ", ",\n      ", "\n")),
+    ):
         want = "".join(
-            "".join(spec % v + sep for v, sep in zip(row, seps)) for row in block.tolist()
+            "".join(reference_text(spec, v) + sep for v, sep in zip(row, seps))
+            for row in block.tolist()
         )
         assert _decimal_text(block, spec, seps) == want
     assert _decimal_text(block, "%.17g", ",;\n") == (
-        "1.5,-0;nan\n0.0625,2.4999999999999999e-07;123\n-7,1;2\n"
+        "1.5,-0;nan\n0.29999999999999999,12.5;-3\n"
+        "0.0625,2.4999999999999999e-07;123\n-7,1;2\n"
+    )
+    assert _decimal_text(block, "repr", (", ", ",\n      ", "\n")) == (
+        "1.5, -0.0,\n      NaN\n0.3, 12.5,\n      -3.0\n"
+        "0.0625, 2.5e-07,\n      123.0\n-7.0, 1.0,\n      2.0\n"
     )
 
 
@@ -469,9 +554,11 @@ def test_writer_rows_and_separators():
     ids=["k2", "k1", "k4", "k1-peakon"],
 )
 def test_writer_fallback_is_rare_on_reference_series(ref):
-    """On the 10^5-sample reference series, at most 0.1 % of the CSV
-    values go through %, so the array path is what emission runs."""
+    """On the 10^5-sample reference series, at most 0.1 % of the CSV and
+    of the JSON values are written one at a time, so the array path is
+    what emission runs."""
     series, _ = _cli_series(**ref, t_start=0.0, t_end=10.0, samples=100_000)
     values = np.concatenate([getattr(series, name) for name in SAMPLE_COLUMNS])
-    _, fallback = _g17_planes(values)
-    assert fallback.sum() <= 1e-3 * values.size
+    for planes_of in (_g17_planes, _repr_planes):
+        _, fallback = planes_of(values)
+        assert fallback.sum() <= 1e-3 * values.size, planes_of.__name__
