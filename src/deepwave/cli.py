@@ -237,18 +237,18 @@ def validate_report(sc: ScenarioConfig) -> tuple[int, str]:
 
 
 def _oracle_series(sc: ScenarioConfig, params: WaveParams, red) -> TrajectorySeries:
-    """The untruncated dynamics from the closed form's launch state."""
-    import numpy as np
-
+    """The untruncated dynamics from the closed form's launch state, sampled
+    on the closed forms' checked grid."""
     from .cubic_analysis import Case1Reduction
     from .ode_oracle import IntegratorConfig, integrate_moving_frame
+    from .trajectories import _sample_grid
 
+    ts = _sample_grid(params, sc.t_start, sc.t_end, sc.samples)
     Z_init = red.Z1 if isinstance(red, Case1Reduction) else red.Z0
     kA = params.k * params.A
     r0 = (params.k * params.c * Z_init - sc.beta) * math.exp(-Z_init) / kA
     X_init = math.copysign(1.0, params.A) * math.acos(min(max(r0, -1.0), 1.0))
     cfg = IntegratorConfig.for_wave(params, sc.t_start, sc.t_end, method="rk45")
-    ts = np.linspace(sc.t_start, sc.t_end, sc.samples)
     return integrate_moving_frame(params, X_init, Z_init, cfg, sample_times=ts)
 
 

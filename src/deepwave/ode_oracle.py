@@ -35,7 +35,7 @@ import numpy as np
 
 from .cubic_analysis import CubicCoeffs
 from .errors import ContractViolationError, ParameterDomainError, StiffnessError
-from .trajectories import TrajectorySeries, ZSeries
+from .trajectories import TrajectorySeries, ZSeries, check_window
 from .wave_field import TAU, WaveParams
 
 # rhs(t, a, b) -> (a', b') for the state (a, b).
@@ -80,14 +80,7 @@ class IntegratorConfig:
     rel_tol: float = 1e-10
 
     def __post_init__(self):
-        if not (
-            math.isfinite(self.t_start)
-            and math.isfinite(self.t_end)
-            and self.t_end > self.t_start
-        ):
-            raise ParameterDomainError(
-                f"need finite t_end > t_start, got [{self.t_start}, {self.t_end}]"
-            )
+        check_window(self.t_start, self.t_end)
         if not (math.isfinite(self.dt) and 0.0 < self.dt <= self.t_end - self.t_start):
             raise ParameterDomainError(
                 f"dt must lie in (0, t_end - t_start], got {self.dt}"

@@ -43,7 +43,6 @@ from .errors import (
     ParameterDomainError,
 )
 from .cubic_analysis import Case1Reduction, Case2Reduction
-from .scenario import check_window
 from .special_functions import complete_K, jacobi_sn_cn_dn
 from .wave_field import WaveParams, evaluate_field
 
@@ -666,17 +665,17 @@ def _assemble(
 
 def _store_samples(series, names: tuple[str, ...]) -> np.ndarray:
     """Store the named sample fields of series, and dZdt when set, as float
-    arrays of one non-empty 1-d shape with t strictly increasing and free
-    of NaN (an infinite end stays allowed); returns t."""
+    arrays of one non-empty 1-d shape with t finite and strictly
+    increasing; returns t."""
     if series.dZdt is not None:
         names += ("dZdt",)
     arrays = [np.asarray(getattr(series, name), dtype=float) for name in names]
     t = arrays[0]
     if t.ndim != 1 or t.size == 0 or any(a.shape != t.shape for a in arrays):
         raise ContractViolationError("series arrays must share one non-empty 1-d shape")
-    # A NaN time fails a step, or, as the only sample, the first test.
-    if np.isnan(t[0]) or not np.all(np.diff(t) > 0.0):
-        raise ContractViolationError("series times must increase strictly, with no NaN")
+    # Finite ends and strict increase make every time finite, NaN excluded.
+    if not (math.isfinite(t[0]) and math.isfinite(t[-1]) and np.all(np.diff(t) > 0.0)):
+        raise ContractViolationError("series times must be finite and increase strictly")
     for name, values in zip(names, arrays):
         object.__setattr__(series, name, values)
     return t
@@ -687,14 +686,23 @@ def _like(t: Times, values: np.ndarray) -> Times:
     return float(values[0]) if np.ndim(t) == 0 else values
 
 
+def check_window(t_start: float, t_end: float) -> None:
+    """Raise unless t_end > t_start with a finite t_end - t_start."""
+    if not t_end > t_start:
+        raise ParameterDomainError(f"need t_end > t_start, got [{t_start}, {t_end}]")
+    if t_end - t_start == math.inf:
+        raise ParameterDomainError(f"t_end - t_start overflows on [{t_start}, {t_end}]")
+
+
 def _sample_grid(
     params: WaveParams, t_start: float, t_end: float, n_samples: int, *lines
 ) -> np.ndarray:
-    """n_samples uniform times over [t_start, t_end], checked in Python
-    floats before numpy sees them: the window must pass check_window, and
-    at both ends, so at every sample, |c t|, |k c t| and |line(t)| of each
-    further (name, line, bound), with line linear in t, must stay below
-    their bounds."""
+    """n_samples uniform times over [t_start, t_end] for every path family,
+    the oracle's included, checked in Python floats before numpy sees them:
+    n_samples must be an integer >= 2, the window must pass check_window,
+    and at both ends, so at every sample, |c t|, |k c t| and |line(t)| of
+    each further (name, line, bound), with line linear in t, must stay
+    below their bounds."""
     try:
         n_samples = operator.index(n_samples)
     except TypeError:

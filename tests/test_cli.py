@@ -35,6 +35,7 @@ from deepwave.cubic_analysis import Case1Reduction, build_cubic, classify_roots
 from deepwave.errors import DegenerateRootsError, ParameterDomainError
 from deepwave.scenario import (
     ENV_CONFIG,
+    SOLUTIONS,
     ScenarioConfig,
     build_scenario,
     load_config_file,
@@ -178,10 +179,8 @@ class TestConfigResolution:
         [
             "k = 0",
             "k = -1",
-            "samples = 1",
             "solution = spline",
             "format = yaml",
-            "t_end = -5",
         ],
     )
     def test_domain_validation_after_merge(self, tmp_path, line):
@@ -189,6 +188,24 @@ class TestConfigResolution:
         cfg.write_text(line + "\n")
         with pytest.raises(ParameterDomainError):
             build_scenario(str(cfg), {})
+
+    @pytest.mark.parametrize("line", ["samples = 1", "t_end = -5"])
+    def test_window_keys_are_checked_by_trajectory_only(self, tmp_path, capsys, line):
+        """Only trajectory reads the window and sample count, so only it
+        rejects them, with one message for every path family."""
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(line + "\n")
+        for command in ("stagnation", "field", "validate"):
+            code, _, err = run_cli([command, "--config", str(cfg)], capsys)
+            assert code == 0, (command, err)
+        errors_by_solution = set()
+        for solution in SOLUTIONS:
+            argv = ["trajectory", "--config", str(cfg), "--solution", solution]
+            code, _, err = run_cli(argv, capsys)
+            assert code == 3, solution
+            assert err.count("\n") == 1 and err.startswith("error:parameter-domain:")
+            errors_by_solution.add(err)
+        assert len(errors_by_solution) == 1
 
 
 class TestDocumentedSurface:

@@ -206,11 +206,12 @@ def cli_series():
     return cases
 
 
-def _edge_series() -> TrajectorySeries:
-    # c = 0 makes X = x and Z = z exact at k = 1; at t = inf the frame
-    # check reads c t = nan and passes, so the row can carry an inf.
-    t = [-0.0, 5e-324, 1e300, math.inf]
-    x = [-0.0, 5e-324, 1.0, 1e300]
+def _edge_series(x_end: float) -> TrajectorySeries:
+    # c = 0 makes X = x and Z = z exact at k = 1; at x = X = inf the frame
+    # check reads X - k x = nan and passes, so the row can carry an inf.
+    # Series times must be finite.
+    t = [-0.0, 5e-324, 1e300, 1e308]
+    x = [-0.0, 5e-324, 1.0, x_end]
     z = [5e-324, -0.0, -1e300, 1.0]
     with np.errstate(invalid="ignore"):
         return TrajectorySeries(
@@ -245,16 +246,19 @@ def test_bytes_match_reference(cli_series, name):
 
 
 def test_edge_values_match_reference():
-    series = _edge_series()
+    series = _edge_series(math.inf)
     csv = trajectory_csv(series)
     assert_same_text(csv, reference_csv(series))
-    assert "\n-0,-0,4.9406564584124654e-324," in csv and "\ninf," in csv
+    assert "\n-0,-0,4.9406564584124654e-324," in csv and ",inf,1,inf,1\n" in csv
     js = trajectory_json(series)
     assert_same_text(js, reference_json(series))
     assert "Infinity" in js and "5e-324" in js and "-0.0" in js
-    assert json.loads(js)["samples"]["t"][-1] == math.inf
+    samples = json.loads(js)["samples"]
+    assert samples["x"][-1] == samples["X"][-1] == math.inf
+    # An infinite x cannot be drawn, so the SVG takes a finite last x.
+    finite = _edge_series(1e300)
     assert_same_text(
-        trajectory_svg(series, title="a<b"), reference_svg(series, title="a<b")
+        trajectory_svg(finite, title="a<b"), reference_svg(finite, title="a<b")
     )
 
 

@@ -67,6 +67,14 @@ def test_bare_import_loads_no_submodule():
     assert not [name for name in loaded if name.startswith("deepwave.")]
 
 
+def test_library_paths_load_no_config_module():
+    """The time-window rule lives in trajectories, so the series and the
+    oracles run without the scenario module that resolves config keys."""
+    loaded = modules_after("import deepwave.trajectories, deepwave.ode_oracle")
+    assert {"deepwave.trajectories", "deepwave.ode_oracle"} <= loaded
+    assert "deepwave.scenario" not in loaded
+
+
 def test_elliptic_trajectory_loads_only_what_it_runs(tmp_path):
     """Also with --svg: the decimal writer behind CSV and SVG numbers
     builds its powers of ten from ints, so neither fractions nor decimal

@@ -55,6 +55,9 @@ def test_for_wave_caps_the_window():
 def test_config_validation():
     with pytest.raises(ParameterDomainError):
         IntegratorConfig(0.0, 0.0, dt=0.1)
+    # The series' check_window: an overflowing window is refused, too.
+    with pytest.raises(ParameterDomainError, match="t_end - t_start overflows"):
+        IntegratorConfig(-1e308, 1e308, dt=1.0, method="rk45")
     with pytest.raises(ParameterDomainError):
         IntegratorConfig(0.0, 1.0, dt=0.0)
     with pytest.raises(ParameterDomainError):

@@ -919,14 +919,18 @@ def test_zseries_requires_increasing_time():
         ZSeries(t=np.array([0.0, 0.0, 1.0]), Z=np.zeros(3))
 
 
-@pytest.mark.parametrize("t", [[math.nan], [0.0, math.nan], [math.nan, 1.0]])
+@pytest.mark.parametrize(
+    "t",
+    [[math.nan], [0.0, math.nan], [math.nan, 1.0], [0.0, math.inf], [-math.inf, 0.0]],
+)
 def test_series_reject_nan_time(t):
     """One sample has no step to fail, so a lone NaN time needs a test
-    of its own."""
+    of its own; an infinite end passes the strict-increase test, so the
+    ends are checked to be finite."""
     Z = np.zeros(len(t))
-    with pytest.raises(ContractViolationError, match="no NaN"):
+    with pytest.raises(ContractViolationError, match="must be finite"):
         ZSeries(t=t, Z=Z)
-    with pytest.raises(ContractViolationError, match="no NaN"):
+    with pytest.raises(ContractViolationError, match="must be finite"):
         TrajectorySeries(
             k=1.0, c=0.0, t=t, x=Z, z=Z, X=Z, Z=Z, case_tag="oracle-full"
         )
