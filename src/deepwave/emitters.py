@@ -20,9 +20,10 @@ holding a value it does not cover is written by ``%`` or json.dumps.
 Only the JSON metadata goes through json.dumps as a whole.
 
 All emitted text uses "\n" newlines regardless of platform.  Each
-format is a generator of pieces covering _PIECE samples each, which
-emit_text writes as they come; trajectory_csv, trajectory_json and
-trajectory_svg return the same pieces joined.
+format is a generator of pieces, each one block of _decimal_text
+(_BLOCK_VALUES values: 1024 CSV rows, 2560 SVG points, 5120 JSON
+values), which emit_text writes as they come; trajectory_csv,
+trajectory_json and trajectory_svg return the same pieces joined.
 """
 
 from __future__ import annotations
@@ -50,14 +51,10 @@ Z_DISPLAY_CAP = 10.0
 
 SAMPLE_COLUMNS = ("t", "x", "z", "X", "Z")
 
-# Samples formatted per piece: output memory stays bounded by one piece,
-# not by the length of the formatted text.
-_PIECE = 4096
-
 
 def csv_pieces(series: TrajectorySeries) -> Iterator[str]:
     yield ",".join(SAMPLE_COLUMNS) + "\n"
-    for piece in _slices(series.t.size):
+    for piece in _slices(series.t.size, len(SAMPLE_COLUMNS)):
         block = np.stack([getattr(series, name)[piece] for name in SAMPLE_COLUMNS], axis=1)
         yield _decimal_text(block, "%.17g", ",,,,\n")
 
@@ -94,7 +91,7 @@ def json_pieces(series: TrajectorySeries) -> Iterator[str]:
     for i, name in enumerate(SAMPLE_COLUMNS):
         yield ("" if i == 0 else ",\n") + f'    "{name}": [\n      '
         column = getattr(series, name)
-        for j, piece in enumerate(_slices(column.size)):
+        for j, piece in enumerate(_slices(column.size, 1)):
             # Each value ends in the separator; the piece's last one is cut.
             text = _decimal_text(column[piece, None], "repr", (sep,))
             yield ("" if j == 0 else sep) + text[: -len(sep)]
@@ -208,7 +205,7 @@ def svg_pieces(
     ]
 
     def points() -> Iterator[str]:
-        for j, piece in enumerate(_slices(x.size)):
+        for j, piece in enumerate(_slices(x.size, 2)):
             # Each pair ends in a space; the piece's last one is cut.
             pairs = np.stack([sx(x[piece]), sy(z[piece])], axis=1)
             yield ("" if j == 0 else " ") + _decimal_text(pairs, "%.3f", ", ")[:-1]
@@ -242,9 +239,11 @@ def emit_text(path: str | None, text: str | Iterable[str]) -> None:
         fh.writelines(pieces)
 
 
-def _slices(n: int) -> Iterator[slice]:
-    """Consecutive slices of _PIECE samples covering range(n)."""
-    return (slice(i, i + _PIECE) for i in range(0, n, _PIECE))
+def _slices(n: int, width: int) -> Iterator[slice]:
+    """Consecutive slices covering range(n), each one writer block of rows
+    of width values."""
+    step = _BLOCK_VALUES // width
+    return (slice(i, i + step) for i in range(0, n, step))
 
 
 def _padded_range(lo: float, hi: float) -> tuple[float, float]:
@@ -313,7 +312,8 @@ def _escape(text: str) -> str:
 # written a value at a time by the % operator or json.dumps, so every
 # byte is the one they write.
 
-# Values per sub-block: the planes of 1024 CSV rows take about 1 MB.
+# Values per block, which is one output piece (_slices): the planes of
+# 1024 CSV rows take about 1 MB.
 _BLOCK_VALUES = 5120
 # Dekker's splitting constant 2^27 + 1.
 _SPLIT = 134217729.0
@@ -516,27 +516,25 @@ def _decimal_text(block: np.ndarray, spec: str, seps: Sequence[str]) -> str:
     """The text of each value of a 2-d float block, value j of each row
     followed by the string seps[j]: "%.17g" or "%.3f" formatting, or
     "repr" for json's float text, byte for byte, without a call per
-    value."""
+    value.  Its working memory grows with the block, so the emitters
+    pass one _slices block (_BLOCK_VALUES values) at a time."""
     planes_of, text_of = _SPECS[spec]
     codes = [sep.encode() for sep in seps]
     width = max(map(len, codes))
     # Separators padded with NULs to one width, one row per column.
     sep_codes = np.frombuffer(b"".join(c.ljust(width, b"\0") for c in codes), np.uint8)
     sep_codes = sep_codes.reshape(len(codes), width)
-    step = _BLOCK_VALUES // len(codes)
+    rows, cols = block.shape
+    planes, bad = planes_of(block.ravel())
+    matrix = np.empty((rows, cols, len(planes) + width), np.uint8)
+    matrix[..., : len(planes)] = planes.T.reshape(rows, cols, -1)
+    matrix[..., len(planes) :] = sep_codes
     out = []
-    for start in range(0, len(block), step):
-        sub = block[start : start + step]
-        rows, cols = sub.shape
-        planes, bad = planes_of(sub.ravel())
-        matrix = np.empty((rows, cols, len(planes) + width), np.uint8)
-        matrix[..., : len(planes)] = planes.T.reshape(rows, cols, -1)
-        matrix[..., len(planes) :] = sep_codes
-        done = 0
-        for r in np.flatnonzero(bad.reshape(rows, cols).any(axis=1)).tolist():
-            if r > done:
-                out.append(matrix[done:r].tobytes().translate(None, b"\0").decode())
-            out.append("".join(text_of(v) + sep for v, sep in zip(sub[r].tolist(), seps)))
-            done = r + 1
-        out.append(matrix[done:].tobytes().translate(None, b"\0").decode())
+    done = 0
+    for r in np.flatnonzero(bad.reshape(rows, cols).any(axis=1)).tolist():
+        if r > done:
+            out.append(matrix[done:r].tobytes().translate(None, b"\0").decode())
+        out.append("".join(text_of(v) + sep for v, sep in zip(block[r].tolist(), seps)))
+        done = r + 1
+    out.append(matrix[done:].tobytes().translate(None, b"\0").decode())
     return "".join(out)

@@ -1,16 +1,16 @@
 """Reference ODE integrators for validating the closed-form paths.
 
-Two hand-rolled steppers over two-component float states: classic
-fixed-step RK4 and adaptive RKF45 (Fehlberg 4(5) with local
-extrapolation).  Every system below has a two-component state, so each
-step is written out per component.  The derivative stored at each
-accepted knot is the next step's first stage, which saves one
-right-hand-side call per step.  Dense output between accepted knots
-uses cubic Hermite interpolation, which keeps the interpolation error
-below the local truncation error of either stepper.  Knots and dense
-samples accumulate in float64 buffers (``array('d')``, 40 B per knot
-for t, the state and its derivative), which the public integrators
-hand to numpy as views, without a copy.
+Two hand-rolled steppers over two-component float states, written out
+per component: classic fixed-step RK4 and adaptive RKF45 (Fehlberg 4(5)
+with local extrapolation).  One loop in _integrate runs both, stepping
+RK4 inline and taking the first RKF45 trial _rkf45_accept accepts, and
+one accept path checks the new state and stores the knot.  The
+derivative stored at each knot is the next step's first stage, which
+saves one right-hand-side call per step.  Cubic Hermite dense output
+between knots keeps the interpolation error below either stepper's
+local truncation error.  Knots and dense samples accumulate in float64
+buffers (``array('d')``, 40 B per knot for t, the state and its
+derivative), which the public integrators view from numpy uncopied.
 
 Three systems are wrapped:
 
@@ -325,8 +325,6 @@ def _time_to_infinity(coeffs: CubicCoeffs, Z_e: float, E0: float) -> float:
     return float(np.sum(w * g))
 
 
-
-
 class _Path(NamedTuple):
     """Knots or dense samples of one run, one float64 buffer per quantity.
 
@@ -354,16 +352,16 @@ def _integrate(
 ) -> _Path:
     """Run one integration, returning samples and the event hit, if any.
 
-    Knots are accumulated with their derivatives, and each knot's
-    derivative is the first stage of the step that leaves it.  Requested
-    sample times (or the knots themselves when none are given) come out
-    of a cubic Hermite evaluation.  The event callable marks forbidden
-    states; the crossing is located by step bisection down to EVENT_DT
-    and the last good state is reported as the event state.  An
-    OverflowError from rhs (math.exp under a far too coarse step), or a
-    ValueError (math.remainder, cos or sin of an overflowed phase),
-    rejects an adaptive trial step, which is then halved; anywhere else
-    it ends the run in StiffnessError at the last accepted state.
+    One loop steps both methods: RK4 inline, where a remainder below
+    SLIVER_FRACTION * dt joins the last step, and RKF45 through
+    _rkf45_accept.  A finite new state outside the event becomes the next
+    knot, its derivative the next step's first stage; otherwise bisection
+    down to EVENT_DT locates the event, and the last good state is the
+    final knot.  Sample times (or the knots when none are given) come out
+    of a cubic Hermite evaluation.  An OverflowError (math.exp) or a
+    ValueError (math.remainder, cos or sin of an overflowed phase) from
+    rhs ends the run in StiffnessError at the last accepted state, except
+    in an RKF45 trial, which is then halved.
     """
     if sample_times is not None:  # before the run, so outside its error handler
         try:
@@ -384,72 +382,72 @@ def _integrate(
                 t_last=t,
                 state_last=(a, b),
             )
-        knots_t, knots_a, knots_b, knots_fa, knots_fb = (
-            array("d", (v,)) for v in (t, a, b, fa, fb)
-        )
-        event_hit: tuple[float, float, float] | None = None
-
+        knots = _Path(*(array("d", (v,)) for v in (t, a, b, fa, fb)), None)
+        knots_t, knots_a, knots_b, knots_fa, knots_fb, _ = knots
         t_end = cfg.t_end
         h = cfg.dt
-        adaptive = cfg.method == "rk45"
-        while t < t_end and event_hit is None:
-            h_try = min(h, t_end - t)
-            if not adaptive and t_end - t < (1.0 + SLIVER_FRACTION) * h:
-                h_try = t_end - t
-            if adaptive:
-                try:
-                    step = _rkf45_step(rhs, t, a, b, fa, fb, h_try)
-                except (OverflowError, ValueError):
-                    step = None  # rejected and halved like a non-finite trial
-                if step is not None:
-                    a_new, b_new, err_scale = step
-                    tol = max(
-                        cfg.abs_tol,
-                        cfg.rel_tol * max(abs(a), abs(b), abs(a_new), abs(b_new)),
-                    )
-                if step is None or err_scale > tol:
-                    if step is None:
-                        h = 0.5 * h_try
-                    else:
-                        h = h_try * max(0.2, 0.9 * (tol / err_scale) ** 0.2)
-                    if h < MIN_ADAPTIVE_DT * max(1.0, abs(t)):
-                        raise StiffnessError(
-                            "adaptive step size underflow", t_last=t, state_last=(a, b)
-                        )
-                    continue
-                h = h_try * min(
-                    5.0, max(0.2, 0.9 * (tol / max(err_scale, 1e-300)) ** 0.2)
-                )
+        while t < t_end:
+            if cfg.method == "rk45":
+                h_try, a_new, b_new, h = _rkf45_accept(rhs, t, a, b, fa, fb, h, cfg)
             else:
+                h_try = t_end - t if t_end - t < (1.0 + SLIVER_FRACTION) * h else h
                 a_new, b_new = _rk4_step(rhs, t, a, b, fa, fb, h_try)
-
-            bad = not (math.isfinite(a_new) and math.isfinite(b_new))
-            if bad or (event is not None and event(a_new, b_new)):
-                if event is None:
-                    raise StiffnessError(
-                        "state became non-finite", t_last=t, state_last=(a, b)
-                    )
-                t, a, b, fa, fb = _locate_event(rhs, t, a, b, fa, fb, h_try, event)
-                event_hit = (t, a, b)
-            else:
+            if math.isfinite(a_new) and math.isfinite(b_new) and not (
+                event is not None and event(a_new, b_new)
+            ):
                 t += h_try
                 a = a_new
                 b = b_new
                 fa, fb = rhs(t, a, b)
+            elif event is None:
+                raise StiffnessError(
+                    "state became non-finite", t_last=t, state_last=(a, b)
+                )
+            else:
+                t, a, b, fa, fb = _locate_event(rhs, t, a, b, fa, fb, h_try, event)
+                knots = knots._replace(event=(t, a, b))
+                t_end = t  # the located state is the last knot
             knots_t.append(t)
             knots_a.append(a)
             knots_b.append(b)
             knots_fa.append(fa)
             knots_fb.append(fb)
-
-        knots = _Path(knots_t, knots_a, knots_b, knots_fa, knots_fb, event_hit)
-        if sample_times is None:
-            return knots
-        return _dense_output(rhs, knots, sample_times)
+        return knots if sample_times is None else _dense_output(rhs, knots, sample_times)
     except (OverflowError, ValueError) as exc:
         raise StiffnessError(
             "right-hand side overflowed", t_last=t, state_last=(a, b)
         ) from exc
+
+
+def _rkf45_accept(
+    rhs: RHS, t: float, a: float, b: float, fa: float, fb: float, h: float,
+    cfg: IntegratorConfig,
+) -> tuple[float, float, float, float]:
+    """(h_try, a_new, b_new, h_next) of the first accepted RKF45 trial from t.
+
+    Trials start at min(h, t_end - t).  One whose state is not finite, or
+    whose rhs raises OverflowError or ValueError, is halved; one above
+    tolerance shrinks; below MIN_ADAPTIVE_DT * max(1, |t|) StiffnessError."""
+    h_try = min(h, cfg.t_end - t)
+    while True:
+        try:
+            a_new, b_new, err_scale = _rkf45_step(rhs, t, a, b, fa, fb, h_try)
+        except (OverflowError, ValueError):  # halved like a non-finite trial
+            a_new = b_new = math.nan
+        if not (math.isfinite(a_new) and math.isfinite(b_new)):
+            h = 0.5 * h_try
+        else:
+            scale = max(abs(a), abs(b), abs(a_new), abs(b_new))
+            tol = max(cfg.abs_tol, cfg.rel_tol * scale)
+            if not err_scale > tol:  # a NaN error norm is accepted
+                grow = min(5.0, max(0.2, 0.9 * (tol / max(err_scale, 1e-300)) ** 0.2))
+                return h_try, a_new, b_new, h_try * grow
+            h = h_try * max(0.2, 0.9 * (tol / err_scale) ** 0.2)
+        if h < MIN_ADAPTIVE_DT * max(1.0, abs(t)):
+            raise StiffnessError(
+                "adaptive step size underflow", t_last=t, state_last=(a, b)
+            )
+        h_try = h  # h < h_try <= t_end - t, so no clamp
 
 
 def _dense_output(rhs: RHS, knots: _Path, times: np.ndarray) -> _Path:
@@ -562,12 +560,12 @@ _W41, _W43, _W44, _W45 = 25.0 / 216.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 
 
 def _rkf45_step(
     rhs: RHS, t: float, a: float, b: float, fa: float, fb: float, h: float
-) -> tuple[float, float, float] | None:
+) -> tuple[float, float, float]:
     """One Fehlberg 4(5) trial step from (a, b) with first stage (fa, fb).
 
-    Returns the fifth-order state and the error norm, or None when that
-    state is not finite.  Each stage sums y + (h b_1) k_1 + (h b_2) k_2
-    + ... left to right.
+    Returns the fifth-order state and the error norm, which is meaningless
+    when that state is not finite.  Each stage sums y + (h b_1) k_1
+    + (h b_2) k_2 + ... left to right.
     """
     k2a, k2b = rhs(t + h / 4.0, a + h * _B21 * fa, b + h * _B21 * fb)
     k3a, k3b = rhs(
@@ -600,8 +598,6 @@ def _rkf45_step(
         b + h * _W51 * fb + h * _W53 * k3b + h * _W54 * k4b + h * _W55 * k5b
         + h * _W56 * k6b
     )
-    if not (math.isfinite(a5) and math.isfinite(b5)):
-        return None
     a4 = a + h * _W41 * fa + h * _W43 * k3a + h * _W44 * k4a + h * _W45 * k5a
     b4 = b + h * _W41 * fb + h * _W43 * k3b + h * _W44 * k4b + h * _W45 * k5b
     return a5, b5, max(abs(a5 - a4), abs(b5 - b4))

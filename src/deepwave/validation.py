@@ -308,7 +308,9 @@ def _check_peakon_residual(params: WaveParams, beta: float) -> CheckResult:
     t_star = pk.blowup_time(params)
     # The aligned side is where kA t + const2 < 0.
     side = -1.0 if params.A > 0.0 else 1.0
-    ts = [t_star + side * dt for dt in (0.1, 0.5, 1.0, 2.0, 5.0)]
+    # Past |t*| = 2^40 the offsets scale with |t*|, or they round onto t*.
+    scale = max(1.0, 2.0**-40 * abs(t_star))
+    ts = [t_star + side * scale * dt for dt in (0.1, 0.5, 1.0, 2.0, 5.0)]
     worst_eq2 = 0.0
     worst_eq1_gap = 0.0
     for t in ts:

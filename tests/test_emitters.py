@@ -181,8 +181,9 @@ def _asymptote_window(samples):
     )
 
 
-# Sample counts on both sides of the emitters' 4096-sample pieces.
-PIECE_EDGES = (2, 4095, 4096, 4097, 8193)
+# Sample counts on both sides of each format's pieces: 1024 CSV rows,
+# 2560 SVG points and 5120 JSON values (one writer block each).
+PIECE_EDGES = (2, 1023, 1024, 1025, 2559, 2560, 2561, 5119, 5120, 5121, 10241)
 
 
 @pytest.fixture(scope="module")
@@ -235,7 +236,7 @@ def test_k4_series_has_dropped_samples_and_marks(cli_series):
 def test_bytes_match_reference(cli_series, name):
     series, marks = cli_series[name]
     if name == "k4-n8193":
-        assert 4096 < series.t.size < 8193 and marks
+        assert 5120 < series.t.size < 8193 and marks
     assert_same_text(trajectory_csv(series), reference_csv(series))
     assert_same_text(trajectory_json(series), reference_json(series))
     title = f"{series.case_tag} path"
@@ -303,8 +304,9 @@ def k4_long():
     ids=["csv", "json", "svg"],
 )
 def test_emission_memory_is_bounded(k4_long, tmp_path, pieces):
-    """Writing a 10^5-sample series holds about one 4096-sample piece at
-    a time, never the whole document (30-37 MB for CSV and JSON)."""
+    """Writing a 10^5-sample series holds about one piece (one writer
+    block) at a time, never the whole document (30-37 MB for CSV and
+    JSON)."""
     series, marks = k4_long
     target = tmp_path / "out"
     tracemalloc.start()

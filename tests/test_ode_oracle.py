@@ -3,7 +3,8 @@
 The second half checks the two-component steppers bit for bit against
 the generic tuple steppers they replaced, kept below as reference
 copies: knots, dense samples, derivatives and event states must match
-to the last bit, and so must every validate-battery result.
+to the last bit, and so must every validate-battery result and the
+message and last state of each StiffnessError branch.
 """
 
 from __future__ import annotations
@@ -906,6 +907,45 @@ def test_truncated_escape_bit_identical(scenario_k4, method):
     assert runs[0][0].event is not None
     assert knots.blowup_time is not None
     assert samples.t.size < ts.size  # samples past the event are cut
+
+
+def wall(beyond):
+    """a' = -a before t = 0.5 and ``beyond`` from there on; b' = 1."""
+
+    def rhs(t, a, b):
+        return (-a if t < 0.5 else beyond), 1.0
+
+    return rhs
+
+
+def not_finite(t, a, b):
+    return math.nan, 0.0
+
+
+@pytest.mark.parametrize(
+    ("rhs", "method", "message"),
+    [
+        (not_finite, "rk4", "right-hand side not finite at the initial state"),
+        (not_finite, "rk45", "right-hand side not finite at the initial state"),
+        # every trial across the wall is not finite and is halved
+        (wall(math.inf), "rk45", "adaptive step size underflow"),
+        # every trial across the wall is finite, with an error far above tolerance
+        (wall(1e12), "rk45", "adaptive step size underflow"),
+        (wall(math.inf), "rk4", "state became non-finite"),
+    ],
+    ids=["initial-rk4", "initial-rk45", "halved", "shrunk", "non-finite-rk4"],
+)
+def test_error_branch_bit_identical(rhs, method, message):
+    """Each StiffnessError branch of the stepping loop: the same message
+    and the same last state as the reference, bit for bit."""
+    cfg = IntegratorConfig(0.0, 1.0, dt=0.3, method=method)
+    outcomes = []
+    for fn in (ode_oracle._integrate, reference_path):
+        with pytest.raises(StiffnessError) as info:
+            fn(rhs, 1.0, 0.0, cfg, None, None)
+        outcomes.append(info.value)
+    assert str(outcomes[0]) == message
+    assert_same_outcome(*outcomes)
 
 
 @given(
