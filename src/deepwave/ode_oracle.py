@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -122,9 +124,21 @@ class IntegratorConfig:
         method: str = "rk4",
     ) -> "IntegratorConfig":
         """Step size tied to the wave period, 2000 steps per period by default,
-        over a window of at most MAX_WAVE_PERIODS wave periods."""
+        over a window of at most MAX_WAVE_PERIODS wave periods.
+        steps_per_period must be an integer from 1 up to the largest
+        float, so the step is a float division."""
+        try:
+            steps_per_period = operator.index(steps_per_period)
+        except TypeError:
+            raise ParameterDomainError(
+                f"steps_per_period must be an integer, got {steps_per_period!r}"
+            ) from None
         if steps_per_period < 1:
             raise ParameterDomainError("steps_per_period must be positive")
+        if steps_per_period > sys.float_info.max:
+            raise ParameterDomainError(
+                f"steps_per_period must be at most {sys.float_info.max:.17g}"
+            )
         if not t_end - t_start <= MAX_WAVE_PERIODS * params.wave_period:
             raise ParameterDomainError(
                 f"[{t_start}, {t_end}] spans more than {MAX_WAVE_PERIODS} wave periods"

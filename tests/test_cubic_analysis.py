@@ -18,9 +18,12 @@ from deepwave import (
     ParameterDomainError,
     WaveParams,
     build_cubic,
+    case1_Z,
+    case2_Z,
     classify_roots,
     complete_K,
     discriminant,
+    period_case1,
 )
 from deepwave.cubic_analysis import SCALE_MAX, _case1_data, _case2_data
 from deepwave.errors import ContractViolationError
@@ -334,3 +337,85 @@ def test_coefficients_beyond_scale_max_rejected(beta):
     assert coeffs.scale() > SCALE_MAX
     with pytest.raises(ParameterDomainError, match="out of range"):
         classify_roots(coeffs)
+
+
+# Where two roots meet: the k = 1, a = 0.1 cubic's discriminant changes
+# sign at BETA_STAR.  At beta*(1 - delta) it has three real roots, of
+# which Z1 and Z2 close in (case 1, m -> 0); at beta*(1 + delta) it has
+# one, and the complex pair closes in (case 2, m -> 0 too).  The reference
+# is 60-digit mpmath on build_cubic's float coefficients taken exactly, so
+# it measures the solver, not the rounding of beta.
+BETA_STAR = -2.508822878824989
+TWO_ROOTS_DELTAS = (1e-2, 1e-4, 1e-6, 1e-8)
+
+# delta: bounds on (max |Z err|, relative error of k1^2), about twice the
+# measured (2.0e-15, 2.9e-15), (1.1e-14, 4.8e-12), (9.0e-14, 8.2e-10) and
+# (2.5e-12, 3.6e-8): Newton on a float Horner P resolves each of two close
+# roots only to about sqrt(eps * scale / a3), and k1^2 subtracts them.
+CASE1_TWO_ROOTS_BOUNDS = {
+    1e-2: (4e-15, 6e-15),
+    1e-4: (3e-14, 1e-11),
+    1e-6: (2e-13, 2e-9),
+    1e-8: (6e-12, 8e-8),
+}
+
+
+def _mp_cubic(coeffs: CubicCoeffs) -> tuple[list, mpmath.mpf]:
+    """The roots of P at 60 digits, and k|A| = sqrt(3 a3)/2."""
+    a = [mpmath.mpf(v) for v in (coeffs.a3, coeffs.a2, coeffs.a1, coeffs.a0)]
+    return mpmath.polyroots(a, maxsteps=200, extraprec=200), mpmath.sqrt(3 * a[0]) / 2
+
+
+@pytest.mark.parametrize("delta", TWO_ROOTS_DELTAS)
+def test_case1_accuracy_where_two_roots_meet(delta):
+    """case1_Z over three periods, and k1^2, against the mpmath chain:
+    roots, k1^2 = (Z2 - Z1)/(Z3 - Z1), C1 = k|A| sqrt(Z3 - Z1)/sqrt(3)
+    and Z = Z2 sn^2 + Z1 cn^2 at C1 t."""
+    coeffs = build_cubic(WaveParams(k=1.0, a=0.1, g=9.8), BETA_STAR * (1.0 - delta))
+    red = classify_roots(coeffs)
+    assert isinstance(red, Case1Reduction)
+    ts = np.linspace(0.0, 3.0 * period_case1(red), 301)
+    with mpmath.workdps(60):
+        roots, kA = _mp_cubic(coeffs)
+        Z1, Z2, Z3 = sorted(mpmath.re(r) for r in roots)
+        m = (Z2 - Z1) / (Z3 - Z1)
+        C1 = kA * mpmath.sqrt(Z3 - Z1) / mpmath.sqrt(3)
+        ref = [
+            Z2 * mpmath.ellipfun("sn", C1 * t, m=m) ** 2
+            + Z1 * mpmath.ellipfun("cn", C1 * t, m=m) ** 2
+            for t in map(mpmath.mpf, ts.tolist())
+        ]
+        Z_err = max(abs(float(r - z)) for r, z in zip(ref, case1_Z(red, ts)))
+        m_err = abs(float((red.k1sq - m) / m))
+    Z_bound, m_bound = CASE1_TWO_ROOTS_BOUNDS[delta]
+    assert Z_err <= Z_bound and m_err <= m_bound, (Z_err, m_err)
+
+
+@pytest.mark.parametrize("delta", TWO_ROOTS_DELTAS)
+def test_case2_accuracy_where_two_roots_meet(delta):
+    """case2_Z over three periods, at phases within 1.5 K of a minimum,
+    and k2^2, against the mpmath chain: Z0, p and q from the roots, then
+    k2^2, C2 and Z = Z0 + s (1 - cn)/(1 + cn) at C2 t.  The closing pair
+    is the complex one, and Z0 ~ 75 stays far from it: whatever delta,
+    the relative error of Z measured 4.3e-15 to 1.4e-14, and k2^2 (5e-9
+    down to 5e-15) was within 3.6e-17 of the reference."""
+    coeffs = build_cubic(WaveParams(k=1.0, a=0.1, g=9.8), BETA_STAR * (1.0 + delta))
+    red = classify_roots(coeffs)
+    assert isinstance(red, Case2Reduction)
+    quarter = complete_K(red.k2sq)
+    ts = np.linspace(0.0, 3.0 * 4.0 * quarter / red.C2, 1201)
+    phase = np.remainder(red.C2 * ts + 2.0 * quarter, 4.0 * quarter) - 2.0 * quarter
+    ts = ts[np.abs(phase) <= 1.5 * quarter]
+    with mpmath.workdps(60):
+        roots, kA = _mp_cubic(coeffs)
+        Z0 = min(roots, key=lambda r: abs(mpmath.im(r))).real
+        pair = max(roots, key=lambda r: abs(mpmath.im(r)))
+        p, q = -2 * pair.real, abs(pair) ** 2
+        s = mpmath.sqrt(Z0 * Z0 + p * Z0 + q)
+        m = (1 - (Z0 + p / 2) / s) / 2
+        C2 = 2 / mpmath.sqrt(3) * kA * mpmath.sqrt(s)
+        cn = [mpmath.ellipfun("cn", C2 * t, m=m) for t in map(mpmath.mpf, ts.tolist())]
+        ref = [Z0 + s * (1 - c) / (1 + c) for c in cn]
+        Z_err = max(abs(float((r - z) / r)) for r, z in zip(ref, case2_Z(red, ts)))
+        m_err = abs(float(red.k2sq - m))
+    assert Z_err <= 3e-14 and m_err <= 1e-16, (Z_err, m_err)

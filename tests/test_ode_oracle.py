@@ -95,6 +95,39 @@ def test_rk4_step_count_is_bounded():
     IntegratorConfig(0.0, 1.0, dt=1e-8, method="rk45")
 
 
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        (10**400, "at most"),
+        (2.5, "integer"),
+        (2000.0, "integer"),
+        ("2000", "integer"),
+        (None, "integer"),
+        (0, "positive"),
+        (-3, "positive"),
+    ],
+)
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_for_wave_rejects_a_step_count_that_is_not_a_float_sized_integer(
+    steps, message, method
+):
+    """A raw OverflowError escaped at 10**400, and 2.5 was taken as it was."""
+    with pytest.raises(ParameterDomainError, match=message):
+        IntegratorConfig.for_wave(
+            WaveParams(k=1.0, a=0.1, g=9.8), 0.0, 1.0, steps_per_period=steps,
+            method=method,
+        )
+
+
+def test_for_wave_takes_any_integer_type():
+    params = WaveParams(k=1.0, a=0.1, g=9.8)
+    want = IntegratorConfig.for_wave(params, 0.0, 1.0, steps_per_period=500)
+    assert IntegratorConfig.for_wave(params, 0.0, 1.0, np.int64(500)) == want
+    # Up to the largest float, the step is a float division.
+    huge = IntegratorConfig.for_wave(params, 0.0, 1.0, 10**308, method="rk45")
+    assert huge.dt == params.wave_period / 1e308
+
+
 @pytest.mark.parametrize("k", [0.2, 1.0, 2.0, 4.0, 8.0, 0.37])
 @pytest.mark.parametrize("t_start", [0.0, -3.7, 1e3])
 def test_longest_for_wave_window_at_the_default_step_is_accepted(k, t_start):

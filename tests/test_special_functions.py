@@ -180,10 +180,14 @@ def test_jacobi_derivatives(u, m):
     assert (dn_p - dn_m) / (2.0 * h) == pytest.approx(-m * sn * cn, abs=1e-6)
 
 
-# Frozen copy of the two-recursion kernel this module had before
-# complete_K came from the Landen chain: an AGM loop for K(m), then a
-# second, separate Landen chain for the phase.  The kernel must keep
-# returning exactly these bits.
+# Frozen copy of the libm recursion this module ran until its Landen
+# levels moved to numpy's arcsin, with the two-recursion route it had
+# before complete_K came from the Landen chain: an AGM loop for K(m), then
+# a second, separate Landen chain for the phase, with math.sin, math.cos,
+# math.asin and math.remainder at one argument at a time.  complete_K must
+# keep returning its bits.  The kernel's arcsin may differ from math.asin
+# in the last bit, and the Landen levels carry that into the phase, so
+# the kernel must stay within _ref_gap(m) of it.
 _REF_AGM_RTOL = 1e-15
 _REF_LANDEN_STOP = 2.0**-52
 _REF_MAX_ITER = 64
@@ -238,6 +242,28 @@ def _bits(values) -> list[int]:
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
 
 
+def _ref_gap(m: float) -> float:
+    """Largest |kernel - _ref_jacobi| allowed at m, set from measurement:
+    over 6 * 10^4 random arguments per m (|u| up to 1e6), the gap reached
+    11.2 * 2^-52 for m <= 1 - 1e-6 and 864 * 2^-52 above, at
+    m = 1 - 3 * 2^-53, where the first Landen level's c/a is within 2^-24
+    of 1."""
+    return (16.0 if m <= 1.0 - 1e-6 else 1024.0) * 2.0**-52
+
+
+def _assert_near_ref(got, want, m: float) -> None:
+    """Each of sn, cn, dn within _ref_gap(m) of the libm recursion's."""
+    got = np.asarray(got, dtype=float).reshape(3, -1)
+    want = np.asarray(want, dtype=float).reshape(3, -1)
+    gap = np.abs(got - want).max(initial=0.0)
+    assert gap <= _ref_gap(m), f"{gap / 2.0**-52:.1f} * 2^-52 from the libm recursion"
+
+
+def _ref_columns(us, m: float) -> np.ndarray:
+    """_ref_jacobi at each u, as rows sn, cn, dn."""
+    return np.array([_ref_jacobi(u, m) for u in us]).reshape(-1, 3).T
+
+
 # EDGE_M plus the smallest subnormal and the largest double below 1.
 FROZEN_M = EDGE_M + (5e-324, 1.0 - 2.0**-53)
 unit_m = st.one_of(
@@ -267,14 +293,13 @@ def test_K_matches_two_agm_reference(m):
     "u", [0.0, -0.0, 0.3, -0.3, 7.5, -31.0, 250.5, -987654.321, 1e6, -1e6]
 )
 def test_jacobi_matches_two_agm_reference_at_edges(u, m):
-    assert _bits(jacobi_sn_cn_dn(u, m)) == _bits(_ref_jacobi(u, m))
+    _assert_near_ref(jacobi_sn_cn_dn(u, m), _ref_jacobi(u, m), m)
 
 
 @given(u=wide_u, m=unit_m)
 def test_jacobi_matches_two_agm_reference(u, m):
-    """Bits unchanged over both ends of m, |u| > 4K, negative u and
-    |u| up to 1e6."""
-    assert _bits(jacobi_sn_cn_dn(u, m)) == _bits(_ref_jacobi(u, m))
+    """Over both ends of m, |u| > 4K, negative u and |u| up to 1e6."""
+    _assert_near_ref(jacobi_sn_cn_dn(u, m), _ref_jacobi(u, m), m)
 
 
 @pytest.mark.parametrize("m", FROZEN_M)
@@ -283,22 +308,21 @@ def test_jacobi_array_matches_two_agm_reference_on_a_grid(m):
     over three periods either side of zero."""
     period = 4.0 * _ref_complete_K(m)
     u = np.linspace(-3.0 * period, 3.0 * period, 2001)
-    got = jacobi_sn_cn_dn(u, m)
-    want = [_ref_jacobi(float(x), m) for x in u]
-    for i in range(3):
-        assert _bits(got[i]) == _bits([w[i] for w in want])
+    _assert_near_ref(jacobi_sn_cn_dn(u, m), _ref_columns(u.tolist(), m), m)
 
 
 @given(us=st.lists(wide_u, max_size=40), m=unit_m)
 def test_jacobi_array_equals_scalar_calls(us, m):
-    """Every element gets the bits of the frozen libm recursion called at
-    that element alone."""
-    sn, cn, dn = jacobi_sn_cn_dn(np.array(us, dtype=float), m)
-    assert sn.shape == cn.shape == dn.shape == (len(us),)
-    scalar = [_ref_jacobi(u, m) for u in us]
-    assert _bits(sn) == _bits([s for s, _, _ in scalar])
-    assert _bits(cn) == _bits([c for _, c, _ in scalar])
-    assert _bits(dn) == _bits([d for _, _, d in scalar])
+    """Every element gets the bits of the kernel called at that element
+    alone, from a contiguous array and from a strided view."""
+    scalar = [jacobi_sn_cn_dn(u, m) for u in us]
+    u = np.array(us, dtype=float)
+    for array in (u, np.stack([u, -u]).T[:, 0]):
+        sn, cn, dn = jacobi_sn_cn_dn(array, m)
+        assert sn.shape == cn.shape == dn.shape == (len(us),)
+        assert _bits(sn) == _bits([s for s, _, _ in scalar])
+        assert _bits(cn) == _bits([c for _, c, _ in scalar])
+        assert _bits(dn) == _bits([d for _, _, d in scalar])
 
 
 @pytest.mark.parametrize("m", FROZEN_M)
@@ -313,10 +337,7 @@ def test_jacobi_array_matches_two_agm_reference_across_blocks(n, m, parity):
     small = rng.uniform(-period, period, n)
     big = rng.uniform(period, 1e6, n) * rng.choice([-1.0, 1.0], n)
     u = np.where(np.arange(n) % 2 == parity, big, small)
-    got = jacobi_sn_cn_dn(u, m)
-    want = [_ref_jacobi(x, m) for x in u.tolist()]
-    for i in range(3):
-        assert _bits(got[i]) == _bits([w[i] for w in want])
+    _assert_near_ref(jacobi_sn_cn_dn(u, m), _ref_columns(u.tolist(), m), m)
 
 
 @pytest.mark.parametrize(
@@ -353,8 +374,8 @@ def test_jacobi_array_names_non_finite_element_in_a_later_block(
 
 
 def test_jacobi_array_memory_is_bounded_by_the_block():
-    """Three 0.8 MB results plus one block's temporaries: a boxed float
-    per argument of the whole array would add about 3.2 MB."""
+    """Three 0.8 MB results plus one block's temporaries (2.7 MB in all):
+    the temporaries of the whole array at once would reach about 10 MB."""
     u = np.linspace(-1e3, 1e3, 100_000)
     tracemalloc.start()
     try:
@@ -370,7 +391,7 @@ def test_jacobi_scalar_returns_floats(u):
     got = jacobi_sn_cn_dn(u, 0.5)
     assert len(got) == 3
     assert all(type(value) is float for value in got)
-    assert _bits(got) == _bits(_ref_jacobi(float(u), 0.5))
+    _assert_near_ref(got, _ref_jacobi(float(u), 0.5), 0.5)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -444,115 +465,98 @@ def test_one_landen_chain_per_call(call, monkeypatch):
     assert len(built) == 1
 
 
-# The kernel runs numpy sin and cos, fmod and an identity asin at the
-# lower Landen levels in place of libm calls, for every u, a float
-# included; the tests below check the premises that keep those steps
-# bit-identical to the libm recursion (_ref_jacobi), and the one libm
-# call that is left.
-
-
-def _visited_phases(u: float, m: float) -> list[float]:
-    """Every phase the libm recursion passes to sin or cos at u."""
-    chain = _landen_chain(m)
-    period = 4.0 * complete_K(m)
-    if abs(u) > period:
-        u = math.remainder(u, period)
-    phi = math.ldexp(chain[-1][0] * u, len(chain) - 1)
-    phases = [phi]
-    for a, c in reversed(chain[1:]):
-        s = max(-1.0, min(1.0, c / a * math.sin(phi)))
-        phi = 0.5 * (phi + math.asin(s))
-        phases.append(phi)
-    return phases
-
-
-@pytest.mark.parametrize("name", ["sin", "cos"])
-def test_premise_numpy_sin_cos_are_libm(name):
-    """The kernel's sin and cos are numpy's; they must be libm's
-    bit for bit on the recursion's phases and on |u| up to 1e6."""
-    rng = np.random.default_rng(2024)
-    phases = []
-    for m in FROZEN_M:
-        period = 4.0 * complete_K(m)
-        us = np.concatenate(
-            [rng.uniform(-period, period, 300), rng.uniform(-1e6, 1e6, 300)]
-        )
-        phases += us.tolist()
-        for u in us.tolist():
-            phases += _visited_phases(u, m)
-    x = np.array(phases)
-    got = _bits(getattr(np, name)(x))
-    want = _bits([getattr(math, name)(v) for v in phases])
-    differ = [v for v, g, w in zip(phases, got, want) if g != w]
-    assert not differ, (
-        f"premise broken: np.{name} must equal math.{name} bit for bit, but "
-        f"{len(differ)} of {len(phases)} arguments differ (first {differ[0]!r}); "
-        f"this numpy build dispatches its own float64 {name} "
-        "(see numpy.show_runtime()), so the kernel no longer matches libm"
+def _envelope_arguments(m: float) -> np.ndarray:
+    """396 arguments: 150 within one period either side of zero, 50 within
+    three, and 49 around each of K, 2K, -K and -2K (the points themselves
+    and 1e-14 to 0.1 away on either side)."""
+    K = complete_K(m)
+    rng = np.random.default_rng(400)
+    offsets = np.logspace(-14.0, -1.0, 24)
+    near = np.concatenate([[0.0], offsets, -offsets])
+    return np.concatenate(
+        [
+            rng.uniform(-4.0 * K, 4.0 * K, 150),
+            rng.uniform(-12.0 * K, 12.0 * K, 50),
+            *(centre + near for centre in (K, 2.0 * K, -K, -2.0 * K)),
+        ]
     )
 
 
-def test_premise_asin_is_the_identity_below_the_threshold():
-    """asin(s) == s for |s| < 2^-26, which lets the kernel skip
-    asin at the Landen levels with c/a below that; 2^-26 itself too."""
-    limit = special_functions._ASIN_IS_IDENTITY
-    assert limit == 2.0**-26
-    rng = np.random.default_rng(26)
-    below = [limit, math.nextafter(limit, 0.0), 5e-324, 2.2250738585072014e-308]
-    below += [limit * (1.0 - i * 2.0**-53) for i in range(1, 2001)]
-    below += (2.0 ** rng.uniform(-1074.0, -26.0, 20000)).tolist()
-    s = [v for x in below for v in (x, -x)] + [0.0, -0.0]
-    differ = [x for x in s if _bits([math.asin(x)]) != _bits([x])]
-    assert not differ, (
-        "premise broken: math.asin(s) must round to s for |s| <= 2^-26, "
-        f"but it does not at {differ[:3]!r}; libm's asin changed, so the "
-        "kernel's identity levels no longer match libm"
-    )
+def _mp_columns(us, m: float) -> np.ndarray:
+    """_mp_jacobi at each u, as rows sn, cn, dn."""
+    return np.array([_mp_jacobi(u, m) for u in us]).reshape(-1, 3).T
 
 
-@pytest.mark.parametrize(
-    "m, asin_levels",
-    [(0.0038830911421148602, 2), (0.9525930951624224, 4), (1e-12, 0)],
-    ids=["k1", "k4", "m=1e-12"],
-)
-def test_jacobi_array_calls_libm_asin_only_above_the_threshold(
-    m, asin_levels, monkeypatch
-):
-    """One libm asin pass per block at each level with c/a >= 2^-26 and
-    no other per-element libm call: sin, cos and the reduction run in
-    numpy."""
-    calls = []
-    libm = special_functions._libm
+# Max |kernel - mpmath| over _envelope_arguments(m), in units of 2^-52 for
+# (sn, cn, dn): the libm recursion's figures, rounded up to 2^-54, which
+# the kernel must not exceed.  Near m = 1 they grow within one period too,
+# where the first Landen level's c/a nears 1 and arcsin is steep.
+ENVELOPE = {
+    0.0: (3.25, 3.5, 0.0),
+    1e-16: (5.5, 5.25, 0.5),
+    0.0038830911421148602: (8.0, 7.0, 0.5),  # k1
+    0.01839326911306751: (6.25, 7.0, 0.5),  # k2
+    0.5: (14.25, 9.75, 3.5),
+    0.9: (21.0, 11.0, 8.5),
+    0.9525930951624224: (19.0, 8.25, 7.0),  # k4
+    0.99: (24.0, 11.5, 11.0),
+    1.0 - 1e-6: (44.75, 31.5, 32.0),
+    1.0 - 1e-9: (32.5, 40.75, 40.75),
+    1.0 - 1e-12: (40.5, 176.25, 176.25),
+    1.0 - 2.0**-52: (56.0, 685.25, 685.25),
+    1.0 - 2.0**-53: (109.5, 1806.5, 1806.5),
+}
 
-    def spy(f, x):
-        calls.append(f)
-        return libm(f, x)
 
-    monkeypatch.setattr(special_functions, "_libm", spy)
-    period = 4.0 * complete_K(m)
-    u = np.linspace(-3.0 * period, 3.0 * period, 2 * special_functions._BLOCK + 1)
-    jacobi_sn_cn_dn(u, m)
-    assert calls == [math.asin] * (3 * asin_levels)
+def _mp_errors(got, us, m: float) -> np.ndarray:
+    """Max |got - mpmath| of sn, cn and dn, in units of 2^-52."""
+    err = np.abs(np.asarray(got, dtype=float) - _mp_columns(us, m))
+    return err.max(axis=1) / 2.0**-52
+
+
+@pytest.mark.parametrize("m", list(ENVELOPE))
+def test_jacobi_mpmath_envelope(m):
+    """At each m from 0 to the largest double below 1, sn, cn and dn
+    stay within the libm recursion's measured error against 40-digit
+    mpmath, over one and three periods and around K and 2K."""
+    us = _envelope_arguments(m)
+    err = _mp_errors(jacobi_sn_cn_dn(us, m), us.tolist(), m)
+    assert (err <= ENVELOPE[m]).all(), f"{err} * 2^-52 exceeds {ENVELOPE[m]}"
 
 
 @pytest.mark.parametrize("m", [0.0, 1.0 - 2.0**-53])
-def test_jacobi_array_reduces_exact_ties_like_remainder(m):
-    """At |u| = (2q+1)·2K exactly, fmod leaves |r| = 2K and IEEE
-    remainder picks the even quotient; the kernel must agree with the
-    libm recursion there, for both quotient parities, and at ±0, one ulp
-    above 4K and ±1e6, on both sides of a block edge."""
+def test_jacobi_array_reduces_exact_ties_to_2K(m):
+    """At |u| = (2q+1)·2K exactly, fmod leaves r = ±2K with the sign of
+    u, and the kernel keeps it: a tie evaluates as ±2K exactly, for both
+    quotient parities and on both sides of a block edge, so sn stays odd
+    there, and they stay within the mpmath envelope."""
     period = 4.0 * complete_K(m)
     half = 0.5 * period
-    ties = [(2 * q + 1) * half for q in (1, 2, 3, 4)]
-    for q, u in zip((1, 2, 3, 4), ties):
+    ties = [(2 * q + 1) * half for q in (1, 2)]
+    for u in ties:
         assert math.fmod(u, period) == half and math.fmod(-u, period) == -half
-        assert math.remainder(u, period) == (half if q % 2 == 0 else -half)
-    above = math.nextafter(period, math.inf)
-    special = ties + [-u for u in ties] + [0.0, -0.0, above, -above, 1e6, -1e6]
+    special = ties + [-u for u in ties]
     edge = special_functions._BLOCK
+    start = edge - len(special) // 2
     u = np.full(edge + len(special), 0.25)
-    u[edge - len(special) // 2 : edge - len(special) // 2 + len(special)] = special
-    got = jacobi_sn_cn_dn(u, m)
-    want = [_ref_jacobi(x, m) for x in u.tolist()]
-    for i in range(3):
-        assert _bits(got[i]) == _bits([w[i] for w in want])
+    u[start : start + len(special)] = special
+    got = [values[start : start + len(special)] for values in jacobi_sn_cn_dn(u, m)]
+    at_2K = jacobi_sn_cn_dn(np.copysign(half, special), m)
+    for values, want in zip(got, at_2K):
+        assert _bits(values) == _bits(want)
+    sn, cn, dn = got
+    assert _bits(sn[2:]) == _bits(-sn[:2])
+    assert _bits(cn[2:]) == _bits(cn[:2]) and _bits(dn[2:]) == _bits(dn[:2])
+    # The ties lie outside the envelope's sample, where the reduction's
+    # rounding of 4K shifts sn, whose slope is 1 at 2K, so they are held
+    # to the envelope's largest bound at m.
+    assert _mp_errors(got, special, m).max() <= max(ENVELOPE[m])
+
+
+def test_landen_ratio_stays_below_one_at_every_level():
+    """The recursion takes arcsin of (c/a) sin(phi) without a clamp, so
+    c/a < 1 must hold at every level it runs, even at the largest m below
+    1, where b_0 = sqrt(1 - m) = 2^-26.5 is smallest."""
+    chain = _landen_chain(1.0 - 2.0**-53)
+    assert len(chain) > 1
+    assert all(c / a <= 1.0 - 2e-8 for a, c in chain[1:])

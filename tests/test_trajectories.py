@@ -781,6 +781,41 @@ def test_peakon_path_equals_the_series_bit_for_bit(k, direction):
     assert bits(points).tolist() == bits(np.stack([x, z], axis=1)).tolist()
 
 
+@pytest.mark.parametrize("t0", [0.0, -0.37])
+def test_case1_point_values_equal_the_series_bit_for_bit(scenario_k1, red_k1, t0):
+    """At the series' times, case1_Z and case1_dZdt return the series' Z
+    and dZdt, as one array of more than two kernel blocks and sample by
+    sample as floats."""
+    params, beta = scenario_k1
+    series = case1_series(params, red_k1, beta, 0.0, 30.0, 10001, t0)
+    assert bits(case1_Z(red_k1, series.t, t0)).tolist() == bits(series.Z).tolist()
+    dZdt = case1_dZdt(red_k1, series.t, t0)
+    assert bits(dZdt).tolist() == bits(series.dZdt).tolist()
+    ts = series.t[::37].tolist()
+    points = [(case1_Z(red_k1, t, t0), case1_dZdt(red_k1, t, t0)) for t in ts]
+    want = np.stack([series.Z[::37], series.dZdt[::37]], axis=1)
+    assert bits(points).tolist() == bits(want).tolist()
+
+
+@pytest.mark.parametrize("t0", [0.0, -0.37])
+def test_case2_point_values_equal_the_series_bit_for_bit(scenario_k4, red_k4, t0):
+    """At the kept times of a series across several asymptotes, case2_Z
+    and case2_dZdt return the series' Z and dZdt, as one array of more
+    than two kernel blocks and sample by sample as floats.  The first
+    sample sits on an asymptote, so the series drops it."""
+    params, beta = scenario_k4
+    (t_start,) = asymptote_times(red_k4, t0, (0,))
+    series = case2_series(params, red_k4, beta, t_start, t_start + 10.0, 10001, t0)
+    assert series.t.size == 10000 and len(series.asymptote_times) > 1
+    assert bits(case2_Z(red_k4, series.t, t0)).tolist() == bits(series.Z).tolist()
+    dZdt = case2_dZdt(red_k4, series.t, t0)
+    assert bits(dZdt).tolist() == bits(series.dZdt).tolist()
+    ts = series.t[::37].tolist()
+    points = [(case2_Z(red_k4, t, t0), case2_dZdt(red_k4, t, t0)) for t in ts]
+    want = np.stack([series.Z[::37], series.dZdt[::37]], axis=1)
+    assert bits(points).tolist() == bits(want).tolist()
+
+
 def test_peakon_path_keeps_the_form_of_t():
     params = WaveParams(k=2.0, a=0.1, g=9.8)
     pk = PeakonParams(const1=math.pi / 4.0, const2=1.0)
