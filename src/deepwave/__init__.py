@@ -53,7 +53,11 @@ _EXPORTS = {
         "peakon_residuals",
         "peakon_series",
         "period_case1",
+        "sampled_case1",
+        "sampled_case2",
+        "sampled_peakon",
     ),
+    "sampled_path": ("SampledPath",),
     "ode_oracle": (
         "IntegratorConfig",
         "ResidualReport",

@@ -163,43 +163,68 @@ def field(config_path: str | None, **kwargs) -> None:
 def trajectory_series(
     sc: ScenarioConfig,
 ) -> tuple[TrajectorySeries, tuple[float, ...]]:
-    """The series `deepwave trajectory` emits and the x of its asymptote
-    lines: x = c t_a + offset at each asymptote time t_a in the window,
-    the offset being const1 on the peakon and sign(A) pi/(2k) in case 2,
-    where X tends to sign(A) pi/2 on the rising side of each asymptote."""
-    from .cubic_analysis import Case1Reduction, build_cubic, classify_roots
-    from .trajectories import PeakonParams, case1_series, case2_series, peakon_series
-
-    params, window = sc.params(), (sc.t_start, sc.t_end, sc.samples)
-    if sc.solution == "peakon":
-        series = peakon_series(params, PeakonParams(sc.const1, sc.const2), *window)
-        offset = sc.const1
-    else:
-        red = classify_roots(build_cubic(params, sc.beta))
-        if sc.solution == "oracle":
-            return _oracle_series(sc, params, red), ()
-        build = case1_series if isinstance(red, Case1Reduction) else case2_series
-        series = build(params, red, sc.beta, *window, t0=sc.t0)
-        offset = math.copysign(math.pi / (2.0 * params.k), params.A)
-    times = series.asymptote_times or ()
-    marks = (params.c * ta + offset for ta in times if sc.t_start <= ta <= sc.t_end)
-    return series, tuple(marks)
+    """The series `deepwave trajectory` emits, built whole, and the x of
+    its asymptote lines (see _asymptote_x)."""
+    (series,), offset = _trajectory_blocks(sc, whole=True)
+    return series, _asymptote_x(sc, series.asymptote_times, offset)
 
 
 def trajectory_output(
     sc: ScenarioConfig,
 ) -> tuple[Iterator[str], str, Iterator[str] | None]:
     """The pieces of the sample file, the summary and the pieces of the SVG
-    (None without --svg) that `deepwave trajectory` writes.  svg_pieces
-    checks the plotted ranges when called, so a path the SVG cannot show
-    fails here, before anything is written."""
-    from .emitters import csv_pieces, json_pieces, svg_pieces, trajectory_summary
+    (None without --svg) that `deepwave trajectory` writes.
 
-    series, asymptote_x = trajectory_series(sc)
-    data = (csv_pieces if sc.format == "csv" else json_pieces)(series)
-    title = f"{series.case_tag} path"
-    svg = svg_pieces(series, asymptote_x=asymptote_x, title=title) if sc.svg else None
-    return data, trajectory_summary(series), svg
+    A closed form is evaluated STREAM_BLOCK grid times at a time, in
+    passes.  The first pass, here, runs every check of the whole-series
+    build and collects the sample count, time span and ranges, and the
+    SVG's ranges are checked, so a run that fails does so before anything
+    is written.  Reading the CSV or SVG pieces evaluates the path again;
+    the JSON keeps Z from the first pass (about 8 B per sample) and
+    rebuilds each column from it without the kernel: t, z and Z as they
+    are, x and X through the assembly step.  The oracle is one whole
+    block."""
+    from .emitters import csv_pieces, json_pieces, summary_text, survey, svg_pieces
+
+    blocks, offset = _trajectory_blocks(sc, whole=False)
+    s = survey(blocks)
+    data = (csv_pieces if sc.format == "csv" else json_pieces)(s)
+    svg = None
+    if sc.svg:
+        marks = _asymptote_x(sc, s.asymptote_times, offset)
+        svg = svg_pieces(s, marks, title=f"{s.case_tag} path")
+    return data, summary_text(s), svg
+
+
+def _trajectory_blocks(sc: ScenarioConfig, whole: bool):
+    """(blocks, offset): the series `deepwave trajectory` emits, as a
+    re-iterable of blocks (one whole series if whole, or for the oracle),
+    and the x offset of its asymptote lines."""
+    from .cubic_analysis import Case1Reduction, build_cubic, classify_roots
+    from .trajectories import PeakonParams, sampled_case1, sampled_case2, sampled_peakon
+
+    params, window = sc.params(), (sc.t_start, sc.t_end, sc.samples)
+    if sc.solution == "peakon":
+        path = sampled_peakon(params, PeakonParams(sc.const1, sc.const2), *window)
+        offset = sc.const1
+    else:
+        red = classify_roots(build_cubic(params, sc.beta))
+        if sc.solution == "oracle":
+            return (_oracle_series(sc, params, red),), 0.0
+        sample = sampled_case1 if isinstance(red, Case1Reduction) else sampled_case2
+        path = sample(params, red, sc.beta, *window, t0=sc.t0)
+        offset = math.copysign(math.pi / (2.0 * params.k), params.A)
+    if whole:
+        return (path.series(),), offset
+    return (path.retaining_Z() if sc.format == "json" else path), offset
+
+
+def _asymptote_x(sc: ScenarioConfig, times, offset: float) -> tuple[float, ...]:
+    """x = c t_a + offset at each asymptote time t_a in the window, the
+    offset being const1 on the peakon and sign(A) pi/(2k) in case 2,
+    where X tends to sign(A) pi/2 on the rising side of each asymptote."""
+    c = sc.params().c
+    return tuple(c * ta + offset for ta in times or () if sc.t_start <= ta <= sc.t_end)
 
 
 def stagnation_report(sc: ScenarioConfig) -> str:

@@ -19,11 +19,16 @@ writer (_decimal_text) produces them a block of values at a time; a row
 holding a value it does not cover is written by ``%`` or json.dumps.
 Only the JSON metadata goes through json.dumps as a whole.
 
-All emitted text uses "\n" newlines regardless of platform.  Each
-format is a generator of pieces, each one block of _decimal_text
-(_BLOCK_VALUES values: 1024 CSV rows, 2560 SVG points, 5120 JSON
-values), which emit_text writes as they come; trajectory_csv,
-trajectory_json and trajectory_svg return the same pieces joined.
+All emitted text uses "\n" newlines regardless of platform.  The
+emitters read a series as blocks: a Survey holds a re-iterable of
+TrajectorySeries blocks and what one pass over them found (sample
+count, time span, ranges), which the JSON metadata, the summary and the
+SVG frame need before the first sample.  Each format is then a
+generator of pieces, reading the blocks once more (JSON once per
+column), each piece one block of _decimal_text (_BLOCK_VALUES values:
+1024 CSV rows, 2560 SVG points, 5120 JSON values), which emit_text
+writes as they come.  trajectory_csv, trajectory_json, trajectory_svg
+and trajectory_summary take a whole series as the one block.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -52,37 +58,96 @@ Z_DISPLAY_CAP = 10.0
 SAMPLE_COLUMNS = ("t", "x", "z", "X", "Z")
 
 
-def csv_pieces(series: TrajectorySeries) -> Iterator[str]:
+@dataclass(frozen=True)
+class Survey:
+    """A series given as blocks, and what the emitters need to know of it
+    before its first byte, taken in one pass over the blocks (survey).
+
+    blocks is a re-iterable of TrajectorySeries which, joined, make the
+    series: (series,) for a whole one, or a SampledPath (or its
+    retaining_Z()), which evaluates its grid again on each pass.  Each
+    emitter reads the blocks once more.  The metadata is that of the
+    first block; z_plot_range is the z range the SVG frame draws.
+    """
+
+    blocks: Iterable[TrajectorySeries]
+    case_tag: str
+    k: float
+    c: float
+    period: float | None
+    drift_per_period: float | None
+    asymptote_times: tuple[float, ...] | None
+    n_samples: int
+    t_range: tuple[float, float]
+    x_range: tuple[float, float]
+    z_range: tuple[float, float]
+    z_plot_range: tuple[float, float]
+
+
+def survey(blocks: Iterable[TrajectorySeries]) -> Survey:
+    """One pass over blocks, so every check their evaluation runs raises
+    here: the sample count, time span and x and z ranges, and the range
+    of the z at or below Z_DISPLAY_CAP on a path with asymptotes, which
+    the SVG frame draws when it holds two samples or more."""
+    n = n_capped = 0
+    lows, highs = [], []
+    for block in blocks:
+        if not n:
+            meta = (
+                block.case_tag, block.k, block.c, block.period,
+                block.drift_per_period, block.asymptote_times,
+            )
+            t_first = block.t[0]
+        n += block.t.size
+        t_last = block.t[-1]
+        z = block.z
+        capped = z[z <= Z_DISPLAY_CAP / block.k] if block.asymptote_times else z[:0]
+        n_capped += capped.size
+        lows.append((np.min(block.x), np.min(z), np.min(capped, initial=np.inf)))
+        highs.append((np.max(block.x), np.max(z), np.max(capped, initial=-np.inf)))
+    lo, hi = np.min(lows, axis=0).tolist(), np.max(highs, axis=0).tolist()
+    plotted = 2 if n_capped >= 2 else 1
+    return Survey(
+        blocks, *meta, n, (float(t_first), float(t_last)), (lo[0], hi[0]),
+        (lo[1], hi[1]), (lo[plotted], hi[plotted]),
+    )
+
+
+def csv_pieces(s: Survey) -> Iterator[str]:
     yield ",".join(SAMPLE_COLUMNS) + "\n"
-    for piece in _slices(series.t.size, len(SAMPLE_COLUMNS)):
-        block = np.stack([getattr(series, name)[piece] for name in SAMPLE_COLUMNS], axis=1)
-        yield _decimal_text(block, "%.17g", ",,,,\n")
+    for series in s.blocks:
+        for piece in _slices(series.t.size, len(SAMPLE_COLUMNS)):
+            block = np.stack(
+                [getattr(series, name)[piece] for name in SAMPLE_COLUMNS], axis=1
+            )
+            yield _decimal_text(block, "%.17g", ",,,,\n")
 
 
 def trajectory_csv(series: TrajectorySeries) -> str:
-    return "".join(csv_pieces(series))
+    return "".join(csv_pieces(survey((series,))))
 
 
-def json_pieces(series: TrajectorySeries) -> Iterator[str]:
+def json_pieces(s: Survey) -> Iterator[str]:
     """The document json.dumps(indent=2) writes for metadata and samples.
 
     Only the metadata goes through json.dumps.  The sample arrays are
-    laid out here, each slice of a column written by _decimal_text in
-    json's float text, one value per indented line.
+    laid out here, column by column, each a pass over the blocks: each
+    slice of a column is written by _decimal_text in json's float text,
+    one value per indented line.
     """
     meta = {
-        "case": series.case_tag,
-        "k": series.k,
-        "c": series.c,
-        "n_samples": int(series.t.size),
-        "t_start": float(series.t[0]),
-        "t_end": float(series.t[-1]),
-        "period": series.period,
-        "drift_per_period": series.drift_per_period,
+        "case": s.case_tag,
+        "k": s.k,
+        "c": s.c,
+        "n_samples": s.n_samples,
+        "t_start": s.t_range[0],
+        "t_end": s.t_range[1],
+        "period": s.period,
+        "drift_per_period": s.drift_per_period,
         "asymptote_times": (
             None
-            if series.asymptote_times is None
-            else [float(v) for v in series.asymptote_times]
+            if s.asymptote_times is None
+            else [float(v) for v in s.asymptote_times]
         ),
     }
     head = json.dumps({"metadata": meta}, indent=2)[: -len("\n}")]
@@ -90,65 +155,63 @@ def json_pieces(series: TrajectorySeries) -> Iterator[str]:
     sep = ",\n      "
     for i, name in enumerate(SAMPLE_COLUMNS):
         yield ("" if i == 0 else ",\n") + f'    "{name}": [\n      '
-        column = getattr(series, name)
-        for j, piece in enumerate(_slices(column.size, 1)):
-            # Each value ends in the separator; the piece's last one is cut.
-            text = _decimal_text(column[piece, None], "repr", (sep,))
-            yield ("" if j == 0 else sep) + text[: -len(sep)]
+        lead = ""
+        for series in s.blocks:
+            column = getattr(series, name)
+            for piece in _slices(column.size, 1):
+                # Each value ends in the separator; the piece's last one is cut.
+                text = _decimal_text(column[piece, None], "repr", (sep,))
+                yield lead + text[: -len(sep)]
+                lead = sep
         yield "\n    ]"
     yield "\n  }\n}\n"
 
 
 def trajectory_json(series: TrajectorySeries) -> str:
-    return "".join(json_pieces(series))
+    return "".join(json_pieces(survey((series,))))
 
 
-def trajectory_summary(series: TrajectorySeries) -> str:
+def summary_text(s: Survey) -> str:
     """Human-readable metadata block printed alongside the sample file."""
     lines = [
-        f"case: {series.case_tag}",
-        f"samples: {series.t.size}",
-        f"t: [{series.t[0]:.10g}, {series.t[-1]:.10g}]",
-        f"x: [{np.min(series.x):.10g}, {np.max(series.x):.10g}]",
-        f"z: [{np.min(series.z):.10g}, {np.max(series.z):.10g}]",
+        f"case: {s.case_tag}",
+        f"samples: {s.n_samples}",
+        "t: [%.10g, %.10g]" % s.t_range,
+        "x: [%.10g, %.10g]" % s.x_range,
+        "z: [%.10g, %.10g]" % s.z_range,
     ]
-    if series.period is not None:
-        lines.append(f"period: {series.period:.10g}")
-    if series.drift_per_period is not None:
-        lines.append(f"drift per period: {series.drift_per_period:.10g}")
-    if series.asymptote_times:
-        marks = ", ".join(f"{t:.10g}" for t in series.asymptote_times)
+    if s.period is not None:
+        lines.append(f"period: {s.period:.10g}")
+    if s.drift_per_period is not None:
+        lines.append(f"drift per period: {s.drift_per_period:.10g}")
+    if s.asymptote_times:
+        marks = ", ".join(f"{t:.10g}" for t in s.asymptote_times)
         lines.append(f"asymptote times: {marks}")
     return "\n".join(lines) + "\n"
 
 
+def trajectory_summary(series: TrajectorySeries) -> str:
+    return summary_text(survey((series,)))
+
+
 def svg_pieces(
-    series: TrajectorySeries,
+    s: Survey,
     asymptote_x: Sequence[float] = (),
     title: str | None = None,
 ) -> Iterator[str]:
     """Render the (x, z) path as a standalone SVG document.
 
-    The ranges, ticks and frame come from the whole path when this is
-    called; the polyline points are mapped and formatted one slice at a
-    time as the pieces are read.  A path whose plotted x or z range cannot
-    be drawn (an infinite or NaN coordinate) raises ContractViolationError
-    at the call; CSV and JSON still emit such a path.
+    The ranges, ticks and frame come from the survey when this is called;
+    the polyline points are mapped and formatted one slice at a time as
+    the pieces are read, a pass over the blocks.  A path whose plotted x
+    or z range cannot be drawn (an infinite or NaN coordinate) raises
+    ContractViolationError at the call; CSV and JSON still emit such a
+    path.
     """
-    x = np.asarray(series.x, dtype=float)
-    z = np.asarray(series.z, dtype=float)
-
-    z_for_range = z
-    if series.asymptote_times:
-        cap = Z_DISPLAY_CAP / series.k
-        capped = z[z <= cap]
-        if capped.size >= 2:
-            z_for_range = capped
     x_lo, x_hi = _padded_range(
-        min(np.min(x), *asymptote_x) if asymptote_x else float(np.min(x)),
-        max(np.max(x), *asymptote_x) if asymptote_x else float(np.max(x)),
+        min((s.x_range[0], *asymptote_x)), max((s.x_range[1], *asymptote_x))
     )
-    z_lo, z_hi = _padded_range(float(np.min(z_for_range)), float(np.max(z_for_range)))
+    z_lo, z_hi = _padded_range(*s.z_plot_range)
 
     plot_w = SVG_WIDTH - 2.0 * SVG_MARGIN
     plot_h = SVG_HEIGHT - 2.0 * SVG_MARGIN
@@ -205,10 +268,13 @@ def svg_pieces(
     ]
 
     def points() -> Iterator[str]:
-        for j, piece in enumerate(_slices(x.size, 2)):
-            # Each pair ends in a space; the piece's last one is cut.
-            pairs = np.stack([sx(x[piece]), sy(z[piece])], axis=1)
-            yield ("" if j == 0 else " ") + _decimal_text(pairs, "%.3f", ", ")[:-1]
+        lead = ""
+        for series in s.blocks:
+            for piece in _slices(series.x.size, 2):
+                # Each pair ends in a space; the piece's last one is cut.
+                pairs = np.stack([sx(series.x[piece]), sy(series.z[piece])], axis=1)
+                yield lead + _decimal_text(pairs, "%.3f", ", ")[:-1]
+                lead = " "
 
     return itertools.chain(["\n".join(out)], points(), ["\n".join(tail) + "\n"])
 
@@ -218,7 +284,7 @@ def trajectory_svg(
     asymptote_x: Sequence[float] = (),
     title: str | None = None,
 ) -> str:
-    return "".join(svg_pieces(series, asymptote_x, title))
+    return "".join(svg_pieces(survey((series,)), asymptote_x, title))
 
 
 def emit_text(path: str | None, text: str | Iterable[str]) -> None:

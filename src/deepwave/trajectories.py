@@ -26,6 +26,16 @@ read h off the elliptic phase, so X does not depend on how densely a
 series is sampled.  As Z comes from the truncated cubic model, the
 arccos argument stops short of +-1 at a turning point Z_turn and x jumps
 by 2 arccos|cos X(Z_turn)|/k there: that jump is the truncation gap.
+
+Every closed form is pointwise in t: case 1 reads its sheet off
+floor(u/K), case 2 off the phase modulo 4K, and the peakon has none.  So
+each series builder is series() of a sampled_path.SampledPath, made by
+sampled_case1, sampled_case2 or sampled_peakon, which check the window
+and compute its metadata (period, drift, asymptote marks) once.  The
+path evaluates its grid at once (series()) or STREAM_BLOCK times at a
+time (iteration), with the same rows bit for bit.  Its kernel step gives
+Z at the kept times; its assembly step builds x, z and X from Z and the
+times alone.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ from .errors import (
     ParameterDomainError,
 )
 from .cubic_analysis import Case1Reduction, Case2Reduction
+from .sampled_path import SampledPath
 from .special_functions import complete_K, jacobi_sn_cn_dn
 from .wave_field import WaveParams, evaluate_field
 
@@ -218,23 +229,36 @@ def peakon_series(
     x = ct + const1 and kA t + const2 must be finite at both ends of the
     window, and X = k const1 and the asymptote time t* too.
     """
-    grid = _sample_grid(
+    return sampled_peakon(params, pk, t_start, t_end, n_samples).series()
+
+
+def sampled_peakon(
+    params: WaveParams,
+    pk: PeakonParams,
+    t_start: float,
+    t_end: float,
+    n_samples: int,
+) -> SampledPath:
+    """The SampledPath of peakon_series, with the same window checks."""
+    window = _sample_window(
         params, t_start, t_end, n_samples, *_peakon_lines(params, pk),
         ("X = k const1", lambda t: params.k * pk.const1, math.inf),
         ("t*", lambda t: pk.blowup_time(params), math.inf),
     )
-    keep, t, x, w, Z = _peakon(params, pk, grid, ASYMPTOTE_GUARD)
-    del grid  # freed before the series' frame checks, which set the peak
-    if not np.any(keep):
-        raise AsymptoteProximityError(
-            "every requested sample sits inside the asymptote guard band",
-            nearest_time=pk.blowup_time(params),
+    kA, t_star = params.k * params.A, pk.blowup_time(params)
+
+    def kernel(t):
+        keep, _, _, w, Z = _peakon(params, pk, t, ASYMPTOTE_GUARD)
+        return keep, Z, -kA / w
+
+    def assemble(t, Z, dZdt):
+        return TrajectorySeries(
+            k=params.k, c=params.c, t=t, x=params.c * t + pk.const1,
+            z=Z / params.k, X=np.full_like(t, params.k * pk.const1), Z=Z,
+            case_tag="peakon", asymptote_times=(t_star,), dZdt=dZdt,
         )
-    return TrajectorySeries(
-        k=params.k, c=params.c, t=t, x=x, z=Z / params.k,
-        X=np.full_like(t, params.k * pk.const1), Z=Z, case_tag="peakon",
-        asymptote_times=(pk.blowup_time(params),), dZdt=-(params.k * params.A) / w,
-    )
+
+    return SampledPath(window, params.k, kernel, assemble, t_star)
 
 
 def case1_Z(red: Case1Reduction, t: Times, t0: float = 0.0) -> Times:
@@ -424,20 +448,41 @@ def case1_series(
     j), so the half period floor(u/K) of each sample fixes its sheet; the
     drift per period is c T plus 2 pi/k per net wrap at Z1 and Z2.
     """
+    return sampled_case1(params, red, beta, t_start, t_end, n_samples, t0).series()
+
+
+def sampled_case1(
+    params: WaveParams,
+    red: Case1Reduction,
+    beta: float,
+    t_start: float,
+    t_end: float,
+    n_samples: int,
+    t0: float = 0.0,
+) -> SampledPath:
+    """The SampledPath of case1_series, with the same window checks."""
     quarter = complete_K(red.k1sq)
-    t = _sample_grid(params, t_start, t_end, n_samples, _phase(red.C1, t0, quarter))
-    u = red.C1 * (t - t0)
-    Z, dZdt = _case1(red, u)
-    half = np.floor(np.divide(u, quarter, out=u), out=u).astype(np.int64)
-    del u
-    cos_X = _cos_phase(params, beta, Z)
+    window = _sample_window(
+        params, t_start, t_end, n_samples, _phase(red.C1, t0, quarter)
+    )
     below = [_cos_negative(params, beta, Z_turn) for Z_turn in (red.Z1, red.Z2)]
     period = 2.0 * quarter / red.C1
     drift = params.c * period + 2.0 * math.pi * _laps(params, *below) / params.k
-    return _assemble(
-        params, t, Z, dZdt, cos_X, _sheets(params, half, *below), case_tag="case1",
-        period=period, drift_per_period=drift,
-    )
+
+    def kernel(t):
+        return None, *_case1(red, red.C1 * (t - t0))
+
+    def assemble(t, Z, dZdt):
+        u = red.C1 * (t - t0)
+        half = np.floor(np.divide(u, quarter, out=u), out=u).astype(np.int64)
+        del u
+        return _assemble(
+            params, t, Z, dZdt, _cos_phase(params, beta, Z),
+            _sheets(params, half, *below), case_tag="case1", period=period,
+            drift_per_period=drift,
+        )
+
+    return SampledPath(window, params.k, kernel, assemble)
 
 
 def case2_series(
@@ -456,19 +501,25 @@ def case2_series(
     minimum Z0 at the phases u = C2 (t - t0) = 0 (mod 4K), and X is
     4K-periodic in u: the asymptotes between periods are gaps.
     """
+    return sampled_case2(params, red, beta, t_start, t_end, n_samples, t0).series()
+
+
+def sampled_case2(
+    params: WaveParams,
+    red: Case2Reduction,
+    beta: float,
+    t_start: float,
+    t_end: float,
+    n_samples: int,
+    t0: float = 0.0,
+) -> SampledPath:
+    """The SampledPath of case2_series, with the same window checks; a
+    window spanning more than MAX_ASYMPTOTES asymptotes fails here, before
+    any kernel call."""
     quarter = complete_K(red.k2sq)
-    t = _sample_grid(params, t_start, t_end, n_samples, _phase(red.C2, t0, quarter))
-    keep, Z, dZdt, rising = _case2(red, quarter, red.C2 * (t - t0))
-    if not np.any(keep):
-        raise AsymptoteProximityError(
-            "every requested sample sits inside the asymptote guard band"
-        )
-    t = t[keep]
-    cos_X = _cos_phase(params, beta, Z)
-    # Half periods 0 (rising) and -1 (falling) of an oscillation whose top
-    # is the asymptote, where cos X tends to 0.
-    half = rising.astype(np.int64) - 1
-    sheet = _sheets(params, half, _cos_negative(params, beta, red.Z0), False)
+    window = _sample_window(
+        params, t_start, t_end, n_samples, _phase(red.C2, t0, quarter)
+    )
     n_lo = math.floor((red.C2 * (t_start - t0) / quarter - 2.0) / 4.0)
     n_hi = math.ceil((red.C2 * (t_end - t0) / quarter - 2.0) / 4.0)
     if n_hi - n_lo > MAX_ASYMPTOTES:
@@ -480,9 +531,25 @@ def case2_series(
         for ta in _asymptote_times(red, quarter, t0, range(n_lo, n_hi + 1))
         if t_start <= ta <= t_end
     )
-    return _assemble(
-        params, t, Z, dZdt, cos_X, sheet, case_tag="case2", asymptote_times=marks
-    )
+    below = _cos_negative(params, beta, red.Z0)
+
+    def kernel(t):
+        return _case2(red, red.C2 * (t - t0))
+
+    def assemble(t, Z, dZdt):
+        # Half periods 0 (rising: u in [0, 2K) mod 4K, where Z climbs from
+        # Z0) and -1 (falling) of an oscillation whose top is the
+        # asymptote, where cos X tends to 0.
+        u = red.C2 * (t - t0)
+        rising = np.remainder(u - 2.0 * quarter, 4.0 * quarter) >= 2.0 * quarter
+        del u
+        return _assemble(
+            params, t, Z, dZdt, _cos_phase(params, beta, Z),
+            _sheets(params, rising.astype(np.int64) - 1, below, False),
+            case_tag="case2", asymptote_times=marks,
+        )
+
+    return SampledPath(window, params.k, kernel, assemble)
 
 
 def _peakon(
@@ -523,26 +590,23 @@ def _case1_point(
 
 
 def _case2(
-    red: Case2Reduction, quarter: float, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    red: Case2Reduction, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Case-2 closed form at the phases u = C2 (t - t0) that pass the
-    asymptote rule, for quarter = K(k2^2).
+    asymptote rule.
 
-    Returns (keep, Z, dZdt, rising): keep marks those phases, and Z,
-    dZdt and rising (u in [0, 2K) mod 4K, where Z climbs from Z0) hold
+    Returns (keep, Z, dZdt): keep marks those phases, and Z and dZdt hold
     the values at them only.  A phase is guarded when its 1 + cn falls
     below CN_DENOM_GUARD.
     """
-    # The kernel rejects a non-finite phase before np.remainder sees it.
     sn, cn, dn = jacobi_sn_cn_dn(u, red.k2sq)
     denom = 1.0 + cn
     keep = ~(denom < CN_DENOM_GUARD)
-    sn, cn, dn, denom, u = sn[keep], cn[keep], dn[keep], denom[keep], u[keep]
-    rising = np.remainder(u - 2.0 * quarter, 4.0 * quarter) >= 2.0 * quarter
+    sn, cn, dn, denom = sn[keep], cn[keep], dn[keep], denom[keep]
     R = math.sqrt(red.Z0 * red.Z0 + red.p * red.Z0 + red.q)
     Z = red.Z0 + R * (1.0 - cn) / denom
     dZdt = 2.0 * red.C2 * R * sn * dn / (denom * denom)
-    return keep, Z, dZdt, rising
+    return keep, Z, dZdt
 
 
 def _case2_point(
@@ -553,7 +617,7 @@ def _case2_point(
     quarter = complete_K(red.k2sq)
     t = _point_times(t, _phase(red.C2, t0, quarter))
     u = red.C2 * (t - t0)
-    keep, Z, dZdt, _ = _case2(red, quarter, u)
+    keep, Z, dZdt = _case2(red, u)
     if not np.all(keep):
         i = int(np.argmin(keep))
         n = round((float(u.flat[i]) / quarter - 2.0) / 4.0)
@@ -697,12 +761,19 @@ def check_window(t_start: float, t_end: float) -> None:
 def _sample_grid(
     params: WaveParams, t_start: float, t_end: float, n_samples: int, *lines
 ) -> np.ndarray:
-    """n_samples uniform times over [t_start, t_end] for every path family,
-    the oracle's included, checked in Python floats before numpy sees them:
-    n_samples must be an integer >= 2, the window must pass check_window,
-    and at both ends, so at every sample, |c t|, |k c t| and |line(t)| of
-    each further (name, line, bound), with line linear in t, must stay
-    below their bounds."""
+    """np.linspace over the window _sample_window checks."""
+    return np.linspace(*_sample_window(params, t_start, t_end, n_samples, *lines))
+
+
+def _sample_window(
+    params: WaveParams, t_start: float, t_end: float, n_samples: int, *lines
+) -> tuple[float, float, int]:
+    """(t_start, t_end, n_samples) of a uniform grid for every path family,
+    the oracle's included, checked in Python floats before numpy sees
+    them: n_samples must be an integer >= 2, the window must pass
+    check_window, and at both ends, so at every sample, |c t|, |k c t| and
+    |line(t)| of each further (name, line, bound), with line linear in t,
+    must stay below their bounds."""
     try:
         n_samples = operator.index(n_samples)
     except TypeError:
@@ -719,7 +790,7 @@ def _sample_grid(
         ("k c t", lambda t: kc * t, math.inf),
         *lines,
     )
-    return np.linspace(t_start, t_end, n_samples)
+    return t_start, t_end, n_samples
 
 
 def _check_lines(times: tuple[float, ...], *lines) -> None:

@@ -28,6 +28,7 @@ from .ode_oracle import (
     integrate_truncated,
     residual_full_Z_ode,
 )
+from .sampled_path import linspace_block
 from .special_functions import complete_K, jacobi_sn_cn_dn
 from .stagnation import solve_stagnation
 from .trajectories import (
@@ -387,19 +388,10 @@ def _brute_stagnation(
 
 def _scan_chunks(lo: float, hi: float) -> Iterator[np.ndarray]:
     """np.linspace(lo, hi, _SCAN_POINTS) in pieces of _SCAN_CHUNK + 1
-    points, each starting on the previous piece's last point.
-
-    Point i is i * step + lo with the last point pinned to hi, the same
-    operations np.linspace performs, so every point matches it bit for
-    bit.
-    """
+    points, each starting on the previous piece's last point, every point
+    bit for bit as np.linspace places it."""
     last = _SCAN_POINTS - 1
-    step = (hi - lo) / last
     for first in range(0, last, _SCAN_CHUNK):
-        end = min(first + _SCAN_CHUNK, last)
-        Zg = np.arange(first, end + 1, dtype=float)
-        Zg *= step
-        Zg += lo
-        if end == last:
-            Zg[-1] = hi
-        yield Zg
+        yield linspace_block(
+            lo, hi, _SCAN_POINTS, first, min(first + _SCAN_CHUNK, last) + 1
+        )

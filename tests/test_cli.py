@@ -15,10 +15,12 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import cli_env
@@ -32,6 +34,13 @@ from deepwave.cli import (
     validate_report,
 )
 from deepwave.cubic_analysis import Case1Reduction, build_cubic, classify_roots
+from deepwave.emitters import (
+    emit_text,
+    trajectory_csv,
+    trajectory_json,
+    trajectory_summary,
+    trajectory_svg,
+)
 from deepwave.errors import DegenerateRootsError, ParameterDomainError
 from deepwave.scenario import (
     ENV_CONFIG,
@@ -41,7 +50,8 @@ from deepwave.scenario import (
     load_config_file,
 )
 from deepwave.stagnation import solve_stagnation
-from deepwave.trajectories import case1_series
+from deepwave.sampled_path import STREAM_BLOCK
+from deepwave.trajectories import asymptote_times, case1_series
 from deepwave.wave_field import WaveParams, evaluate_field
 
 SVG_NS = {"s": "http://www.w3.org/2000/svg"}
@@ -653,6 +663,158 @@ class TestCommandFunctions:
         assert proc.returncode == 0, proc.stderr
 
 
+B = STREAM_BLOCK
+# Sample counts around the stream block: one block short, exact, one
+# over, and three blocks and seven times.
+STREAM_COUNTS = (2, B - 1, B, B + 1, 3 * B + 7)
+
+
+def _k4_asymptote() -> float:
+    """The first asymptote time of k4 (beta = 1) after t = 0."""
+    sc = build_scenario(None, dict(k=4.0))
+    return asymptote_times(classify_roots(build_cubic(sc.params(), sc.beta)), 0.0, (0,))[0]
+
+
+def _around_k4_asymptote(half_width: float, samples: int) -> dict:
+    t_a = _k4_asymptote()
+    return dict(
+        k=4.0, beta=1.0, t_start=t_a - half_width, t_end=t_a + half_width,
+        samples=samples,
+    )
+
+
+def _streamed_equals_whole(overrides: dict):
+    """Assert that trajectory_output's CSV, JSON, summary and SVG are the
+    bytes the emitters write for the whole series; return that series and
+    its grid."""
+    sc = build_scenario(None, {**overrides, "svg": "unused.svg"})
+    series, marks = trajectory_series(sc)
+    data, summary, svg = trajectory_output(sc)
+    assert "".join(data) == trajectory_csv(series)
+    assert summary == trajectory_summary(series)
+    title = f"{series.case_tag} path"
+    assert "".join(svg) == trajectory_svg(series, marks, title=title)
+    data, summary_json, _ = trajectory_output(dataclasses.replace(sc, format="json"))
+    assert "".join(data) == trajectory_json(series)
+    assert summary_json == summary
+    return series, np.linspace(sc.t_start, sc.t_end, sc.samples)
+
+
+class TestStreamedOutput:
+    """The command evaluates a closed form STREAM_BLOCK grid times at a
+    time, in passes; what it writes is what the emitters write for the
+    series built whole."""
+
+    @pytest.mark.parametrize("samples", STREAM_COUNTS)
+    @pytest.mark.parametrize(
+        "family",
+        [
+            dict(k=1.0, beta=1.0),
+            # The first time sits on an asymptote and is dropped.
+            dict(k=4.0, beta=1.0, t_start=1.416601938),
+            # t* = -3.194 lies inside a block.
+            dict(solution="peakon", t_start=-10.0),
+        ],
+        ids=["case1", "case2", "peakon"],
+    )
+    def test_bytes_equal_the_whole_series(self, family, samples):
+        series, _ = _streamed_equals_whole({**family, "samples": samples})
+        if family.get("k") == 4.0:
+            assert series.t.size == samples - 1
+
+    def test_guarded_times_straddle_a_block_edge(self):
+        # About 17 times each side of the asymptote, the middle one at B.
+        series, grid = _streamed_equals_whole(_around_k4_asymptote(B * 2e-8, 2 * B + 1))
+        kept = np.isin(grid, series.t)
+        assert not kept[B - 1] and not kept[B]
+        assert kept[B - 40] and kept[B + 40]
+
+    def test_a_block_with_no_kept_time(self):
+        # The middle block lies within 2e-7 of the asymptote, inside the
+        # guard band (3.4e-7 in t).
+        series, grid = _streamed_equals_whole(_around_k4_asymptote(6e-7, 3 * B))
+        kept = np.isin(grid, series.t)
+        assert not kept[B : 2 * B].any()
+        assert kept[:B].any() and kept[2 * B :].any()
+
+    def test_peakon_asymptote_dropped_inside_a_block(self):
+        sc = build_scenario(None, dict(solution="peakon"))
+        t_star = -sc.const2 / (sc.params().k * sc.params().A)
+        n = 3 * B + 7
+        # Sample 6000 falls on t*, within rounding, and the guard drops it.
+        window = dict(t_start=t_star - 6.0, t_end=t_star + (n - 6001) * 1e-3)
+        series, grid = _streamed_equals_whole(
+            dict(solution="peakon", samples=n, **window)
+        )
+        assert series.t.size == n - 1
+        assert not np.isin(grid, series.t)[6000]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        ("args", "error"),
+        [
+            # Every time of three blocks lies inside the guard band.
+            (
+                ["--k", "4", "--t-start", repr(1.416601938 - 1e-8),
+                 "--t-end", repr(1.416601938 + 1e-8)],
+                "asymptote-proximity",
+            ),
+            # x = c t + 1e308 rounds to one value, too large for a +-1 margin.
+            (["--solution", "peakon", "--const1", "1e308"], "contract-violation"),
+        ],
+        ids=["all-guarded", "unplottable-svg"],
+    )
+    def test_first_pass_failure_writes_nothing(self, tmp_path, capsys, fmt, args, error):
+        out_path, svg_path = tmp_path / "samples", tmp_path / "path.svg"
+        code, out, err = run_cli(
+            ["trajectory", *args, "--samples", str(3 * B + 7), "--format", fmt,
+             "--out", str(out_path), "--svg", str(svg_path)],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert re.fullmatch(f"error:{error}: .+\n", err)
+        assert not out_path.exists() and not svg_path.exists()
+
+    @pytest.mark.parametrize(
+        ("overrides", "bound"),
+        [
+            (dict(k=4.0, beta=1.0, format="csv", svg="svg"), 1e6),
+            # JSON keeps Z from the first pass: 8 B per sample.
+            (dict(k=1.0, beta=1.0, format="json"), 10.0 * 180_000),
+        ],
+        ids=["csv-svg", "json"],
+    )
+    def test_memory_does_not_grow_with_the_sample_count(
+        self, tmp_path, monkeypatch, overrides, bound
+    ):
+        """The traced peak of the command functions at 2e5 samples against
+        2e4: under 1 MB more for CSV and SVG, at most 10 B per added
+        sample for JSON.  The heap primer, 4 MiB never written, would be
+        the traced peak at both counts and hide the growth."""
+        import deepwave.sampled_path
+
+        monkeypatch.setattr(deepwave.sampled_path, "HEAP_PRIMER", 0)
+
+        def peak(samples: int) -> int:
+            sc = build_scenario(None, {**overrides, "samples": samples})
+            sc = dataclasses.replace(
+                sc, out=str(tmp_path / "data"), svg=sc.svg and str(tmp_path / "path.svg")
+            )
+            tracemalloc.start()
+            try:
+                data, _, svg = trajectory_output(sc)
+                emit_text(sc.out, data)
+                if svg is not None:
+                    emit_text(sc.svg, svg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        growth = peak(200_000) - peak(20_000)
+        assert growth < bound, f"traced peak grew by {growth / 1e6:.2f} MB"
+
+
 class TestOutOfRangeInput:
     """Finite flags whose arithmetic overflows, and non-finite ones, exit 3
     with one stderr line and no Python warning."""
@@ -722,14 +884,15 @@ class TestOutOfRangeInput:
         assert re.search(r"peakon-residual +PASS", out)
 
     def test_out_of_memory_exits_3_with_one_line(self, tmp_path, monkeypatch, capsys):
-        """A sample count numpy cannot allocate, simulated by a series build
-        that raises as numpy does: one error:internal: line, no file."""
+        """An allocation numpy cannot make, simulated by a kernel call of the
+        first pass that raises as numpy does: one error:internal: line, no
+        file."""
         import deepwave.trajectories
 
-        def build(*args, **kwargs):
+        def kernel(*args, **kwargs):
             raise MemoryError("Unable to allocate 745. GiB for an array")
 
-        monkeypatch.setattr(deepwave.trajectories, "case1_series", build)
+        monkeypatch.setattr(deepwave.trajectories, "jacobi_sn_cn_dn", kernel)
         out_path = tmp_path / "samples.csv"
         code, out, err = run_cli(["trajectory", "--out", str(out_path)], capsys)
         assert code == 3

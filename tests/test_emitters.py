@@ -34,6 +34,7 @@ from deepwave.emitters import (
     csv_pieces,
     emit_text,
     json_pieces,
+    survey,
     svg_pieces,
     trajectory_csv,
     trajectory_json,
@@ -282,7 +283,7 @@ def test_svg_rejects_unplottable_range(x, z, tmp_path):
     # Streamed to a file, the rejection comes before the file is opened.
     target = tmp_path / "path.svg"
     with pytest.raises(ContractViolationError):
-        emit_text(str(target), svg_pieces(series))
+        emit_text(str(target), svg_pieces(survey((series,))))
     assert not target.exists()
     # The data formats carry such a series unchanged.
     assert_same_text(trajectory_csv(series), reference_csv(series))
@@ -297,9 +298,9 @@ def k4_long():
 @pytest.mark.parametrize(
     "pieces",
     [
-        lambda series, _: csv_pieces(series),
-        lambda series, _: json_pieces(series),
-        lambda series, marks: svg_pieces(series, marks, title="case2 path"),
+        lambda s, _: csv_pieces(s),
+        lambda s, _: json_pieces(s),
+        lambda s, marks: svg_pieces(s, marks, title="case2 path"),
     ],
     ids=["csv", "json", "svg"],
 )
@@ -312,7 +313,7 @@ def test_emission_memory_is_bounded(k4_long, tmp_path, pieces):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        emit_text(str(target), pieces(series, marks))
+        emit_text(str(target), pieces(survey((series,)), marks))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

@@ -41,6 +41,7 @@ from deepwave import (
     peakon_series,
     period_case1,
 )
+from deepwave.sampled_path import STREAM_BLOCK, linspace_block
 from deepwave.trajectories import (
     ASYMPTOTE_GUARD,
     CN_DENOM_GUARD,
@@ -48,6 +49,9 @@ from deepwave.trajectories import (
     TrajectorySeries,
     ZSeries,
     _sample_grid,
+    sampled_case1,
+    sampled_case2,
+    sampled_peakon,
 )
 
 times = st.floats(min_value=-50.0, max_value=50.0)
@@ -909,6 +913,91 @@ def test_case2_series_caps_the_asymptote_marks(scenario_k4, red_k4):
     assert 1000 <= len(fits.asymptote_times) <= 1001
     with pytest.raises(ParameterDomainError, match="asymptotes"):
         case2_series(params, red_k4, beta, 0.0, (MAX_ASYMPTOTES + 1) * period, 5)
+
+
+def test_case2_asymptote_cap_comes_before_any_kernel_call(
+    scenario_k4, red_k4, monkeypatch
+):
+    import deepwave.trajectories as tr
+
+    calls = []
+    monkeypatch.setattr(tr, "jacobi_sn_cn_dn", lambda *args: calls.append(args))
+    params, beta = scenario_k4
+    with pytest.raises(
+        ParameterDomainError, match=f"spans more than {MAX_ASYMPTOTES} asymptotes"
+    ):
+        case2_series(params, red_k4, beta, 0.0, 1e6, 10**6)
+    assert calls == []
+
+
+def _sampled(scenario_k1, red_k1, red_k4, family, window):
+    """The SampledPath of one family on window (t_start, t_end, n)."""
+    params, beta = scenario_k1
+    if family == "case1":
+        return sampled_case1(params, red_k1, beta, *window)
+    if family == "case2":
+        return sampled_case2(WaveParams(k=4.0, a=0.1, g=9.8), red_k4, 1.0, *window)
+    return sampled_peakon(params, PeakonParams(math.pi / 2.0, 1.0), *window)
+
+
+@pytest.mark.parametrize("family", ["case1", "case2", "peakon"])
+def test_sampled_path_blocks_join_into_the_series(
+    scenario_k1, red_k1, red_k4, family
+):
+    # 3 blocks and 7 times; the peakon's t* = -3.194 and k4's asymptotes
+    # at 1.4166 + 2.833 j fall inside blocks.
+    path = _sampled(
+        scenario_k1, red_k1, red_k4, family, (-10.0, 10.0, 3 * STREAM_BLOCK + 7)
+    )
+    series = path.series()
+    blocks = list(path)
+    assert len(blocks) == 4 and all(b.t.size <= STREAM_BLOCK for b in blocks)
+    for name in ("t", "x", "z", "X", "Z", "dZdt"):
+        joined = np.concatenate([getattr(b, name) for b in blocks])
+        assert bits(joined).tolist() == bits(getattr(series, name)).tolist(), name
+    for name in ("case_tag", "period", "drift_per_period", "asymptote_times"):
+        assert all(getattr(b, name) == getattr(series, name) for b in blocks)
+    # A pass that keeps Z assembles the same rows again without the kernel.
+    retained = path.retaining_Z()
+    first = list(retained)
+    for again in (list(retained), list(retained)):
+        for a, b in zip(first, again, strict=True):
+            for name in ("t", "x", "z", "X", "Z"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            assert b.dZdt is None
+
+
+@pytest.mark.parametrize("size", [1, 2, 7])
+def test_sampled_path_checks_strict_increase_across_blocks(
+    scenario_k1, red_k1, red_k4, size
+):
+    # At t ~ 1e6 a step of 1e-12 is far below one ulp, so grid times
+    # repeat; with blocks of one time only the check across blocks sees it.
+    path = _sampled(scenario_k1, red_k1, red_k4, "case1", (1e6, 1e6 + 1e-9, 50))
+    with pytest.raises(ContractViolationError, match="increase strictly"):
+        path.series()
+    with pytest.raises(ContractViolationError, match="increase strictly"):
+        list(path._blocks(size))
+
+
+@pytest.mark.parametrize(
+    ("start", "stop", "num"),
+    [
+        (0.0, 10.0, 2 * STREAM_BLOCK + 3),
+        (-1.3, 2.9, 1000),
+        (1e6, 1e6 + 1e-9, 50),
+        (0.0, 5e-324, 3),  # the step underflows to zero
+        (-5e-324, 5e-324, 4),
+    ],
+)
+def test_linspace_blocks_match_np_linspace(start, stop, num):
+    want = bits(np.linspace(start, stop, num)).tolist()
+    for size in (1, 2, 3, STREAM_BLOCK):
+        blocks = [
+            linspace_block(start, stop, num, i, min(i + size, num))
+            for i in range(0, num, size)
+        ]
+        assert bits(np.concatenate(blocks)).tolist() == want
 
 
 # ------------------------------------------------------- series contracts
