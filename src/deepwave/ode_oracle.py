@@ -1,8 +1,9 @@
 """Reference ODE integrators for validating the closed-form paths.
 
-Two hand-rolled steppers over two-component float states, written out
-per component: classic fixed-step RK4 and adaptive RKF45 (Fehlberg 4(5)
-with local extrapolation).  One loop in _integrate runs both, stepping
+Two hand-rolled steppers over two-component float states: classic
+fixed-step RK4, written out per component because it is the battery's
+hot path, and adaptive RKF45 (Fehlberg 4(5) with local extrapolation),
+which runs from its tableau.  One loop in _integrate runs both, stepping
 RK4 inline and taking the first RKF45 trial _rkf45_accept accepts, and
 one accept path checks the new state and stores the knot.  The
 derivative stored at each knot is the next step's first stage, which
@@ -557,19 +558,29 @@ def _rk4_step(
     )
 
 
-# Fehlberg 4(5) tableau: stage rows _Bij, fifth-order weights _W5i and
-# fourth-order weights _W4i.
-_B21 = 1.0 / 4.0
-_B31, _B32 = 3.0 / 32.0, 9.0 / 32.0
-_B41, _B42, _B43 = 1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0
-_B51, _B52, _B53, _B54 = 439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0
-_B61, _B62, _B63, _B64, _B65 = (
-    -8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0
+# Fehlberg 4(5) tableau.  Stages k_2 ... k_6 each give their node c_i as
+# (numerator, denominator) of h and their coefficients of k_1, k_2, ...
+# (k_1 is the step's first stage).  The fifth- and fourth-order weights
+# are (index into k, weight) pairs, index 0 for k_1; neither weights k_2.
+_FEHLBERG_STAGES = (
+    ((1.0, 4.0), (1.0 / 4.0,)),
+    ((3.0, 8.0), (3.0 / 32.0, 9.0 / 32.0)),
+    ((12.0, 13.0), (1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0)),
+    ((1.0, 1.0), (439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0)),
+    ((1.0, 2.0), (-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0)),
 )
-_W51, _W53, _W54, _W55, _W56 = (
-    16.0 / 135.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0
+_FEHLBERG_ORDER5 = (
+    (0, 16.0 / 135.0), (2, 6656.0 / 12825.0), (3, 28561.0 / 56430.0),
+    (4, -9.0 / 50.0), (5, 2.0 / 55.0),
 )
-_W41, _W43, _W44, _W45 = 25.0 / 216.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0
+_FEHLBERG_ORDER4 = (
+    (0, 25.0 / 216.0), (2, 1408.0 / 2565.0), (3, 2197.0 / 4104.0), (4, -1.0 / 5.0),
+)
+# The rows _rkf45_step reads: each stage's node and its coefficients as
+# (index into k, coefficient) pairs, then the two weight rows, no node.
+_FEHLBERG_ROWS = tuple(
+    (node, tuple(enumerate(row))) for node, row in _FEHLBERG_STAGES
+) + ((None, _FEHLBERG_ORDER5), (None, _FEHLBERG_ORDER4))
 
 
 def _rkf45_step(
@@ -578,40 +589,23 @@ def _rkf45_step(
     """One Fehlberg 4(5) trial step from (a, b) with first stage (fa, fb).
 
     Returns the fifth-order state and the error norm, which is meaningless
-    when that state is not finite.  Each stage sums y + (h b_1) k_1
-    + (h b_2) k_2 + ... left to right.
+    when that state is not finite.  Each row sums y + (h w_1) k_1 + (h w_2)
+    k_2 + ... left to right: a stage row into the state its stage is
+    evaluated at, a weight row into the fifth- or fourth-order state.
     """
-    k2a, k2b = rhs(t + h / 4.0, a + h * _B21 * fa, b + h * _B21 * fb)
-    k3a, k3b = rhs(
-        t + 3.0 * h / 8.0,
-        a + h * _B31 * fa + h * _B32 * k2a,
-        b + h * _B31 * fb + h * _B32 * k2b,
-    )
-    k4a, k4b = rhs(
-        t + 12.0 * h / 13.0,
-        a + h * _B41 * fa + h * _B42 * k2a + h * _B43 * k3a,
-        b + h * _B41 * fb + h * _B42 * k2b + h * _B43 * k3b,
-    )
-    k5a, k5b = rhs(
-        t + h,
-        a + h * _B51 * fa + h * _B52 * k2a + h * _B53 * k3a + h * _B54 * k4a,
-        b + h * _B51 * fb + h * _B52 * k2b + h * _B53 * k3b + h * _B54 * k4b,
-    )
-    k6a, k6b = rhs(
-        t + 0.5 * h,
-        a + h * _B61 * fa + h * _B62 * k2a + h * _B63 * k3a + h * _B64 * k4a
-        + h * _B65 * k5a,
-        b + h * _B61 * fb + h * _B62 * k2b + h * _B63 * k3b + h * _B64 * k4b
-        + h * _B65 * k5b,
-    )
-    a5 = (
-        a + h * _W51 * fa + h * _W53 * k3a + h * _W54 * k4a + h * _W55 * k5a
-        + h * _W56 * k6a
-    )
-    b5 = (
-        b + h * _W51 * fb + h * _W53 * k3b + h * _W54 * k4b + h * _W55 * k5b
-        + h * _W56 * k6b
-    )
-    a4 = a + h * _W41 * fa + h * _W43 * k3a + h * _W44 * k4a + h * _W45 * k5a
-    b4 = b + h * _W41 * fb + h * _W43 * k3b + h * _W44 * k4b + h * _W45 * k5b
+    ka, kb = [fa], [fb]
+    states = []
+    for node, row in _FEHLBERG_ROWS:
+        sa, sb = a, b
+        for i, w in row:
+            hw = h * w
+            sa += hw * ka[i]
+            sb += hw * kb[i]
+        if node is None:
+            states.append((sa, sb))
+        else:
+            ka_i, kb_i = rhs(t + node[0] * h / node[1], sa, sb)
+            ka.append(ka_i)
+            kb.append(kb_i)
+    (a5, b5), (a4, b4) = states
     return a5, b5, max(abs(a5 - a4), abs(b5 - b4))

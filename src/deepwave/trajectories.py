@@ -549,7 +549,8 @@ def sampled_case2(
             case_tag="case2", asymptote_times=marks,
         )
 
-    return SampledPath(window, params.k, kernel, assemble)
+    nearest = _nearest_asymptote(red, quarter, t0, red.C2 * (t_start - t0))
+    return SampledPath(window, params.k, kernel, assemble, nearest)
 
 
 def _peakon(
@@ -620,11 +621,10 @@ def _case2_point(
     keep, Z, dZdt = _case2(red, u)
     if not np.all(keep):
         i = int(np.argmin(keep))
-        n = round((float(u.flat[i]) / quarter - 2.0) / 4.0)
         raise AsymptoteProximityError(
             f"case-2 evaluation at t={float(t.flat[i])} "
             "is inside the asymptote guard band",
-            nearest_time=_asymptote_times(red, quarter, t0, (n,))[0],
+            nearest_time=_nearest_asymptote(red, quarter, t0, float(u.flat[i])),
         )
     # Every sample was kept, so the flat values fill t's shape exactly.
     return Z.reshape(t.shape), dZdt.reshape(t.shape)
@@ -634,6 +634,15 @@ def _asymptote_times(
     red: Case2Reduction, quarter: float, t0: float, n_values: Iterable[int]
 ) -> tuple[float, ...]:
     return tuple(t0 + (2.0 + 4.0 * n) * quarter / red.C2 for n in n_values)
+
+
+def _nearest_asymptote(
+    red: Case2Reduction, quarter: float, t0: float, u: float
+) -> float:
+    """The asymptote time t0 + (2 + 4n) K/C2 nearest the phase u: of a
+    guarded sample, the one whose guard band holds it."""
+    n = round((u / quarter - 2.0) / 4.0)
+    return _asymptote_times(red, quarter, t0, (n,))[0]
 
 
 def _phase(C: float, t0: float, quarter: float):

@@ -1,7 +1,8 @@
 """Self-check battery wiring the closed forms against the oracles.
 
-Each check returns a CheckResult with a deterministic detail string, so
-two runs over the same scenario print byte-identical reports.  The
+Each check returns (passed, detail) with a deterministic detail string,
+and run_battery names its CheckResult after the check's function, so two
+runs over the same scenario print byte-identical reports.  The
 bounds are the same ones the library promises in its module contracts;
 a failing check means a broken invariant, not a loose expectation.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .special_functions import complete_K, jacobi_sn_cn_dn
 from .stagnation import solve_stagnation
 from .trajectories import (
     PeakonParams,
+    TrajectorySeries,
     ZSeries,
     assemble_xz,
     asymptote_times,
@@ -87,14 +89,13 @@ def run_battery(params: WaveParams, beta: float) -> list[CheckResult]:
     ]
     results = []
     for check in checks:
+        name = check.__name__.removeprefix("_check_").replace("_", "-")
         try:
             with np.errstate(all="ignore"):
-                results.append(check(params, beta))
+                passed, detail = check(params, beta)
         except DeepwaveError as exc:
-            name = check.__name__.removeprefix("_check_").replace("_", "-")
-            results.append(
-                CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
-            )
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        results.append(CheckResult(name, passed, detail))
     return results
 
 
@@ -102,7 +103,7 @@ def _classify(params: WaveParams, beta: float):
     return classify_roots(build_cubic(params, beta))
 
 
-def _check_dispersion(params: WaveParams, beta: float) -> CheckResult:
+def _check_dispersion(params: WaveParams, beta: float) -> tuple[bool, str]:
     c = params.c
     identity = abs(c * c * params.k / params.g - 1.0)
     doubled = WaveParams(
@@ -110,15 +111,14 @@ def _check_dispersion(params: WaveParams, beta: float) -> CheckResult:
     )
     monotone = abs(doubled.c) < abs(c)
     ok = identity <= 1e-12 and monotone
-    return CheckResult(
-        "dispersion",
+    return (
         ok,
         f"|c^2 k/g - 1| = {identity:.3e}, |c({params.k:.6g})| = {abs(c):.6g} "
         f"> |c({2.0 * params.k:.6g})| = {abs(doubled.c):.6g}",
     )
 
 
-def _check_elliptic_identities(params: WaveParams, beta: float) -> CheckResult:
+def _check_elliptic_identities(params: WaveParams, beta: float) -> tuple[bool, str]:
     worst = 0.0
     u = np.linspace(-5.0, 5.0, 41)
     for m in (1e-8, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0 - 1e-8):
@@ -130,14 +130,10 @@ def _check_elliptic_identities(params: WaveParams, beta: float) -> CheckResult:
         )
     k0 = abs(complete_K(0.0) - math.pi / 2.0)
     ok = worst <= 1e-12 and k0 <= 1e-15
-    return CheckResult(
-        "elliptic-identities",
-        ok,
-        f"max identity defect {worst:.3e}, |K(0) - pi/2| = {k0:.3e}",
-    )
+    return ok, f"max identity defect {worst:.3e}, |K(0) - pi/2| = {k0:.3e}"
 
 
-def _check_classification(params: WaveParams, beta: float) -> CheckResult:
+def _check_classification(params: WaveParams, beta: float) -> tuple[bool, str]:
     red = _classify(params, beta)
     if isinstance(red, Case1Reduction):
         detail = (
@@ -150,10 +146,10 @@ def _check_classification(params: WaveParams, beta: float) -> CheckResult:
             f"case 2: root {red.Z0:.6g}, k2^2 = {red.k2sq:.6g}, C2 = {red.C2:.6g}"
         )
         ok = 0.0 < red.k2sq < 1.0
-    return CheckResult("classification", ok, detail)
+    return ok, detail
 
 
-def _check_closed_form_vs_oracle(params: WaveParams, beta: float) -> CheckResult:
+def _check_closed_form_vs_oracle(params: WaveParams, beta: float) -> tuple[bool, str]:
     coeffs = build_cubic(params, beta)
     red = classify_roots(coeffs)
     if isinstance(red, Case1Reduction):
@@ -162,8 +158,7 @@ def _check_closed_form_vs_oracle(params: WaveParams, beta: float) -> CheckResult
         ts = np.linspace(0.0, 2.0 * T, 1501)
         zs = integrate_truncated(coeffs, red.Z1, 0.0, cfg, sample_times=ts)
         sup = float(np.max(np.abs(case1_Z(red, zs.t) - zs.Z)))
-        return CheckResult(
-            "closed-form-vs-oracle",
+        return (
             sup <= 1e-7,
             f"case 1 sup |Z_closed - Z_oracle| = {sup:.3e} over two periods",
         )
@@ -173,20 +168,19 @@ def _check_closed_form_vs_oracle(params: WaveParams, beta: float) -> CheckResult
     mask = zs.t <= 0.8 * t_blow
     sup = float(np.max(np.abs(case2_Z(red, zs.t[mask]) - zs.Z[mask])))
     if zs.blowup_time is None:
-        return CheckResult("closed-form-vs-oracle", False, "escape event not hit")
+        return False, "escape event not hit"
     rel = abs(zs.blowup_time - t_blow) / t_blow
-    return CheckResult(
-        "closed-form-vs-oracle",
+    return (
         sup <= 1e-7 and rel <= 1e-4,
         f"case 2 sup |dZ| = {sup:.3e} before blow-up, "
         f"blow-up time rel err = {rel:.3e}",
     )
 
 
-def _check_drift(params: WaveParams, beta: float) -> CheckResult:
+def _check_drift(params: WaveParams, beta: float) -> tuple[bool, str]:
     red = _classify(params, beta)
     if not isinstance(red, Case1Reduction):
-        return CheckResult("drift", True, "not applicable: case 2 path has no period")
+        return True, "not applicable: case 2 path has no period"
     T = period_case1(red)
     series = case1_series(params, red, beta, 0.0, T, 257)
     drift = float(series.x[-1] - series.x[0])
@@ -194,15 +188,14 @@ def _check_drift(params: WaveParams, beta: float) -> CheckResult:
     target = params.c * T - math.copysign(2.0 * math.pi, params.c) / params.k
     rel = abs(drift - target) / abs(target)
     ok = rel <= 1e-8 and math.copysign(1.0, drift) == math.copysign(1.0, params.c)
-    return CheckResult(
-        "drift",
+    return (
         ok,
         f"x(T) - x(0) = {drift:.10g} vs c T - 2 pi sign(c)/k = {target:.10g} "
         f"(rel {rel:.3e})",
     )
 
 
-def _check_frame_equivalence(params: WaveParams, beta: float) -> CheckResult:
+def _check_frame_equivalence(params: WaveParams, beta: float) -> tuple[bool, str]:
     X0, Z0 = _LAUNCH
     t_end = 10.0 * params.wave_period
     cfg = IntegratorConfig.for_wave(
@@ -210,34 +203,26 @@ def _check_frame_equivalence(params: WaveParams, beta: float) -> CheckResult:
     )
     full = integrate_full(params, X0 / params.k, Z0 / params.k, cfg)
     frame = integrate_moving_frame(params, X0, Z0, cfg)
-    sup = max(
-        float(np.max(np.abs(full.X - frame.X))),
-        float(np.max(np.abs(full.Z - frame.Z))),
-    )
+    sup = _sup_gap(full, frame)
     detail = f"sup |(X,Z) gap| = {sup:.3e} over ten wave periods"
-    return CheckResult("frame-equivalence", sup <= 1e-8, detail)
+    return sup <= 1e-8, detail
 
 
-def _check_stagnation_oracle(params: WaveParams, beta: float) -> CheckResult:
+def _check_stagnation_oracle(params: WaveParams, beta: float) -> tuple[bool, str]:
     report = solve_stagnation(params, beta)
     lo, hi = report.search_interval
     brute = _brute_stagnation(params, beta, lo, hi)
     found = [s.Z_star for s in report.solutions if not s.tangency]
     if len(found) != len(brute):
-        return CheckResult(
-            "stagnation-oracle",
-            False,
-            f"count mismatch: solver {len(found)}, dense scan {len(brute)}",
-        )
+        return False, f"count mismatch: solver {len(found)}, dense scan {len(brute)}"
     gap = max((abs(a - b) for a, b in zip(found, brute)), default=0.0)
-    return CheckResult(
-        "stagnation-oracle",
+    return (
         gap <= 1e-6,
         f"{len(found)} level(s), max location gap {gap:.3e} vs 1e6-point scan",
     )
 
 
-def _check_untruncated_residual(params: WaveParams, beta: float) -> CheckResult:
+def _check_untruncated_residual(params: WaveParams, beta: float) -> tuple[bool, str]:
     X0, Z0 = _LAUNCH
     beta_exact = (
         params.k * params.c * Z0
@@ -257,15 +242,14 @@ def _check_untruncated_residual(params: WaveParams, beta: float) -> CheckResult:
         and rep.max_residual_eq2 <= 1e-10
         and recovered <= 1e-9
     )
-    return CheckResult(
-        "untruncated-residual",
+    return (
         ok,
         f"eq1 sup {rep.max_residual_eq1:.3e}, eq2 sup {rep.max_residual_eq2:.3e} "
         f"({rep.n_samples} samples), beta recovery gap {recovered:.3e}",
     )
 
 
-def _check_rk4_convergence(params: WaveParams, beta: float) -> CheckResult:
+def _check_rk4_convergence(params: WaveParams, beta: float) -> tuple[bool, str]:
     X0, Z0 = _LAUNCH
     T = params.wave_period
     t_end = 2.0 * T
@@ -285,26 +269,24 @@ def _check_rk4_convergence(params: WaveParams, beta: float) -> CheckResult:
     ref = integrate_moving_frame(
         params, X0, Z0, IntegratorConfig(0.0, t_end, dt=T / 3200.0), sample_times=ts
     )
-    errs = [
-        max(
-            float(np.max(np.abs(run.X - ref.X))),
-            float(np.max(np.abs(run.Z - ref.Z))),
-        )
-        for run in runs
-    ]
+    errs = [_sup_gap(run, ref) for run in runs]
     ratios = [
         errs[i] / errs[i + 1] if errs[i + 1] > 0.0 else math.inf for i in range(2)
     ]
     ok = all(12.0 <= r <= 20.0 for r in ratios)
-    return CheckResult(
-        "rk4-convergence",
+    return (
         ok,
         f"dt halving error ratios {ratios[0]:.4g}, {ratios[1]:.4g} "
         f"(err {errs[0]:.3e} -> {errs[1]:.3e} -> {errs[2]:.3e}, expect ~16)",
     )
 
 
-def _check_peakon_residual(params: WaveParams, beta: float) -> CheckResult:
+def _sup_gap(p: TrajectorySeries, q: TrajectorySeries) -> float:
+    """sup |p - q| over the X and Z samples of two paths on one grid."""
+    return max(float(np.max(np.abs(p.X - q.X))), float(np.max(np.abs(p.Z - q.Z))))
+
+
+def _check_peakon_residual(params: WaveParams, beta: float) -> tuple[bool, str]:
     pk = PeakonParams(const1=math.pi / (2.0 * params.k), const2=1.0)
     t_star = pk.blowup_time(params)
     # The aligned side is where kA t + const2 < 0.
@@ -319,15 +301,14 @@ def _check_peakon_residual(params: WaveParams, beta: float) -> CheckResult:
         worst_eq2 = max(worst_eq2, res2)
         worst_eq1_gap = max(worst_eq1_gap, abs(res1 - abs(params.c)))
     ok = worst_eq2 <= 1e-12 and worst_eq1_gap <= 1e-12 * max(1.0, abs(params.c))
-    return CheckResult(
-        "peakon-residual",
+    return (
         ok,
         f"vertical residual sup {worst_eq2:.3e} on the aligned side, "
         f"horizontal residual pinned at |c| within {worst_eq1_gap:.3e}",
     )
 
 
-def _check_corrupted_beta_guard(params: WaveParams, beta: float) -> CheckResult:
+def _check_corrupted_beta_guard(params: WaveParams, beta: float) -> tuple[bool, str]:
     red = _classify(params, beta)
     if isinstance(red, Case1Reduction):
         T = period_case1(red)
@@ -344,8 +325,7 @@ def _check_corrupted_beta_guard(params: WaveParams, beta: float) -> CheckResult:
             assemble_xz(params, beta + shift, zs, case_tag="case1")
         except ContractViolationError:
             tripped.append(shift)
-    return CheckResult(
-        "corrupted-beta-guard",
+    return (
         bool(tripped),
         f"beta shifts {tripped or 'none'} rejected by the cos^2 X <= 1 guard",
     )
@@ -354,11 +334,15 @@ def _check_corrupted_beta_guard(params: WaveParams, beta: float) -> CheckResult:
 def _brute_stagnation(
     params: WaveParams, beta: float, lo: float, hi: float
 ) -> list[float]:
-    """Dense-scan oracle: the 10^6 points of np.linspace(lo, hi, 10**6),
-    scanned _SCAN_CHUNK + 1 at a time, plus pure bisection refinement
-    of every sign change between neighbours and every exact grid zero."""
+    """Dense-scan oracle for the zeros of g = kA e^Z - |kc Z - beta|: the
+    10^6 points of np.linspace(lo, hi, 10**6), scanned _SCAN_CHUNK + 1 at
+    a time, plus pure bisection refinement of every sign change between
+    neighbours and every exact grid zero.  Two levels within a grid step
+    of the kink Z = beta/(kc) can leave both ends of its cell negative:
+    where g is positive at the kink, each side of the cell is bisected."""
     kA = params.k * abs(params.A)
     kc = params.k * params.c
+    kink = beta / kc
 
     def f(Z: float) -> float:
         return kA * math.exp(Z) - abs(kc * Z - beta)
@@ -367,23 +351,32 @@ def _brute_stagnation(
     for Zg in _scan_chunks(lo, hi):
         s = kA * np.exp(Zg) - np.abs(kc * Zg - beta)
         for i in np.flatnonzero(np.sign(s[:-1]) * np.sign(s[1:]) < 0.0):
-            a, b = float(Zg[i]), float(Zg[i + 1])
-            fa = f(a)
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                fm = f(mid)
-                if fa * fm <= 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-                if b - a <= 1e-13 * max(1.0, abs(mid)):
-                    break
-            roots.append(0.5 * (a + b))
+            roots.append(_bisect(f, float(Zg[i]), float(Zg[i + 1])))
+        i = int(np.searchsorted(Zg, kink)) - 1  # Zg[i] < kink <= Zg[i + 1]
+        inside = 0 <= i < Zg.size - 1 and kink < Zg[i + 1]
+        if inside and max(s[i], s[i + 1]) < 0.0 < f(kink):
+            roots.append(_bisect(f, float(Zg[i]), kink))
+            roots.append(_bisect(f, kink, float(Zg[i + 1])))
         # A chunk's last point opens the next chunk, which counts its zero.
         roots.extend(float(Z) for Z in Zg[:-1][s[:-1] == 0.0])
     if s[-1] == 0.0:
         roots.append(float(Zg[-1]))
     return sorted(roots)
+
+
+def _bisect(f: Callable[[float], float], a: float, b: float) -> float:
+    """Midpoint of [a, b] halved about f's sign change to 1e-13 relative."""
+    fa = f(a)
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        if fa * fm <= 0.0:
+            b = mid
+        else:
+            a, fa = mid, fm
+        if b - a <= 1e-13 * max(1.0, abs(mid)):
+            break
+    return 0.5 * (a + b)
 
 
 def _scan_chunks(lo: float, hi: float) -> Iterator[np.ndarray]:

@@ -882,6 +882,8 @@ class TestOutOfRangeInput:
         assert "ContractViolationError" not in out
         # t* is about -3.2e199 here: probes offset by 0.1 ... 5 would round onto it
         assert re.search(r"peakon-residual +PASS", out)
+        # the two levels sit within a grid step of the kink Z = beta/(kc)
+        assert re.search(r"stagnation-oracle +PASS  2 level\(s\)", out)
 
     def test_out_of_memory_exits_3_with_one_line(self, tmp_path, monkeypatch, capsys):
         """An allocation numpy cannot make, simulated by a kernel call of the

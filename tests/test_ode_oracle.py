@@ -612,6 +612,31 @@ def test_residual_flags_wrong_constant(scenario_k1):
     assert rep_bad.max_residual_eq1 > 100.0 * max(rep_good.max_residual_eq1, 1e-12)
 
 
+def test_fehlberg_table_rows_sum_to_their_nodes():
+    """Each stage row of the Fehlberg table sums to its node c_i and both
+    weight rows sum to 1, each within the ulps of its rounded entries, and
+    neither weight row weights stage 2, so a mistyped coefficient fails
+    here naming its stage or row."""
+    for stage, ((num, den), row) in enumerate(ode_oracle._FEHLBERG_STAGES, start=2):
+        assert len(row) == stage - 1, f"stage {stage}: {len(row)} coefficients"
+        node = num / den
+        slack = math.ulp(node) + sum(math.ulp(c) for c in row)
+        assert abs(math.fsum(row) - node) <= slack, (
+            f"stage {stage}: row sums to {math.fsum(row)!r}, node {node!r}"
+        )
+    for name in ("_FEHLBERG_ORDER5", "_FEHLBERG_ORDER4"):
+        pairs = getattr(ode_oracle, name)
+        stages = [i + 1 for i, _ in pairs]
+        assert stages == sorted(set(stages)), f"{name}: stages {stages}"
+        assert 2 not in stages, f"{name} weights stage 2"
+        assert stages[-1] <= len(ode_oracle._FEHLBERG_STAGES) + 1, name
+        weights = [w for _, w in pairs]
+        slack = math.ulp(1.0) + sum(math.ulp(w) for w in weights)
+        assert abs(math.fsum(weights) - 1.0) <= slack, (
+            f"{name}: weights sum to {math.fsum(weights)!r}"
+        )
+
+
 # --- reference steppers ------------------------------------------------
 # The generic integrator over float tuples that the two-component
 # steppers replaced, kept as the definition of the numbers they must

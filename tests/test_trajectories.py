@@ -442,6 +442,22 @@ def test_case2_series_guard_band_dropping(scenario_k4, red_k4):
         case2_series(params, red_k4, beta, t1 - 1e-11, t1 + 1e-11, 101)
 
 
+@pytest.mark.parametrize("n", [-1, 0, 2])
+def test_case2_series_with_every_sample_guarded_names_the_asymptote(
+    scenario_k4, red_k4, n
+):
+    """A window inside one guard band: the error attaches that asymptote,
+    the time case2_Z attaches for a sample in the window."""
+    params, beta = scenario_k4
+    t0 = -0.21
+    (ta,) = asymptote_times(red_k4, t0, [n])
+    with pytest.raises(AsymptoteProximityError, match="every requested") as err:
+        case2_series(params, red_k4, beta, ta - 5e-10, ta + 5e-10, 3, t0)
+    with pytest.raises(AsymptoteProximityError) as point:
+        case2_Z(red_k4, ta + 2e-10, t0)
+    assert err.value.nearest_time == point.value.nearest_time == ta
+
+
 def test_case2_point_denominator_guard(red_k4):
     """Inside sqrt(eps) of the asymptote cn itself rounds onto -1, so the
     evaluation must refuse on the denominator instead of dividing by zero.

@@ -29,6 +29,7 @@ from deepwave.validation import (
     CheckResult,
     _brute_stagnation,
     _check_frame_equivalence,
+    _check_stagnation_oracle,
     _scan_chunks,
     run_battery,
 )
@@ -142,7 +143,8 @@ def test_frame_gap_is_rounding_at_the_checks_step_count(kwargs, beta):
     frame = integrate_moving_frame(params, X0, Z0, cfg)
     assert np.max(np.abs(full.X - frame.X)) <= 1e-10
     assert np.max(np.abs(full.Z - frame.Z)) <= 1e-10
-    assert _check_frame_equivalence(params, beta).passed
+    passed, _ = _check_frame_equivalence(params, beta)
+    assert passed
 
 
 @pytest.mark.parametrize("kwargs, beta", FRAME_SCENARIOS)
@@ -154,8 +156,8 @@ def test_frame_check_fails_on_a_wrong_frame_term(monkeypatch, kwargs, beta):
         return integrate_moving_frame(off, *args, **kw)
 
     monkeypatch.setattr(validation, "integrate_moving_frame", integrate_skewed)
-    result = _check_frame_equivalence(WaveParams(**kwargs), beta)
-    assert not result.passed, result.detail
+    passed, detail = _check_frame_equivalence(WaveParams(**kwargs), beta)
+    assert not passed, detail
 
 
 # ---------------------------------------------------------------------------
@@ -261,3 +263,22 @@ def test_brute_stagnation_counts_grid_zero_once(scenario_k1, index):
     got = _brute_stagnation(params, beta, lo, hi)
     assert got.count(0.0) == 1
     assert _bits(got) == _bits(_ref_brute_stagnation(params, beta, lo, hi))
+
+
+@pytest.mark.parametrize("label", ["k1", "k2", "k4"])
+def test_stagnation_oracle_finds_two_levels_about_the_kink(all_scenarios, label):
+    """At a = 1e-200 the two levels sit within one grid step of the kink
+    Z = beta/(kc), so both ends of the kink's grid cell are negative and
+    only the kink itself is positive."""
+    _, params, beta = next(s for s in all_scenarios if s[0] == label)
+    tiny = WaveParams(k=params.k, a=1e-200, g=params.g, direction=params.direction)
+    lo, hi = solve_stagnation(tiny, beta).search_interval
+    grid = np.linspace(lo, hi, _SCAN_POINTS)
+    kink = beta / (tiny.k * tiny.c)
+    i = int(np.searchsorted(grid, kink)) - 1
+    ends = grid[i : i + 2]
+    g = tiny.k * abs(tiny.A) * np.exp(ends) - np.abs(tiny.k * tiny.c * ends - beta)
+    assert np.all(g < 0.0)
+    passed, detail = _check_stagnation_oracle(tiny, beta)
+    assert passed, detail
+    assert detail.startswith("2 level(s)"), detail
