@@ -2,26 +2,21 @@
 
 Each check returns (passed, detail) with a deterministic detail string,
 and run_battery names its CheckResult after the check's function, so two
-runs over the same scenario print byte-identical reports.  The
-bounds are the same ones the library promises in its module contracts;
-a failing check means a broken invariant, not a loose expectation.
+runs over the same scenario print byte-identical reports.  The bounds are
+the same ones the library promises in its module contracts; a failing
+check means a broken invariant, not a loose expectation.  Stagnation
+levels are held to zeros that a grid-free branch and bound proves.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
 
 import numpy as np
 
-from .cubic_analysis import (
-    Case1Reduction,
-    Case2Reduction,
-    build_cubic,
-    classify_roots,
-)
-from .errors import ContractViolationError, DeepwaveError
+from .cubic_analysis import Case1Reduction, build_cubic, classify_roots
+from .errors import ContractViolationError, DeepwaveError, EmptyReportError
 from .ode_oracle import (
     IntegratorConfig,
     integrate_full,
@@ -29,7 +24,6 @@ from .ode_oracle import (
     integrate_truncated,
     residual_full_Z_ode,
 )
-from .sampled_path import linspace_block
 from .special_functions import complete_K, jacobi_sn_cn_dn
 from .stagnation import solve_stagnation
 from .trajectories import (
@@ -50,11 +44,6 @@ from .wave_field import WaveParams
 
 # Launch state (X, Z) of the checks that integrate the untruncated system.
 _LAUNCH = (math.pi / 3.0, 0.0)
-
-# Points of the stagnation oracle's dense scan, and how many intervals
-# between them it evaluates at once (0.5 MB per temporary).
-_SCAN_POINTS = 1_000_000
-_SCAN_CHUNK = 1 << 16
 
 # RK4 steps per wave period of the frame-equivalence runs.  The frame
 # map X = k(x - ct), Z = kz is affine and linear in t, so RK4 steps
@@ -99,10 +88,6 @@ def run_battery(params: WaveParams, beta: float) -> list[CheckResult]:
     return results
 
 
-def _classify(params: WaveParams, beta: float):
-    return classify_roots(build_cubic(params, beta))
-
-
 def _check_dispersion(params: WaveParams, beta: float) -> tuple[bool, str]:
     c = params.c
     identity = abs(c * c * params.k / params.g - 1.0)
@@ -134,7 +119,7 @@ def _check_elliptic_identities(params: WaveParams, beta: float) -> tuple[bool, s
 
 
 def _check_classification(params: WaveParams, beta: float) -> tuple[bool, str]:
-    red = _classify(params, beta)
+    red = classify_roots(build_cubic(params, beta))
     if isinstance(red, Case1Reduction):
         detail = (
             f"case 1: roots ({red.Z1:.6g}, {red.Z2:.6g}, {red.Z3:.6g}), "
@@ -178,7 +163,7 @@ def _check_closed_form_vs_oracle(params: WaveParams, beta: float) -> tuple[bool,
 
 
 def _check_drift(params: WaveParams, beta: float) -> tuple[bool, str]:
-    red = _classify(params, beta)
+    red = classify_roots(build_cubic(params, beta))
     if not isinstance(red, Case1Reduction):
         return True, "not applicable: case 2 path has no period"
     T = period_case1(red)
@@ -209,17 +194,33 @@ def _check_frame_equivalence(params: WaveParams, beta: float) -> tuple[bool, str
 
 
 def _check_stagnation_oracle(params: WaveParams, beta: float) -> tuple[bool, str]:
-    report = solve_stagnation(params, beta)
-    lo, hi = report.search_interval
-    brute = _brute_stagnation(params, beta, lo, hi)
-    found = [s.Z_star for s in report.solutions if not s.tangency]
-    if len(found) != len(brute):
-        return False, f"count mismatch: solver {len(found)}, dense scan {len(brute)}"
-    gap = max((abs(a - b) for a, b in zip(found, brute)), default=0.0)
-    return (
-        gap <= 1e-6,
-        f"{len(found)} level(s), max location gap {gap:.3e} vs 1e6-point scan",
-    )
+    """Plain levels and proven zeros pair one to one, in order and within
+    1e-6, but for those within 1e-6 of a cluster: it must be at most 1e-6
+    wide and hold a level.  EmptyReportError means none in the window."""
+    try:
+        report = solve_stagnation(params, beta)
+        (lo, hi), solutions = report.search_interval, report.solutions
+    except EmptyReportError:
+        (lo, hi), solutions = solve_stagnation.__defaults__[:2], ()
+    zeros, clusters = _enclose_stagnation(params, beta, lo, hi)
+    found = [s.Z_star for s in solutions if not s.tangency]
+    near = {  # the clusters within 1e-6 of each level and zero
+        Z: [c for c in clusters if c[0] - 1e-6 <= Z <= c[1] + 1e-6]
+        for Z in [s.Z_star for s in solutions] + zeros
+    }
+    for c in clusters:
+        if c[1] - c[0] > 1e-6 or all(c not in near[s.Z_star] for s in solutions):
+            return False, f"cluster [{c[0]:.17g}, {c[1]:.17g}] too wide or empty"
+    free, proven = ([Z for Z in Zs if not near[Z]] for Zs in (found, zeros))
+    if len(free) != len(proven):
+        return False, f"count mismatch: solver {len(free)}, proven {len(proven)}"
+    gaps = [abs(Z - z) for Z, z in zip(free, proven)]
+    gaps += [abs(Z - 0.5 * (a + b)) for Z in found for a, b in near[Z]]
+    gap = max(gaps, default=0.0)
+    detail = f"{len(found)} level(s), max location gap {gap:.3e} vs proven enclosures"
+    if clusters:
+        detail += f", {len(clusters)} unresolved cluster(s)"
+    return gap <= 1e-6, detail
 
 
 def _check_untruncated_residual(params: WaveParams, beta: float) -> tuple[bool, str]:
@@ -309,7 +310,7 @@ def _check_peakon_residual(params: WaveParams, beta: float) -> tuple[bool, str]:
 
 
 def _check_corrupted_beta_guard(params: WaveParams, beta: float) -> tuple[bool, str]:
-    red = _classify(params, beta)
+    red = classify_roots(build_cubic(params, beta))
     if isinstance(red, Case1Reduction):
         T = period_case1(red)
         t = np.linspace(0.0, T, 64)
@@ -331,60 +332,58 @@ def _check_corrupted_beta_guard(params: WaveParams, beta: float) -> tuple[bool, 
     )
 
 
-def _brute_stagnation(
+def _enclose_stagnation(
     params: WaveParams, beta: float, lo: float, hi: float
-) -> list[float]:
-    """Dense-scan oracle for the zeros of g = kA e^Z - |kc Z - beta|: the
-    10^6 points of np.linspace(lo, hi, 10**6), scanned _SCAN_CHUNK + 1 at
-    a time, plus pure bisection refinement of every sign change between
-    neighbours and every exact grid zero.  Two levels within a grid step
-    of the kink Z = beta/(kc) can leave both ends of its cell negative:
-    where g is positive at the kink, each side of the cell is bisected."""
-    kA = params.k * abs(params.A)
-    kc = params.k * params.c
-    kink = beta / kc
+) -> tuple[list[float], list[tuple[float, float]]]:
+    """Branch and bound for the zeros of g(Z) = kA e^Z - |kc Z - beta| on
+    [lo, hi]: midpoints of proven one-zero boxes, and clusters where rounding
+    hides any zero, in increasing order.  A box is dropped when g(m) +- rho
+    +- h sup|g'| excludes 0 (see _rounded_g), proven when g' keeps one sign
+    and g has certified opposite signs at its ends, clustered when h sup|g'|
+    <= rho or it is 4 ulps wide, and else halved.  Uses no convexity of g."""
+    kA, kc, eps = params.k * abs(params.A), params.k * params.c, math.ulp(1.0)
 
-    def f(Z: float) -> float:
-        return kA * math.exp(Z) - abs(kc * Z - beta)
+    def sign(Z: float) -> int:  # the sign of g(Z), or 0 where rounding hides it
+        value, rho = _rounded_g(kA, kc, beta, Z)
+        return (value > rho) - (value < -rho)
 
-    roots = []
-    for Zg in _scan_chunks(lo, hi):
-        s = kA * np.exp(Zg) - np.abs(kc * Zg - beta)
-        for i in np.flatnonzero(np.sign(s[:-1]) * np.sign(s[1:]) < 0.0):
-            roots.append(_bisect(f, float(Zg[i]), float(Zg[i + 1])))
-        i = int(np.searchsorted(Zg, kink)) - 1  # Zg[i] < kink <= Zg[i + 1]
-        inside = 0 <= i < Zg.size - 1 and kink < Zg[i + 1]
-        if inside and max(s[i], s[i + 1]) < 0.0 < f(kink):
-            roots.append(_bisect(f, float(Zg[i]), kink))
-            roots.append(_bisect(f, kink, float(Zg[i + 1])))
-        # A chunk's last point opens the next chunk, which counts its zero.
-        roots.extend(float(Z) for Z in Zg[:-1][s[:-1] == 0.0])
-    if s[-1] == 0.0:
-        roots.append(float(Zg[-1]))
-    return sorted(roots)
+    def side(Z: float) -> int:  # the same for kc Z - beta
+        u, r = kc * Z - beta, 2.0 * eps * (abs(kc * Z) + abs(beta))
+        return (u > r) - (u < -r)
 
-
-def _bisect(f: Callable[[float], float], a: float, b: float) -> float:
-    """Midpoint of [a, b] halved about f's sign change to 1e-13 relative."""
-    fa = f(a)
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fa * fm <= 0.0:
-            b = mid
+    zeros, clusters, boxes = [], [], [(lo, hi)]
+    while boxes:
+        a, b = boxes.pop()
+        value, rho = _rounded_g(kA, kc, beta, m := 0.5 * (a + b))
+        # g' lies in [d_lo, d_hi] up to slack, which covers their rounding;
+        # its term -kc sign(kc Z - beta) spans +-|kc| across the kink.
+        s = side(a) if side(a) == side(b) else 0
+        low, high = (-kc * s, -kc * s) if s else (-abs(kc), abs(kc))
+        eb = kA * math.exp(b)
+        d_lo, d_hi = kA * math.exp(a) + low, eb + high
+        slack = 8.0 * eps * (eb + abs(kc))
+        spread = max(m - a, b - m) * (max(abs(d_lo), abs(d_hi)) + slack)
+        if abs(value) > rho + spread:
+            continue
+        if (d_lo > slack or d_hi < -slack) and sign(a) * sign(b) < 0:
+            sa = sign(a)
+            while b - a > 1e-13 * max(1.0, abs(a), abs(b)):  # sign bisection
+                sm = sign(m := 0.5 * (a + b))
+                if sm == 0:
+                    break  # the bracket stays proven
+                a, b = (m, b) if sm == sa else (a, m)
+            zeros.append(0.5 * (a + b))
+        elif spread <= rho or b - a <= 4.0 * math.ulp(max(abs(a), abs(b))):
+            if clusters and clusters[-1][1] == a:
+                a = clusters.pop()[0]  # merge with the adjacent cluster box
+            clusters.append((a, b))
         else:
-            a, fa = mid, fm
-        if b - a <= 1e-13 * max(1.0, abs(mid)):
-            break
-    return 0.5 * (a + b)
+            boxes += [(m, b), (a, m)]  # the left half is searched first
+    return zeros, clusters
 
 
-def _scan_chunks(lo: float, hi: float) -> Iterator[np.ndarray]:
-    """np.linspace(lo, hi, _SCAN_POINTS) in pieces of _SCAN_CHUNK + 1
-    points, each starting on the previous piece's last point, every point
-    bit for bit as np.linspace places it."""
-    last = _SCAN_POINTS - 1
-    for first in range(0, last, _SCAN_CHUNK):
-        yield linspace_block(
-            lo, hi, _SCAN_POINTS, first, min(first + _SCAN_CHUNK, last) + 1
-        )
+def _rounded_g(kA: float, kc: float, beta: float, Z: float) -> tuple[float, float]:
+    """g(Z) = kA e^Z - |kc Z - beta| in floats, and rho = 4 eps (kA e^Z +
+    |kc Z| + |beta|), which bounds its rounding when exp is within 1 ulp."""
+    e, u = kA * math.exp(Z), kc * Z
+    return e - abs(u - beta), 4.0 * math.ulp(1.0) * (e + abs(u) + abs(beta))

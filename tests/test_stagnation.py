@@ -1,5 +1,6 @@
 """Stagnation levels against an independent dense scan, the frozen grid
-solver they replaced, close pairs and edge cases."""
+solver they replaced, the proven enclosures of validate's oracle, close
+pairs and edge cases."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from deepwave import (
     solve_stagnation,
 )
 from deepwave.stagnation import TANGENCY_TOL, StagnationSolution
+from deepwave.validation import _enclose_stagnation
 
 
 def dense_scan_levels(
@@ -298,6 +300,28 @@ def test_close_pair_resolved(k, a, separation):
     assert len(marks) == (separation < 1e-4)
     if marks:
         assert marks[0].Z_star == Zc and marks[0].branch == "minus"
+
+
+# (delta, bound): at beta_t (1 - delta) on k1 the minus-branch pair is
+# 3.2e-4, 3.2e-5, 3.2e-6 and 3.2e-7 apart; each bound is about twice the
+# largest gap measured between a plain level and its proven enclosure's
+# midpoint (1.9e-11, 2.2e-10, 2.2e-9, 2.2e-8).
+CLOSE_PAIR_GAPS = [(1e-8, 4e-11), (1e-10, 5e-10), (1e-12, 5e-9), (1e-14, 5e-8)]
+
+
+@pytest.mark.parametrize(("delta", "bound"), CLOSE_PAIR_GAPS)
+def test_close_pair_levels_match_proven_enclosures(scenario_k1, delta, bound):
+    """The solver's plain levels near a tangency against the zeros that
+    validate's enclosure search proves, which uses no convexity."""
+    params, _ = scenario_k1
+    kA, kc = params.k * abs(params.A), params.k * params.c
+    beta = kc * (math.log(kc / kA) - 1.0) * (1.0 - delta)
+    report = solve_stagnation(params, beta)
+    plain = [s.Z_star for s in report.solutions if not s.tangency]
+    zeros, _ = _enclose_stagnation(params, beta, *report.search_interval)
+    assert len(plain) == len(zeros) == 3
+    gaps = [abs(Z - z) for Z, z in zip(plain, zeros)]
+    assert max(gaps) <= bound, gaps
 
 
 def test_root_on_critical_point_counted_once():

@@ -1,36 +1,37 @@
 """The self-check battery must pass on healthy scenarios, degrade to FAIL
 results (not exceptions) on broken ones, and print deterministically.
 
-The stagnation oracle's chunked scan is checked against a frozen copy of
-the whole-grid scan it replaced, and the battery's memory against a
-bound."""
+The stagnation oracle's enclosure search is checked at a near tangency,
+an exact zero, an underflowing amplitude and an empty window, and
+against a solver that drops or moves a level; the battery's memory is
+checked against a bound."""
 
 from __future__ import annotations
 
 import math
+import random
+import time
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from deepwave import validation
 from deepwave.cubic_analysis import Case1Reduction, build_cubic, classify_roots
-from deepwave.errors import DegenerateRootsError
+from deepwave.errors import DegenerateRootsError, EmptyReportError
 from deepwave.ode_oracle import IntegratorConfig, integrate_full, integrate_moving_frame
 from deepwave.stagnation import solve_stagnation
 from deepwave.validation import (
     _FRAME_STEPS_PER_PERIOD,
     _LAUNCH,
-    _SCAN_CHUNK,
-    _SCAN_POINTS,
     CheckResult,
-    _brute_stagnation,
     _check_frame_equivalence,
     _check_stagnation_oracle,
-    _scan_chunks,
+    _enclose_stagnation,
+    _rounded_g,
     run_battery,
 )
 from deepwave.wave_field import WaveParams
@@ -105,8 +106,8 @@ def _degenerate_beta(params: WaveParams, lo: float, hi: float) -> float:
 
 
 def test_battery_memory_is_bounded(scenario_k4):
-    """The battery holds no whole 10^6-point scan and no boxed oracle
-    knots (32 MB traced when it did)."""
+    """The battery holds no 10^6-point scan and no boxed oracle knots
+    (32 MB traced with both, 2.6 MB with a chunked scan)."""
     params, beta = scenario_k4
     run_battery(params, beta)  # build the cached quadrature rule first
     tracemalloc.start()
@@ -117,7 +118,7 @@ def test_battery_memory_is_bounded(scenario_k4):
     finally:
         tracemalloc.stop()
     assert all(r.passed for r in results)
-    assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
+    assert peak <= 2e6, f"peak {peak / 1e6:.2f} MB"
 
 
 # The reference scenarios and a wave travelling the other way.
@@ -161,124 +162,154 @@ def test_frame_check_fails_on_a_wrong_frame_term(monkeypatch, kwargs, beta):
 
 
 # ---------------------------------------------------------------------------
-# Frozen copy of the whole-grid stagnation scan that the chunked scan
-# replaced; the chunked scan must return exactly its levels.
+# The stagnation oracle's enclosure search.
 
 
-def _ref_brute_stagnation(params, beta, lo, hi):
-    kA = params.k * abs(params.A)
-    kc = params.k * params.c
-    Zg = np.linspace(lo, hi, 1_000_000)
-    s = kA * np.exp(Zg) - np.abs(kc * Zg - beta)
-
-    def f(Z):
-        return kA * math.exp(Z) - abs(kc * Z - beta)
-
-    roots = []
-    for i in np.flatnonzero(np.sign(s[:-1]) * np.sign(s[1:]) < 0.0):
-        a, b = float(Zg[i]), float(Zg[i + 1])
-        fa = f(a)
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            fm = f(mid)
-            if fa * fm <= 0.0:
-                b = mid
-            else:
-                a, fa = mid, fm
-            if b - a <= 1e-13 * max(1.0, abs(mid)):
-                break
-        roots.append(0.5 * (a + b))
-    for i in np.flatnonzero(s == 0.0):
-        roots.append(float(Zg[i]))
-    return sorted(roots)
+def _tangency_beta(params: WaveParams) -> float:
+    """beta_t = kc (ln(kc / k|A|) - 1), where the minus branch touches 0
+    at its critical point; just below it the branch holds a close pair."""
+    kA, kc = params.k * abs(params.A), params.k * params.c
+    return kc * (math.log(kc / kA) - 1.0)
 
 
-def _bits(values):
-    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+def test_stagnation_enclosure_rounding_bound_holds():
+    """rho bounds |g(Z) in floats - g(Z)| against 160-bit mpmath on the
+    same float coefficients, with half the draws within 1e-15 of the kink
+    where kc Z - beta cancels.  The worst error read 1.16 eps (kA e^Z +
+    |kc Z| + |beta|), so a bound of 1 eps times those terms fails here."""
+    rng = random.Random(2024)
+    worst = 0.0
+    with mpmath.workprec(160):
+        for _ in range(3000):
+            kA = 10.0 ** rng.uniform(-3.0, 1.0)
+            kc = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-0.5, 1.0)
+            beta = rng.uniform(-5.0, 5.0)
+            Z = rng.uniform(-20.0, 5.0)
+            if rng.random() < 0.5:
+                Z = beta / kc * (1.0 + rng.uniform(-1e-15, 1e-15))
+            value, rho = _rounded_g(kA, kc, beta, Z)
+            exact = kA * mpmath.exp(mpmath.mpf(Z)) - abs(kc * mpmath.mpf(Z) - beta)
+            err = float(abs(value - exact))
+            assert err <= rho, (kA, kc, beta, Z)
+            worst = max(worst, err / (rho / 4.0))
+    assert worst > 1.0
 
 
-def _assert_chunks_are_linspace(lo, hi):
-    chunks = list(_scan_chunks(lo, hi))
-    assert all(c.size <= _SCAN_CHUNK + 1 for c in chunks)
-    for prev, nxt in zip(chunks, chunks[1:]):
-        assert _bits(prev[-1:]) == _bits(nxt[:1])  # one shared point per edge
-    joined = np.concatenate([chunks[0]] + [c[1:] for c in chunks[1:]])
-    want = np.linspace(lo, hi, _SCAN_POINTS)
-    assert joined.size == want.size
-    assert joined[-1] == hi
-    np.testing.assert_array_equal(joined.view(np.uint64), want.view(np.uint64))
+@pytest.mark.parametrize("delta", [1e-11, 1e-12])
+def test_stagnation_enclosure_proves_a_near_tangency_pair(scenario_k1, delta):
+    """At beta_t (1 - delta) the pair is 1.0e-5 or 3.2e-6 apart, inside one
+    step of the 10^6-point scan this oracle replaced, which found 1 level
+    where the solver reports 3."""
+    params, _ = scenario_k1
+    beta = _tangency_beta(params) * (1.0 - delta)
+    passed, detail = _check_stagnation_oracle(params, beta)
+    assert passed, detail
+    assert detail.startswith("3 level(s)") and "cluster" not in detail, detail
+    zeros, clusters = _enclose_stagnation(params, beta, -20.0, 5.0)
+    assert len(zeros) == 3 and not clusters
 
 
-def test_scan_chunks_match_linspace_on_reference_intervals(all_scenarios):
-    for _, params, beta in all_scenarios:
-        _assert_chunks_are_linspace(*solve_stagnation(params, beta).search_interval)
+def test_stagnation_enclosure_clusters_an_exact_tangency(scenario_k1):
+    """At beta_t the double root sits in one narrow cluster about the
+    solver's tangency level; the plain level below it is proven."""
+    params, _ = scenario_k1
+    beta = _tangency_beta(params)
+    passed, detail = _check_stagnation_oracle(params, beta)
+    assert passed, detail
+    zeros, clusters = _enclose_stagnation(params, beta, -20.0, 5.0)
+    assert len(zeros) == 1 and len(clusters) == 1
+    (a, b), Zc = clusters[0], math.log(params.c / abs(params.A))
+    assert b - a <= 1e-6 and a - 1e-6 <= Zc <= b + 1e-6
 
 
-@settings(max_examples=15)
-@given(
-    ends=st.lists(st.floats(-60.0, 5.0), min_size=2, max_size=2, unique=True).map(
-        sorted
-    )
+@pytest.mark.parametrize(
+    "lo, hi", [(0.0, 5.0), (-1.0, 1.0)], ids=["window-end", "box-midpoint"]
 )
-@example(ends=[-1.3, 2.9])  # here lo + (n - 1) * step misses hi by one ulp
-def test_scan_chunks_match_linspace_on_drawn_intervals(ends):
-    _assert_chunks_are_linspace(*ends)
-
-
-def test_brute_stagnation_matches_whole_grid_scan(all_scenarios):
-    for label, params, beta in all_scenarios:
-        lo, hi = solve_stagnation(params, beta).search_interval
-        got = _brute_stagnation(params, beta, lo, hi)
-        assert got, label
-        assert _bits(got) == _bits(_ref_brute_stagnation(params, beta, lo, hi))
-
-
-@pytest.mark.parametrize("offset", [-0.5, 0.5, 1.5])
-@pytest.mark.parametrize("edge", [_SCAN_CHUNK, 5 * _SCAN_CHUNK])
-def test_brute_stagnation_finds_sign_change_at_chunk_edge(scenario_k1, edge, offset):
-    """A level between the grid points either side of a chunk edge."""
-    params, beta = scenario_k1
-    level = solve_stagnation(params, beta).solutions[0].Z_star
-    step = 1e-5
-    lo = level - (edge + offset) * step
-    hi = lo + (_SCAN_POINTS - 1) * step
-    grid = np.linspace(lo, hi, _SCAN_POINTS)
-    i = int(np.searchsorted(grid, level)) - 1
-    assert edge - 1 <= i <= edge + 1  # the level's grid interval touches the edge
-    got = _brute_stagnation(params, beta, lo, hi)
-    assert any(abs(z - level) <= 1e-9 for z in got)
-    assert _bits(got) == _bits(_ref_brute_stagnation(params, beta, lo, hi))
-
-
-@pytest.mark.parametrize("index", [0, _SCAN_CHUNK, 3 * _SCAN_CHUNK, _SCAN_POINTS - 1])
-def test_brute_stagnation_counts_grid_zero_once(scenario_k1, index):
-    """With beta = kA, Z = 0 is a level; with a power-of-two step it is
-    also grid point ``index`` exactly, here the first point, chunk edges
-    and the pinned last point."""
+def test_stagnation_enclosure_counts_an_exact_zero_once(scenario_k1, lo, hi):
+    """With beta = k|A|, g(0) rounds to exactly 0: Z = 0 is a level, at a
+    window end or at the first box's midpoint.  It must show as one
+    enclosure, not one per box that touches it."""
     params, _ = scenario_k1
     beta = params.k * abs(params.A)
-    step = 2.0**-16
-    lo = -index * step
-    hi = (_SCAN_POINTS - 1 - index) * step
-    got = _brute_stagnation(params, beta, lo, hi)
-    assert got.count(0.0) == 1
-    assert _bits(got) == _bits(_ref_brute_stagnation(params, beta, lo, hi))
+    zeros, clusters = _enclose_stagnation(params, beta, lo, hi)
+    hits = [z for z in zeros if abs(z) <= 1e-9] + [
+        c for c in clusters if c[0] - 1e-9 <= 0.0 <= c[1] + 1e-9
+    ]
+    assert len(hits) == 1, (zeros, clusters)
+    levels = solve_stagnation(params, beta, lo, hi).solutions
+    assert len(zeros) + len(clusters) == len(levels)
+    passed, detail = _check_stagnation_oracle(params, beta)
+    assert passed, detail
 
 
 @pytest.mark.parametrize("label", ["k1", "k2", "k4"])
-def test_stagnation_oracle_finds_two_levels_about_the_kink(all_scenarios, label):
-    """At a = 1e-200 the two levels sit within one grid step of the kink
-    Z = beta/(kc), so both ends of the kink's grid cell are negative and
-    only the kink itself is positive."""
+def test_stagnation_enclosure_clusters_the_pair_about_the_kink(all_scenarios, label):
+    """At a = 1e-200 the two levels sit within 6e-14 of the kink
+    Z = beta/(kc): rounding hides them, and one cluster about 1e-15 wide
+    holds the pair."""
     _, params, beta = next(s for s in all_scenarios if s[0] == label)
     tiny = WaveParams(k=params.k, a=1e-200, g=params.g, direction=params.direction)
-    lo, hi = solve_stagnation(tiny, beta).search_interval
-    grid = np.linspace(lo, hi, _SCAN_POINTS)
-    kink = beta / (tiny.k * tiny.c)
-    i = int(np.searchsorted(grid, kink)) - 1
-    ends = grid[i : i + 2]
-    g = tiny.k * abs(tiny.A) * np.exp(ends) - np.abs(tiny.k * tiny.c * ends - beta)
-    assert np.all(g < 0.0)
+    zeros, clusters = _enclose_stagnation(tiny, beta, -20.0, 5.0)
+    assert not zeros and len(clusters) == 1
+    (a, b), kink = clusters[0], beta / (tiny.k * tiny.c)
+    assert a <= kink <= b and b - a <= 1e-14
+    levels = [s.Z_star for s in solve_stagnation(tiny, beta).solutions]
+    assert len(levels) == 2
+    assert all(a - 1e-12 <= Z <= b + 1e-12 for Z in levels)
     passed, detail = _check_stagnation_oracle(tiny, beta)
     assert passed, detail
     assert detail.startswith("2 level(s)"), detail
+    assert detail.endswith(", 1 unresolved cluster(s)"), detail
+
+
+def test_stagnation_enclosure_accepts_an_empty_window(scenario_k1):
+    """At beta = 100 g has no zero in [-20, 5]: the solver's
+    EmptyReportError counts as no level, and the search finds none."""
+    params, _ = scenario_k1
+    assert _enclose_stagnation(params, 100.0, -20.0, 5.0) == ([], [])
+    passed, detail = _check_stagnation_oracle(params, 100.0)
+    assert passed, detail
+    assert detail == "0 level(s), max location gap 0.000e+00 vs proven enclosures"
+
+
+def _report_without_levels(params, beta, Z_min=-20.0, Z_max=5.0, grid=4096):
+    raise EmptyReportError(f"no stagnation level in [{Z_min}, {Z_max}]")
+
+
+def _report_dropping_a_level(*args, **kwargs):
+    report = solve_stagnation(*args, **kwargs)
+    return replace(report, solutions=report.solutions[1:])
+
+
+def _report_shifting_a_level(*args, **kwargs):
+    report = solve_stagnation(*args, **kwargs)
+    first = report.solutions[0]
+    moved = replace(first, Z_star=first.Z_star + 1e-5)
+    return replace(report, solutions=(moved,) + report.solutions[1:])
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [_report_without_levels, _report_dropping_a_level, _report_shifting_a_level],
+)
+def test_stagnation_enclosure_catches_a_wrong_solver(
+    monkeypatch, all_scenarios, broken
+):
+    monkeypatch.setattr(validation, "solve_stagnation", broken)
+    for label, params, beta in all_scenarios:
+        passed, detail = _check_stagnation_oracle(params, beta)
+        assert not passed, (label, detail)
+
+
+def test_stagnation_enclosure_search_is_fast(scenario_k1):
+    """The search ends in well under 50 ms at a tangency, where g is flat,
+    and at a = 1e-200, where rounding hides the pair (about 0.5 ms each)."""
+    params, _ = scenario_k1
+    tiny = WaveParams(k=params.k, a=1e-200, g=params.g)
+    for p, beta in ((params, _tangency_beta(params)), (tiny, 1.0)):
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            _enclose_stagnation(p, beta, -20.0, 5.0)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.05, f"{best * 1e3:.1f} ms at beta {beta}"
