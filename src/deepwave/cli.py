@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Iterator
 
 import click
 
-from .errors import DeepwaveError
+from .errors import DeepwaveError, ParameterDomainError
 from .scenario import ScenarioConfig, build_scenario
 from .wave_field import WaveParams, evaluate_field
 
@@ -128,7 +128,7 @@ def trajectory(config_path: str | None, **kwargs) -> None:
     sc = build_scenario(config_path, kwargs)
     data, summary, svg = trajectory_output(sc)
     emit_text(sc.out, data)
-    click.echo(summary, nl=False, err=sc.out in (None, "-"))
+    click.echo(summary, nl=False, err=sc.out in (None, "-") or sc.svg == "-")
     if svg is not None:
         emit_text(sc.svg, svg)
 
@@ -183,9 +183,14 @@ def trajectory_output(
     the JSON keeps Z from the first pass (about 8 B per sample) and
     rebuilds each column from it without the kernel: t, z and Z as they
     are, x and X through the assembly step.  The oracle is one whole
-    block."""
+    block.  Data and SVG both bound for stdout, or for one file, raise
+    ParameterDomainError before the path is evaluated."""
     from .emitters import csv_pieces, json_pieces, summary_text, survey, svg_pieces
 
+    out = "-" if sc.out is None else sc.out
+    if sc.svg and _one_target(out, sc.svg):
+        where = "stdout" if out == "-" else repr(out)
+        raise ParameterDomainError(f"the sample data and the SVG would both go to {where}")
     blocks, offset = _trajectory_blocks(sc, whole=False)
     s = survey(blocks)
     data = (csv_pieces if sc.format == "csv" else json_pieces)(s)
@@ -194,6 +199,16 @@ def trajectory_output(
         marks = _asymptote_x(sc, s.asymptote_times, offset)
         svg = svg_pieces(s, marks, title=f"{s.case_tag} path")
     return data, summary_text(s), svg
+
+
+def _one_target(out: str, svg: str) -> bool:
+    """Whether two output targets ("-": stdout) are one: both stdout, or
+    paths that resolve to one file."""
+    if "-" in (out, svg):
+        return out == svg
+    return os.path.realpath(out) == os.path.realpath(svg) or (
+        os.path.exists(out) and os.path.exists(svg) and os.path.samefile(out, svg)
+    )
 
 
 def _trajectory_blocks(sc: ScenarioConfig, whole: bool):
@@ -264,11 +279,13 @@ def validate_report(sc: ScenarioConfig) -> tuple[int, str]:
 def _oracle_series(sc: ScenarioConfig, params: WaveParams, red) -> TrajectorySeries:
     """The untruncated dynamics from the closed form's launch state, sampled
     on the closed forms' checked grid."""
+    import numpy as np
+
     from .cubic_analysis import Case1Reduction
     from .ode_oracle import IntegratorConfig, integrate_moving_frame
-    from .trajectories import _sample_grid
+    from .trajectories import _sample_window
 
-    ts = _sample_grid(params, sc.t_start, sc.t_end, sc.samples)
+    ts = np.linspace(*_sample_window(params, sc.t_start, sc.t_end, sc.samples))
     Z_init = red.Z1 if isinstance(red, Case1Reduction) else red.Z0
     kA = params.k * params.A
     r0 = (params.k * params.c * Z_init - sc.beta) * math.exp(-Z_init) / kA

@@ -18,14 +18,15 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import AsymptoteProximityError, ContractViolationError
+from .special_functions import _BLOCK
 
 if TYPE_CHECKING:
     from .trajectories import TrajectorySeries
 
 # Grid times per block when a SampledPath is iterated: one block of the
-# Jacobi kernel (special_functions._BLOCK), so each block's arrays stay at
-# 32 kB whatever the sample count.
-STREAM_BLOCK = 4096
+# Jacobi kernel, so each block's arrays stay at 32 kB whatever the sample
+# count.
+STREAM_BLOCK = _BLOCK
 
 # A streamed pass allocates and frees block-sized arrays, and so does the
 # decimal writer after it.  glibc maps an allocation above its mmap
@@ -43,12 +44,13 @@ class SampledPath:
     """A closed-form path of wavenumber k on the grid np.linspace(*window)
     of a window whose checks have passed.
 
-    kernel(t) evaluates the closed form at grid times t as (keep, Z, dZdt):
-    keep marks the times the asymptote rule keeps (None: all of them), Z
-    and dZdt hold the values at those times.  assemble(t, Z, dZdt) builds
-    the series of the kept times t from Z alone; dZdt is attached and may
-    be None.  A path whose rule keeps no time raises
-    AsymptoteProximityError with nearest_time attached.
+    kernel(t) evaluates the closed form at grid times t as (keep, Z, dZdt,
+    ...): keep marks the times the asymptote rule keeps (None: all of
+    them), Z and dZdt hold the values at those times, and the path reads
+    no further value.  assemble(t, Z, dZdt) builds the series of the kept
+    times t from Z alone; dZdt is attached and may be None.  A path whose
+    rule keeps no time raises AsymptoteProximityError with nearest_time
+    attached.
 
     series() evaluates the whole grid as one series.  Iterating the path
     evaluates it STREAM_BLOCK times at a time and yields each block that
@@ -105,7 +107,7 @@ class SampledPath:
         last = None
         for i, first in enumerate(range(0, n, size)):
             t = linspace_block(t_start, t_end, n, first, min(first + size, n))
-            keep, Z, dZdt = self._kernel(t) if stored is None else (*stored[i], None)
+            keep, Z, dZdt = self._kernel(t)[:3] if stored is None else (*stored[i], None)
             if keep is not None:
                 if keep.all():
                     keep = None

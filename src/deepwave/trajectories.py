@@ -27,14 +27,21 @@ series is sampled.  As Z comes from the truncated cubic model, the
 arccos argument stops short of +-1 at a turning point Z_turn and x jumps
 by 2 arccos|cos X(Z_turn)|/k there: that jump is the truncation gap.
 
+Each family is declared once, in a private record (_peakon_form,
+_case1_form, _case2_form) of its range lines, its kernel (Z and dZ/dt at
+the times its asymptote guard keeps) and its nearest-asymptote rule.  A
+point call checks the lines at its earliest and latest time and raises
+at the first guarded time; a sampled path checks them at the window's
+ends and drops the guarded times.
+
 Every closed form is pointwise in t: case 1 reads its sheet off
 floor(u/K), case 2 off the phase modulo 4K, and the peakon has none.  So
 each series builder is series() of a sampled_path.SampledPath, made by
 sampled_case1, sampled_case2 or sampled_peakon, which check the window
 and compute its metadata (period, drift, asymptote marks) once.  The
 path evaluates its grid at once (series()) or STREAM_BLOCK times at a
-time (iteration), with the same rows bit for bit.  Its kernel step gives
-Z at the kept times; its assembly step builds x, z and X from Z and the
+time (iteration), with the same rows bit for bit.  Its kernel step is
+the record's kernel; its assembly step builds x, z and X from Z and the
 times alone.
 """
 
@@ -43,7 +50,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -182,16 +189,8 @@ def peakon_path(params: WaveParams, pk: PeakonParams, t: Times) -> tuple[Times, 
         returns every finite z, also at |kA t + const2| ~ 3e-10 next to
         t*, while peakon_series leaves a gap of ASYMPTOTE_GUARD there.
     """
-    ts = _point_times(t, *_peakon_lines(params, pk))
-    keep, _, x, _, Z = _peakon(params, pk, ts, 1e-300)
-    if not np.all(keep):
-        raise AsymptoteProximityError(
-            f"peakon evaluation at t={float(ts.flat[np.argmin(keep)])} "
-            "is on the vertical asymptote",
-            nearest_time=pk.blowup_time(params),
-        )
-    # Every sample was kept, so the flat values fill t's shape exactly.
-    return _like(t, x.reshape(ts.shape)), _like(t, (Z / params.k).reshape(ts.shape))
+    Z, _, x = _at(t, _peakon_form(params, pk, 1e-300))
+    return x, Z / params.k
 
 
 def peakon_residuals(
@@ -240,16 +239,13 @@ def sampled_peakon(
     n_samples: int,
 ) -> SampledPath:
     """The SampledPath of peakon_series, with the same window checks."""
+    form = _peakon_form(params, pk, ASYMPTOTE_GUARD)
     window = _sample_window(
-        params, t_start, t_end, n_samples, *_peakon_lines(params, pk),
+        params, t_start, t_end, n_samples, *form.lines,
         ("X = k const1", lambda t: params.k * pk.const1, math.inf),
         ("t*", lambda t: pk.blowup_time(params), math.inf),
     )
-    kA, t_star = params.k * params.A, pk.blowup_time(params)
-
-    def kernel(t):
-        keep, _, _, w, Z = _peakon(params, pk, t, ASYMPTOTE_GUARD)
-        return keep, Z, -kA / w
+    t_star = form.nearest(t_start)
 
     def assemble(t, Z, dZdt):
         return TrajectorySeries(
@@ -258,7 +254,7 @@ def sampled_peakon(
             case_tag="peakon", asymptote_times=(t_star,), dZdt=dZdt,
         )
 
-    return SampledPath(window, params.k, kernel, assemble, t_star)
+    return SampledPath(window, params.k, form.kernel, assemble, t_star)
 
 
 def case1_Z(red: Case1Reduction, t: Times, t0: float = 0.0) -> Times:
@@ -274,7 +270,7 @@ def case1_Z(red: Case1Reduction, t: Times, t0: float = 0.0) -> Times:
         When the phase C1 (t - t0) of a sample is not finite or passes
         2^52 quarter periods K, as case1_series rejects a window.
     """
-    return _like(t, _case1_point(red, t, t0)[0])
+    return _at(t, _case1_form(red, t0))[0]
 
 
 def case1_dZdt(red: Case1Reduction, t: Times, t0: float = 0.0) -> Times:
@@ -282,7 +278,7 @@ def case1_dZdt(red: Case1Reduction, t: Times, t0: float = 0.0) -> Times:
 
     t and the phase bound are as in case1_Z.
     """
-    return _like(t, _case1_point(red, t, t0)[1])
+    return _at(t, _case1_form(red, t0))[1]
 
 
 def period_case1(red: Case1Reduction) -> float:
@@ -308,7 +304,7 @@ def case2_Z(red: Case2Reduction, t: Times, t0: float = 0.0) -> Times:
         samples.  The nearest asymptote time of the first guarded sample
         is attached.
     """
-    return _like(t, _case2_point(red, t, t0)[0])
+    return _at(t, _case2_form(red, t0))[0]
 
 
 def case2_dZdt(red: Case2Reduction, t: Times, t0: float = 0.0) -> Times:
@@ -317,7 +313,7 @@ def case2_dZdt(red: Case2Reduction, t: Times, t0: float = 0.0) -> Times:
     t is a float or an array of any shape; the result has the same form.
     Out-of-range phases and guarded samples raise as in case2_Z.
     """
-    return _like(t, _case2_point(red, t, t0)[1])
+    return _at(t, _case2_form(red, t0))[1]
 
 
 def asymptote_times(
@@ -461,20 +457,15 @@ def sampled_case1(
     t0: float = 0.0,
 ) -> SampledPath:
     """The SampledPath of case1_series, with the same window checks."""
-    quarter = complete_K(red.k1sq)
-    window = _sample_window(
-        params, t_start, t_end, n_samples, _phase(red.C1, t0, quarter)
-    )
+    form = _case1_form(red, t0)
+    window = _sample_window(params, t_start, t_end, n_samples, *form.lines)
     below = [_cos_negative(params, beta, Z_turn) for Z_turn in (red.Z1, red.Z2)]
-    period = 2.0 * quarter / red.C1
+    period = 2.0 * form.quarter / red.C1
     drift = params.c * period + 2.0 * math.pi * _laps(params, *below) / params.k
-
-    def kernel(t):
-        return None, *_case1(red, red.C1 * (t - t0))
 
     def assemble(t, Z, dZdt):
         u = red.C1 * (t - t0)
-        half = np.floor(np.divide(u, quarter, out=u), out=u).astype(np.int64)
+        half = np.floor(np.divide(u, form.quarter, out=u), out=u).astype(np.int64)
         del u
         return _assemble(
             params, t, Z, dZdt, _cos_phase(params, beta, Z),
@@ -482,7 +473,7 @@ def sampled_case1(
             drift_per_period=drift,
         )
 
-    return SampledPath(window, params.k, kernel, assemble)
+    return SampledPath(window, params.k, form.kernel, assemble)
 
 
 def case2_series(
@@ -516,10 +507,9 @@ def sampled_case2(
     """The SampledPath of case2_series, with the same window checks; a
     window spanning more than MAX_ASYMPTOTES asymptotes fails here, before
     any kernel call."""
-    quarter = complete_K(red.k2sq)
-    window = _sample_window(
-        params, t_start, t_end, n_samples, _phase(red.C2, t0, quarter)
-    )
+    form = _case2_form(red, t0)
+    window = _sample_window(params, t_start, t_end, n_samples, *form.lines)
+    quarter = form.quarter
     n_lo = math.floor((red.C2 * (t_start - t0) / quarter - 2.0) / 4.0)
     n_hi = math.ceil((red.C2 * (t_end - t0) / quarter - 2.0) / 4.0)
     if n_hi - n_lo > MAX_ASYMPTOTES:
@@ -532,9 +522,6 @@ def sampled_case2(
         if t_start <= ta <= t_end
     )
     below = _cos_negative(params, beta, red.Z0)
-
-    def kernel(t):
-        return _case2(red, red.C2 * (t - t0))
 
     def assemble(t, Z, dZdt):
         # Half periods 0 (rising: u in [0, 2K) mod 4K, where Z climbs from
@@ -549,85 +536,109 @@ def sampled_case2(
             case_tag="case2", asymptote_times=marks,
         )
 
-    nearest = _nearest_asymptote(red, quarter, t0, red.C2 * (t_start - t0))
-    return SampledPath(window, params.k, kernel, assemble, nearest)
+    return SampledPath(window, params.k, form.kernel, assemble, form.nearest(t_start))
 
 
-def _peakon(
-    params: WaveParams, pk: PeakonParams, t: np.ndarray, guard: float
-) -> tuple[np.ndarray, ...]:
-    """Peakon closed form (keep, t, x, w, Z) at the times t whose asymptote
-    argument w = kA t + const2 has |w| >= guard: keep, shaped like t, marks
-    those times, and t, x, w and Z hold the values at them only, flat."""
-    w = params.k * params.A * t + pk.const2
-    keep = np.abs(w) >= guard
-    t, w = t[keep], w[keep]
-    return keep, t, params.c * t + pk.const1, w, -np.log(np.abs(w))
+class _Form(NamedTuple):
+    """One closed-form family at fixed constants, read by its point calls
+    (_at) and its SampledPath alike: the (name, line, bound) triples that
+    must hold at the earliest and the latest time; kernel(t), which gives
+    (keep, Z, dZdt, ...) at the times t (keep marks the times the guard
+    keeps, None all of them; the values are those at the kept times); the
+    quarter period K of the elliptic phase; and for a guarded family the
+    asymptote time nearest(t) and a point call's error text for t."""
+
+    lines: tuple
+    kernel: Callable[[np.ndarray], tuple]
+    quarter: float | None = None
+    nearest: Callable[[float], float] | None = None
+    guarded: str = ""
 
 
-def _peakon_lines(params: WaveParams, pk: PeakonParams):
-    """The peakon's lines c t + const1 and kA t + const2, for _check_lines."""
+def _peakon_form(params: WaveParams, pk: PeakonParams, guard: float) -> _Form:
+    """The peakon: lines c t + const1 and kA t + const2, the kernel
+    (keep, Z, dZdt, x) at the times whose w = kA t + const2 has
+    |w| >= guard, Z = -log|w|, dZdt = -kA/w and x = c t + const1, and t*
+    the asymptote nearest every time."""
     kA = params.k * params.A
-    return (
-        ("c t + const1", lambda t: params.c * t + pk.const1, math.inf),
-        ("kA t + const2", lambda t: kA * t + pk.const2, math.inf),
+
+    def kernel(t):
+        w = kA * t + pk.const2
+        keep = np.abs(w) >= guard
+        t, w = t[keep], w[keep]
+        # A point call's guard lets kA/w pass the float range next to t*.
+        with np.errstate(over="ignore"):
+            dZdt = -kA / w
+        return keep, -np.log(np.abs(w)), dZdt, params.c * t + pk.const1
+
+    return _Form(
+        (
+            ("c t + const1", lambda t: params.c * t + pk.const1, math.inf),
+            ("kA t + const2", lambda t: kA * t + pk.const2, math.inf),
+        ),
+        kernel, nearest=lambda t: pk.blowup_time(params),
+        guarded="peakon evaluation at t={} is on the vertical asymptote",
     )
 
 
-def _case1(red: Case1Reduction, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Case-1 closed form (Z, dZdt) at every phase u = C1 (t - t0)."""
-    sn, cn, dn = jacobi_sn_cn_dn(u, red.k1sq)
-    Z = red.Z2 * sn * sn + red.Z1 * cn * cn
-    dZdt = 2.0 * red.C1 * (red.Z2 - red.Z1) * sn * cn * dn
-    return Z, dZdt
+def _case1_form(red: Case1Reduction, t0: float) -> _Form:
+    """Case 1: the phase line and Z2 sn^2 + Z1 cn^2 with its derivative at
+    every time; nothing is guarded."""
+    quarter = complete_K(red.k1sq)
+
+    def kernel(t):
+        sn, cn, dn = jacobi_sn_cn_dn(red.C1 * (t - t0), red.k1sq)
+        Z = red.Z2 * sn * sn + red.Z1 * cn * cn
+        return None, Z, 2.0 * red.C1 * (red.Z2 - red.Z1) * sn * cn * dn
+
+    return _Form((_phase(red.C1, t0, quarter),), kernel, quarter)
 
 
-def _case1_point(
-    red: Case1Reduction, t: Times, t0: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(Z, dZdt) of _case1 at every sample of t, at least 1-d."""
-    t = _point_times(t, _phase(red.C1, t0, complete_K(red.k1sq)))
-    return _case1(red, red.C1 * (t - t0))
-
-
-def _case2(
-    red: Case2Reduction, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Case-2 closed form at the phases u = C2 (t - t0) that pass the
-    asymptote rule.
-
-    Returns (keep, Z, dZdt): keep marks those phases, and Z and dZdt hold
-    the values at them only.  A phase is guarded when its 1 + cn falls
-    below CN_DENOM_GUARD.
-    """
-    sn, cn, dn = jacobi_sn_cn_dn(u, red.k2sq)
-    denom = 1.0 + cn
-    keep = ~(denom < CN_DENOM_GUARD)
-    sn, cn, dn, denom = sn[keep], cn[keep], dn[keep], denom[keep]
-    R = math.sqrt(red.Z0 * red.Z0 + red.p * red.Z0 + red.q)
-    Z = red.Z0 + R * (1.0 - cn) / denom
-    dZdt = 2.0 * red.C2 * R * sn * dn / (denom * denom)
-    return keep, Z, dZdt
-
-
-def _case2_point(
-    red: Case2Reduction, t: Times, t0: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(Z, dZdt) of _case2 at every sample of t, shaped like t, or the
-    guard's error."""
+def _case2_form(red: Case2Reduction, t0: float) -> _Form:
+    """Case 2: the phase line, Z0 + R (1 - cn)/(1 + cn) with its derivative
+    at the times whose 1 + cn is at least CN_DENOM_GUARD, and the nearest
+    asymptote t0 + (2 + 4n) K/C2, for a guarded time the one whose guard
+    band holds it."""
     quarter = complete_K(red.k2sq)
-    t = _point_times(t, _phase(red.C2, t0, quarter))
-    u = red.C2 * (t - t0)
-    keep, Z, dZdt = _case2(red, u)
-    if not np.all(keep):
-        i = int(np.argmin(keep))
+
+    def kernel(t):
+        sn, cn, dn = jacobi_sn_cn_dn(red.C2 * (t - t0), red.k2sq)
+        denom = 1.0 + cn
+        keep = ~(denom < CN_DENOM_GUARD)
+        sn, cn, dn, denom = sn[keep], cn[keep], dn[keep], denom[keep]
+        R = math.sqrt(red.Z0 * red.Z0 + red.p * red.Z0 + red.q)
+        Z = red.Z0 + R * (1.0 - cn) / denom
+        return keep, Z, 2.0 * red.C2 * R * sn * dn / (denom * denom)
+
+    def nearest(t):
+        n = round((red.C2 * (t - t0) / quarter - 2.0) / 4.0)
+        return _asymptote_times(red, quarter, t0, (n,))[0]
+
+    return _Form(
+        (_phase(red.C2, t0, quarter),), kernel, quarter, nearest,
+        "case-2 evaluation at t={} is inside the asymptote guard band",
+    )
+
+
+def _at(t: Times, form: _Form) -> tuple:
+    """The kernel's values (Z, dZdt, ...) at t, each in t's form: a float
+    for a scalar t, else an array of t's shape.  The lines are checked at
+    the earliest and the latest time, as _sample_window checks a window
+    (a NaN time fails), and the first guarded time raises
+    AsymptoteProximityError with its nearest asymptote."""
+    ts = np.atleast_1d(t)
+    if ts.size:
+        _check_lines((float(ts.min()), float(ts.max())), *form.lines)
+    keep, *values = form.kernel(ts)
+    if keep is not None and not np.all(keep):
+        first = float(ts.flat[np.argmin(keep)])
         raise AsymptoteProximityError(
-            f"case-2 evaluation at t={float(t.flat[i])} "
-            "is inside the asymptote guard band",
-            nearest_time=_nearest_asymptote(red, quarter, t0, float(u.flat[i])),
+            form.guarded.format(first), nearest_time=form.nearest(first)
         )
-    # Every sample was kept, so the flat values fill t's shape exactly.
-    return Z.reshape(t.shape), dZdt.reshape(t.shape)
+    # Every time was kept, so the flat values fill t's shape exactly.
+    if np.ndim(t) == 0:
+        return tuple(float(v[0]) for v in values)
+    return tuple(v.reshape(ts.shape) for v in values)
 
 
 def _asymptote_times(
@@ -636,30 +647,11 @@ def _asymptote_times(
     return tuple(t0 + (2.0 + 4.0 * n) * quarter / red.C2 for n in n_values)
 
 
-def _nearest_asymptote(
-    red: Case2Reduction, quarter: float, t0: float, u: float
-) -> float:
-    """The asymptote time t0 + (2 + 4n) K/C2 nearest the phase u: of a
-    guarded sample, the one whose guard band holds it."""
-    n = round((u / quarter - 2.0) / 4.0)
-    return _asymptote_times(red, quarter, t0, (n,))[0]
-
-
 def _phase(C: float, t0: float, quarter: float):
     """The elliptic phase u = C (t - t0) as a line for _check_lines: |u|
     must stay below 2^52 quarter periods K, beyond which one float step of
     u nears K and the phase no longer tells the half periods apart."""
     return "phase C (t - t0)", lambda t: C * (t - t0), 2.0**52 * quarter
-
-
-def _point_times(t: Times, *lines) -> np.ndarray:
-    """t as an array, at least 1-d, with each (name, line, bound) checked
-    at the earliest and the latest sample, so at every sample, as
-    _sample_grid checks a window; a NaN sample fails."""
-    t = np.atleast_1d(t)
-    if t.size:
-        _check_lines((float(t.min()), float(t.max())), *lines)
-    return t
 
 
 def _cos_phase(params: WaveParams, beta: float, Z: np.ndarray) -> np.ndarray:
@@ -754,24 +746,12 @@ def _store_samples(series, names: tuple[str, ...]) -> np.ndarray:
     return t
 
 
-def _like(t: Times, values: np.ndarray) -> Times:
-    """values as a float when t is a scalar, else as the array itself."""
-    return float(values[0]) if np.ndim(t) == 0 else values
-
-
 def check_window(t_start: float, t_end: float) -> None:
     """Raise unless t_end > t_start with a finite t_end - t_start."""
     if not t_end > t_start:
         raise ParameterDomainError(f"need t_end > t_start, got [{t_start}, {t_end}]")
     if t_end - t_start == math.inf:
         raise ParameterDomainError(f"t_end - t_start overflows on [{t_start}, {t_end}]")
-
-
-def _sample_grid(
-    params: WaveParams, t_start: float, t_end: float, n_samples: int, *lines
-) -> np.ndarray:
-    """np.linspace over the window _sample_window checks."""
-    return np.linspace(*_sample_window(params, t_start, t_end, n_samples, *lines))
 
 
 def _sample_window(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -813,6 +814,52 @@ class TestStreamedOutput:
 
         growth = peak(200_000) - peak(20_000)
         assert growth < bound, f"traced peak grew by {growth / 1e6:.2f} MB"
+
+
+class TestOutputTargets:
+    """The sample data and the SVG go to two places; the summary goes to
+    stderr whenever the data or the SVG occupies stdout."""
+
+    @pytest.mark.parametrize(
+        "targets",
+        [
+            ["--svg", "-"],
+            ["--out", "-", "--svg", "-"],
+            ["--out", "same.txt", "--svg", "same.txt"],
+            ["--out", "same.txt", "--svg", "sub/../same.txt"],
+        ],
+    )
+    def test_one_target_exits_3_and_writes_nothing(
+        self, targets, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(["trajectory", "--samples", "3", *targets], capsys)
+        assert code == 3 and out == ""
+        assert re.fullmatch(r"error:parameter-domain: .+\n", err)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("link", [os.link, os.symlink])
+    def test_a_linked_path_is_one_target(self, link, tmp_path, capsys):
+        data, svg = tmp_path / "data.csv", tmp_path / "path.svg"
+        data.write_text("kept\n")
+        link(data, svg)
+        code, out, err = run_cli(
+            ["trajectory", "--samples", "3", "--out", str(data), "--svg", str(svg)],
+            capsys,
+        )
+        assert code == 3 and out == ""
+        assert re.fullmatch(r"error:parameter-domain: .+\n", err)
+        assert data.read_text() == "kept\n"
+
+    def test_svg_on_stdout_sends_the_summary_to_stderr(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        args = ["trajectory", "--samples", "3", "--out", str(data), "--svg", "-"]
+        code, out, err = run_cli(args, capsys)
+        assert code == 0
+        sc = build_scenario(None, dict(samples=3, out=str(data), svg="-"))
+        rows, summary, svg = trajectory_output(sc)
+        assert out == "".join(svg) and err == summary
+        assert data.read_text() == "".join(rows)
 
 
 class TestOutOfRangeInput:

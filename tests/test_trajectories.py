@@ -48,7 +48,7 @@ from deepwave.trajectories import (
     MAX_ASYMPTOTES,
     TrajectorySeries,
     ZSeries,
-    _sample_grid,
+    _sample_window,
     sampled_case1,
     sampled_case2,
     sampled_peakon,
@@ -852,19 +852,99 @@ def test_peakon_path_keeps_the_form_of_t():
     assert x.shape == z.shape == (0,)
 
 
+def test_peakon_path_with_kA_over_w_beyond_the_float_range():
+    """The point guard (1e-300) keeps |kA t + const2| = 1e-299, where the
+    record's kernel finds dZ/dt = -kA/w beyond the float range; the point
+    call still returns x and z, and no RuntimeWarning escapes."""
+    params = WaveParams(k=1e6, a=1.0, g=9.8)
+    x, z = peakon_path(params, PeakonParams(0.0, 1e-299), 0.0)
+    assert x == 0.0 and z == pytest.approx(-math.log(1e-299) / params.k, rel=1e-15)
+
+
 def test_peakon_point_and_series_share_one_kernel(monkeypatch):
+    """Both routes build the one peakon record, each with its own guard."""
     import deepwave.trajectories as tr
 
     calls = []
-    kernel = tr._peakon
+    form = tr._peakon_form
     monkeypatch.setattr(
-        tr, "_peakon", lambda *args: calls.append(args[3]) or kernel(*args)
+        tr, "_peakon_form", lambda *args: calls.append(args[2]) or form(*args)
     )
     params = WaveParams(k=1.0, a=0.1, g=9.8)
     pk = PeakonParams(const1=math.pi / 2.0, const2=1.0)
     peakon_path(params, pk, 0.5)
     peakon_series(params, pk, 0.0, 1.0, 11)
     assert calls == [1e-300, ASYMPTOTE_GUARD]
+
+
+@pytest.mark.parametrize("family", ["case2", "peakon"])
+def test_point_calls_and_series_share_one_guard(scenario_k4, red_k4, family):
+    """On a grid across a guard band, every time the point call refuses
+    is one the series drops, and the point call names that asymptote; at
+    every time the series keeps, the point call returns its values bit
+    for bit.  Case 2 has one guard for both routes, so its point call
+    refuses exactly the dropped times.  The peakon's point guard (1e-300)
+    is narrower than the series' (ASYMPTOTE_GUARD): it refuses t* alone,
+    which the grid hits."""
+    if family == "case2":
+        params, beta = scenario_k4
+        t0 = -0.21
+        (ta,) = asymptote_times(red_k4, t0, (1,))
+        window = (ta - 2e-6, ta + 2e-6, 401)
+        series = case2_series(params, red_k4, beta, *window, t0)
+        kept = (series.Z, series.dZdt)
+
+        def point(t):
+            return case2_Z(red_k4, t, t0), case2_dZdt(red_k4, t, t0)
+
+    else:
+        params = WaveParams(k=1.0, a=0.1, g=9.8)
+        # const2 = 2 kA puts t* at -2 with w(t*) = 0 exactly; the window's
+        # ends and step are powers of two, so its middle time is t*.
+        pk = PeakonParams(const1=1.0, const2=2.0 * params.k * params.A)
+        ta = pk.blowup_time(params)
+        window = (ta - 2.0**-27, ta + 2.0**-27, 129)
+        series = peakon_series(params, pk, *window)
+        kept = (series.x, series.z)
+
+        def point(t):
+            return peakon_path(params, pk, t)
+
+    grid = np.linspace(*window)
+    dropped = ~np.isin(grid, series.t)
+    outcomes = [series_outcome(point, t) for t in grid.tolist()]
+    refused = np.array([isinstance(o, AsymptoteProximityError) for o in outcomes])
+    want_refused = dropped if family == "case2" else grid == ta
+    assert 0 < refused.sum() <= dropped.sum() < grid.size
+    assert refused.tolist() == want_refused.tolist()
+    assert family == "case2" or dropped.sum() > 1
+    assert all(o.nearest_time == ta for o, r in zip(outcomes, refused) if r)
+    values = [o for o, d in zip(outcomes, dropped) if not d]
+    assert bits(values).tolist() == bits(np.stack(kept, axis=1)).tolist()
+    # The whole grid at once: the first refused time, with its asymptote.
+    with pytest.raises(AsymptoteProximityError) as whole:
+        point(grid)
+    assert str(whole.value) == str(outcomes[int(refused.argmax())])
+    assert whole.value.nearest_time == ta
+
+
+def test_point_calls_and_series_reject_one_line_alike(scenario_k4, red_k4):
+    """A line out of range at a window's end fails with the same message
+    when the point call gets the window's two ends: the case-2 phase
+    beyond 2^52 quarter periods, and the peakon's kA t + const2."""
+    params, beta = scenario_k4
+    with pytest.raises(ParameterDomainError, match="phase") as by_series:
+        case2_series(params, red_k4, beta, 0.0, 1e20, 3, -0.21)
+    for form in (case2_Z, case2_dZdt):
+        with pytest.raises(ParameterDomainError) as by_point:
+            form(red_k4, np.array([0.0, 1e20]), -0.21)
+        assert str(by_point.value) == str(by_series.value)
+    pk = PeakonParams(const1=0.0, const2=1.797e308)
+    with pytest.raises(ParameterDomainError, match="kA t") as by_series:
+        peakon_series(params, pk, 0.0, 1e305, 3)
+    with pytest.raises(ParameterDomainError) as by_point:
+        peakon_path(params, pk, np.array([0.0, 1e305]))
+    assert str(by_point.value) == str(by_series.value)
 
 
 @pytest.mark.parametrize(
@@ -1155,7 +1235,7 @@ def reference_guard_denominator(red, u, cn, t0):
 
 
 def reference_case1_series(params, red, beta, t_start, t_end, n_samples, t0=0.0):
-    t = _sample_grid(params, t_start, t_end, n_samples)
+    t = np.linspace(*_sample_window(params, t_start, t_end, n_samples))
     Z = np.empty_like(t)
     dZdt = np.empty_like(t)
     span = red.Z2 - red.Z1
@@ -1173,7 +1253,7 @@ def reference_case1_series(params, red, beta, t_start, t_end, n_samples, t0=0.0)
 
 
 def reference_case2_series(params, red, beta, t_start, t_end, n_samples, t0=0.0):
-    t = _sample_grid(params, t_start, t_end, n_samples)
+    t = np.linspace(*_sample_window(params, t_start, t_end, n_samples))
     quarter = complete_K(red.k2sq)
     u = red.C2 * (t - t0)
     dist = np.remainder(u - 2.0 * quarter, 4.0 * quarter)
