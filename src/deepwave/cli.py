@@ -123,14 +123,12 @@ def dispersion(k_list: str, g: float, a: float, direction: int) -> None:
 )
 def trajectory(config_path: str | None, **kwargs) -> None:
     """Sample one particle path and emit it as CSV or JSON (plus SVG)."""
-    from .emitters import emit_text
+    from .emitters import emit_rows
 
     sc = build_scenario(config_path, kwargs)
-    data, summary, svg = trajectory_output(sc)
-    emit_text(sc.out, data)
+    rows, summary = trajectory_output(sc)
+    emit_rows((sc.out, sc.svg) if sc.svg else (sc.out,), rows)
     click.echo(summary, nl=False, err=sc.out in (None, "-") or sc.svg == "-")
-    if svg is not None:
-        emit_text(sc.svg, svg)
 
 
 @cli.command()
@@ -171,21 +169,24 @@ def trajectory_series(
 
 def trajectory_output(
     sc: ScenarioConfig,
-) -> tuple[Iterator[str], str, Iterator[str] | None]:
-    """The pieces of the sample file, the summary and the pieces of the SVG
-    (None without --svg) that `deepwave trajectory` writes.
+) -> tuple[Iterator[tuple[str, ...]], str]:
+    """(rows, summary): what `deepwave trajectory` writes, as rows of one
+    piece for the sample file and, with --svg, one for the SVG
+    (emitters.emit_rows), and the summary.
 
     A closed form is evaluated STREAM_BLOCK grid times at a time, in
     passes.  The first pass, here, runs every check of the whole-series
     build and collects the sample count, time span and ranges, and the
     SVG's ranges are checked, so a run that fails does so before anything
-    is written.  Reading the CSV or SVG pieces evaluates the path again;
-    the JSON keeps Z from the first pass (about 8 B per sample) and
-    rebuilds each column from it without the kernel: t, z and Z as they
-    are, x and X through the assembly step.  The oracle is one whole
-    block.  Data and SVG both bound for stdout, or for one file, raise
-    ParameterDomainError before the path is evaluated."""
-    from .emitters import csv_pieces, json_pieces, summary_text, survey, svg_pieces
+    is written.  It keeps Z (8 B per sample) for JSON, and for CSV when
+    the grid fits sampled_path.Z_BUDGET, so the kernel runs once; reading
+    the rows rebuilds each block from Z, assembling x and X once for the
+    CSV and the SVG, which share one pass.  A larger CSV grid is evaluated
+    again in that shared pass.  JSON is written column by column, and its
+    SVG in a pass of its own.  The oracle is one whole block.  Data and
+    SVG both bound for stdout, or for one file, raise ParameterDomainError
+    before the path is evaluated."""
+    from .emitters import summary_text, survey, svg_layout, trajectory_rows
 
     out = "-" if sc.out is None else sc.out
     if sc.svg and _one_target(out, sc.svg):
@@ -193,12 +194,11 @@ def trajectory_output(
         raise ParameterDomainError(f"the sample data and the SVG would both go to {where}")
     blocks, offset = _trajectory_blocks(sc, whole=False)
     s = survey(blocks)
-    data = (csv_pieces if sc.format == "csv" else json_pieces)(s)
     svg = None
     if sc.svg:
         marks = _asymptote_x(sc, s.asymptote_times, offset)
-        svg = svg_pieces(s, marks, title=f"{s.case_tag} path")
-    return data, summary_text(s), svg
+        svg = svg_layout(s, marks, title=f"{s.case_tag} path")
+    return trajectory_rows(s, sc.format, svg), summary_text(s)
 
 
 def _one_target(out: str, svg: str) -> bool:
@@ -231,7 +231,7 @@ def _trajectory_blocks(sc: ScenarioConfig, whole: bool):
         offset = math.copysign(math.pi / (2.0 * params.k), params.A)
     if whole:
         return (path.series(),), offset
-    return (path.retaining_Z() if sc.format == "json" else path), offset
+    return path.passes(by_column=sc.format == "json"), offset
 
 
 def _asymptote_x(sc: ScenarioConfig, times, offset: float) -> tuple[float, ...]:

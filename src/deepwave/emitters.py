@@ -23,22 +23,25 @@ All emitted text uses "\n" newlines regardless of platform.  The
 emitters read a series as blocks: a Survey holds a re-iterable of
 TrajectorySeries blocks and what one pass over them found (sample
 count, time span, ranges), which the JSON metadata, the summary and the
-SVG frame need before the first sample.  Each format is then a
-generator of pieces, reading the blocks once more (JSON once per
-column), each piece one block of _decimal_text (_BLOCK_VALUES values:
-1024 CSV rows, 2560 SVG points, 5120 JSON values), which emit_text
-writes as they come.  trajectory_csv, trajectory_json, trajectory_svg
-and trajectory_summary take a whole series as the one block.
+SVG frame need before the first sample.  CSV and SVG are layouts (a
+head, the pieces of each block, a tail), so one pass over the blocks
+(one_pass) writes the data and the SVG side by side; JSON reads the
+blocks once per column (json_pieces).  Each piece is one block of
+_decimal_text (_BLOCK_VALUES values: 1024 CSV rows, 2560 SVG points,
+5120 JSON values), and emit_rows writes the pieces to their targets as
+they come.  trajectory_csv, trajectory_json, trajectory_svg and
+trajectory_summary take a whole series as the one block.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,6 +60,10 @@ Z_DISPLAY_CAP = 10.0
 
 SAMPLE_COLUMNS = ("t", "x", "z", "X", "Z")
 
+# A format written in one pass over the blocks, row by row: its head, the
+# pieces of one block (given whether it is the first block) and its tail.
+Layout = tuple[str, Callable[[TrajectorySeries, bool], Iterator[str]], str]
+
 
 @dataclass(frozen=True)
 class Survey:
@@ -64,10 +71,11 @@ class Survey:
     before its first byte, taken in one pass over the blocks (survey).
 
     blocks is a re-iterable of TrajectorySeries which, joined, make the
-    series: (series,) for a whole one, or a SampledPath (or its
-    retaining_Z()), which evaluates its grid again on each pass.  Each
-    emitter reads the blocks once more.  The metadata is that of the
-    first block; z_plot_range is the z range the SVG frame draws.
+    series: (series,) for a whole one, or a SampledPath's passes(), which
+    evaluates its grid again on each pass or rebuilds it from the Z the
+    survey kept.  The outputs read the blocks once more.  The metadata is
+    that of the first block; z_plot_range is the z range the SVG frame
+    draws.
     """
 
     blocks: Iterable[TrajectorySeries]
@@ -113,18 +121,19 @@ def survey(blocks: Iterable[TrajectorySeries]) -> Survey:
     )
 
 
-def csv_pieces(s: Survey) -> Iterator[str]:
-    yield ",".join(SAMPLE_COLUMNS) + "\n"
-    for series in s.blocks:
-        for piece in _slices(series.t.size, len(SAMPLE_COLUMNS)):
-            block = np.stack(
-                [getattr(series, name)[piece] for name in SAMPLE_COLUMNS], axis=1
-            )
-            yield _decimal_text(block, "%.17g", ",,,,\n")
+def _csv_rows(series: TrajectorySeries, first: bool) -> Iterator[str]:
+    for piece in _slices(series.t.size, len(SAMPLE_COLUMNS)):
+        block = np.stack(
+            [getattr(series, name)[piece] for name in SAMPLE_COLUMNS], axis=1
+        )
+        yield _decimal_text(block, "%.17g", ",,,,\n")
+
+
+CSV_LAYOUT: Layout = (",".join(SAMPLE_COLUMNS) + "\n", _csv_rows, "")
 
 
 def trajectory_csv(series: TrajectorySeries) -> str:
-    return "".join(csv_pieces(survey((series,))))
+    return "".join(_pieces((series,), CSV_LAYOUT))
 
 
 def json_pieces(s: Survey) -> Iterator[str]:
@@ -194,19 +203,18 @@ def trajectory_summary(series: TrajectorySeries) -> str:
     return summary_text(survey((series,)))
 
 
-def svg_pieces(
+def svg_layout(
     s: Survey,
     asymptote_x: Sequence[float] = (),
     title: str | None = None,
-) -> Iterator[str]:
-    """Render the (x, z) path as a standalone SVG document.
+) -> Layout:
+    """The standalone SVG document drawing the (x, z) path, as a layout.
 
     The ranges, ticks and frame come from the survey when this is called;
     the polyline points are mapped and formatted one slice at a time as
-    the pieces are read, a pass over the blocks.  A path whose plotted x
-    or z range cannot be drawn (an infinite or NaN coordinate) raises
-    ContractViolationError at the call; CSV and JSON still emit such a
-    path.
+    each block is read.  A path whose plotted x or z range cannot be
+    drawn (an infinite or NaN coordinate) raises ContractViolationError
+    at the call; CSV and JSON still emit such a path.
     """
     x_lo, x_hi = _padded_range(
         min((s.x_range[0], *asymptote_x)), max((s.x_range[1], *asymptote_x))
@@ -267,16 +275,15 @@ def svg_pieces(
         "</svg>",
     ]
 
-    def points() -> Iterator[str]:
-        lead = ""
-        for series in s.blocks:
-            for piece in _slices(series.x.size, 2):
-                # Each pair ends in a space; the piece's last one is cut.
-                pairs = np.stack([sx(series.x[piece]), sy(series.z[piece])], axis=1)
-                yield lead + _decimal_text(pairs, "%.3f", ", ")[:-1]
-                lead = " "
+    def points(series: TrajectorySeries, first: bool) -> Iterator[str]:
+        for j, piece in enumerate(_slices(series.x.size, 2)):
+            # Each pair ends in a space; the piece's last one is cut, and
+            # every piece but the path's first starts with one.
+            pairs = np.stack([sx(series.x[piece]), sy(series.z[piece])], axis=1)
+            lead = "" if first and j == 0 else " "
+            yield lead + _decimal_text(pairs, "%.3f", ", ")[:-1]
 
-    return itertools.chain(["\n".join(out)], points(), ["\n".join(tail) + "\n"])
+    return "\n".join(out), points, "\n".join(tail) + "\n"
 
 
 def trajectory_svg(
@@ -284,25 +291,68 @@ def trajectory_svg(
     asymptote_x: Sequence[float] = (),
     title: str | None = None,
 ) -> str:
-    return "".join(svg_pieces(survey((series,)), asymptote_x, title))
+    layout = svg_layout(survey((series,)), asymptote_x, title)
+    return "".join(_pieces((series,), layout))
+
+
+def one_pass(
+    blocks: Iterable[TrajectorySeries], *layouts: Layout
+) -> Iterator[tuple[str, ...]]:
+    """Rows of one piece per layout from one pass over blocks: the heads,
+    then each block's pieces side by side ("" where a layout has no more
+    for the block), then the tails."""
+    yield tuple(head for head, _, _ in layouts)
+    for i, series in enumerate(blocks):
+        bodies = (body(series, i == 0) for _, body, _ in layouts)
+        yield from itertools.zip_longest(*bodies, fillvalue="")
+    yield tuple(tail for _, _, tail in layouts)
+
+
+def _pieces(blocks: Iterable[TrajectorySeries], layout: Layout) -> Iterator[str]:
+    return itertools.chain.from_iterable(one_pass(blocks, layout))
+
+
+def trajectory_rows(
+    s: Survey, fmt: str, svg: Layout | None = None
+) -> Iterator[tuple[str, ...]]:
+    """The sample file in format fmt ("csv" or "json") and, given its
+    layout, the SVG, as rows of one piece per target for emit_rows.
+
+    CSV and SVG share one pass over the blocks, so each block is read,
+    and evaluated or assembled, once for both.  JSON reads the blocks
+    once per column; its SVG takes one pass of its own alongside.
+    """
+    svgs = () if svg is None else (svg,)
+    if fmt == "csv":
+        return one_pass(s.blocks, CSV_LAYOUT, *svgs)
+    extra = (_pieces(s.blocks, layout) for layout in svgs)
+    return itertools.zip_longest(json_pieces(s), *extra, fillvalue="")
+
+
+def emit_rows(paths: Sequence[str | None], rows: Iterable[Sequence[str]]) -> None:
+    """Write rows of pieces, piece j of each row to paths[j]: a file with
+    \\n newlines, or stdout for None or "-".
+
+    The first row is made before any file is opened, so an emitter that
+    rejects its input leaves no file behind.
+    """
+    rows = iter(rows)
+    first = next(rows, ("",) * len(paths))
+    with contextlib.ExitStack() as stack:
+        sinks = [
+            sys.stdout
+            if path is None or path == "-"
+            else stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
+            for path in paths
+        ]
+        for row in itertools.chain((first,), rows):
+            for sink, piece in zip(sinks, row):
+                sink.write(piece)
 
 
 def emit_text(path: str | None, text: str | Iterable[str]) -> None:
-    """Write a text, or its pieces in turn, to a file with \\n newlines,
-    or to stdout for None or "-".
-
-    The first piece is made before the file is opened, so an emitter
-    that rejects its input leaves no file behind.
-    """
-    pieces = iter((text,) if isinstance(text, str) else text)
-    first = next(pieces, "")
-    if path is None or path == "-":
-        sys.stdout.write(first)
-        sys.stdout.writelines(pieces)
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(first)
-        fh.writelines(pieces)
+    """Write a text, or its pieces in turn, as emit_rows writes one target."""
+    emit_rows((path,), zip((text,) if isinstance(text, str) else text))
 
 
 def _slices(n: int, width: int) -> Iterator[slice]:

@@ -8,6 +8,12 @@ from two steps the series builders supply: the kernel gives Z at the
 times the asymptote rule keeps, and the assembly builds the series (x,
 z, X and the checks) from those times and Z alone, so a pass that keeps
 Z can build the rows again without the kernel.
+
+An output that reads the path in passes (SampledPath.passes) keeps Z
+from its first pass, 8 B per grid time, when it reads the path column
+by column or the grid fits Z_BUDGET: the kernel then runs once per
+command.  A larger grid read row by row is evaluated again on each
+pass, in memory that stays flat whatever the sample count.
 """
 
 from __future__ import annotations
@@ -38,6 +44,10 @@ STREAM_BLOCK = _BLOCK
 # many float64 values first (4 MiB), never written, so never resident;
 # doing so again on later passes left some runs 2 MB larger.
 HEAP_PRIMER = 1 << 19
+
+# Grid times up to which SampledPath.passes keeps Z between passes for
+# every output: 8 MiB of Z.
+Z_BUDGET = 1 << 20
 
 
 class SampledPath:
@@ -84,8 +94,17 @@ class SampledPath:
         """The path's blocks, re-iterable, with the kernel run on the first
         pass only: that pass keeps each block's Z (and keep mask, where a
         time was dropped), about 8 B per sample, and later passes rebuild
-        the blocks from them (_StoredRows)."""
+        the blocks from them (_StoredRows).  passes decides when to keep."""
         return _RetainedZ(self)
+
+    def passes(self, by_column: bool) -> Iterable[TrajectorySeries]:
+        """The path's blocks for an output that reads them in passes: kept
+        (retaining_Z) when the output reads them column by column, as JSON
+        does, or the grid fits Z_BUDGET; otherwise the path itself, which
+        runs the kernel again on each pass and holds one block at a time."""
+        if by_column or self.window[2] <= Z_BUDGET:
+            return self.retaining_Z()
+        return self
 
     def _stream(
         self, stored: list | None = None, record: list | None = None
@@ -153,13 +172,14 @@ class _RetainedZ:
 
 class _StoredRows:
     """A block of path rebuilt from its kept times and stored Z: t, Z and
-    z = Z/k at once, every other field from one assembly on first use, so
-    a pass that reads only t, z or Z (a JSON column) assembles nothing."""
+    z = Z/k without the assembly, every other field from one assembly on
+    first use, so a pass that reads only t, z or Z (a JSON column)
+    assembles nothing, and the CSV and the SVG of one pass share one."""
 
     def __init__(self, t: np.ndarray, Z: np.ndarray, path: SampledPath):
         self.t, self.Z, self._path = t, Z, path
 
-    @property
+    @functools.cached_property
     def z(self) -> np.ndarray:
         return self.Z / self._path.k
 

@@ -36,7 +36,7 @@ from deepwave.cli import (
 )
 from deepwave.cubic_analysis import Case1Reduction, build_cubic, classify_roots
 from deepwave.emitters import (
-    emit_text,
+    emit_rows,
     trajectory_csv,
     trajectory_json,
     trajectory_summary,
@@ -613,13 +613,13 @@ class TestCommandFunctions:
         code, out, err = run_cli(args, capsys)
         assert code == 0 and err == ""
         sc = build_scenario(None, {**overrides, "svg": "unused.svg"})
-        data, summary, svg = trajectory_output(sc)
-        assert "".join(data) == data_path.read_text()
+        rows, summary = trajectory_output(sc)
+        assert _texts(rows) == [data_path.read_text(), svg_path.read_text()]
         assert summary == out
-        assert "".join(svg) == svg_path.read_text()
 
     def test_no_svg_pieces_without_svg(self):
-        assert trajectory_output(build_scenario(None, dict(samples=3)))[2] is None
+        rows, _ = trajectory_output(build_scenario(None, dict(samples=3)))
+        assert all(len(row) == 1 for row in rows)
 
     def test_one_asymptote_line_rule(self):
         # Case 2: x = c t_a + sign(A) pi/(2k) at every asymptote time.
@@ -684,21 +684,43 @@ def _around_k4_asymptote(half_width: float, samples: int) -> dict:
     )
 
 
-def _streamed_equals_whole(overrides: dict):
-    """Assert that trajectory_output's CSV, JSON, summary and SVG are the
-    bytes the emitters write for the whole series; return that series and
-    its grid."""
-    sc = build_scenario(None, {**overrides, "svg": "unused.svg"})
+def _texts(rows) -> list[str]:
+    """The text of each target in trajectory_output's rows."""
+    return ["".join(pieces) for pieces in zip(*rows)]
+
+
+def _whole_texts(sc: ScenarioConfig) -> tuple[str, str, str]:
+    """The data (in sc's format), the SVG and the summary that the
+    emitters write for the series built whole."""
     series, marks = trajectory_series(sc)
-    data, summary, svg = trajectory_output(sc)
-    assert "".join(data) == trajectory_csv(series)
-    assert summary == trajectory_summary(series)
-    title = f"{series.case_tag} path"
-    assert "".join(svg) == trajectory_svg(series, marks, title=title)
-    data, summary_json, _ = trajectory_output(dataclasses.replace(sc, format="json"))
-    assert "".join(data) == trajectory_json(series)
-    assert summary_json == summary
+    data = (trajectory_csv if sc.format == "csv" else trajectory_json)(series)
+    svg = trajectory_svg(series, marks, title=f"{series.case_tag} path")
+    return data, svg, trajectory_summary(series)
+
+
+def _streamed_equals_whole(overrides: dict):
+    """Assert that trajectory_output writes, for CSV and JSON, each with
+    and without the SVG, the bytes and the summary the emitters write for
+    the whole series; return that series and its grid."""
+    sc = build_scenario(None, overrides)
+    for fmt in ("csv", "json"):
+        data, svg, summary = _whole_texts(dataclasses.replace(sc, format=fmt))
+        for targets in ([data], [data, svg]):
+            fmt_sc = dataclasses.replace(
+                sc, format=fmt, svg="unused.svg" if len(targets) == 2 else None
+            )
+            rows, summary_out = trajectory_output(fmt_sc)
+            assert _texts(rows) == targets
+            assert summary_out == summary
+    series, _ = trajectory_series(sc)
     return series, np.linspace(sc.t_start, sc.t_end, sc.samples)
+
+
+def _patch_budget(monkeypatch, samples: int) -> None:
+    """Keep Z only for JSON: the budget falls below the sample count."""
+    import deepwave.sampled_path
+
+    monkeypatch.setattr(deepwave.sampled_path, "Z_BUDGET", samples - 1)
 
 
 class TestStreamedOutput:
@@ -706,6 +728,7 @@ class TestStreamedOutput:
     time, in passes; what it writes is what the emitters write for the
     series built whole."""
 
+    @pytest.mark.parametrize("budget", ["default", "below"])
     @pytest.mark.parametrize("samples", STREAM_COUNTS)
     @pytest.mark.parametrize(
         "family",
@@ -718,7 +741,9 @@ class TestStreamedOutput:
         ],
         ids=["case1", "case2", "peakon"],
     )
-    def test_bytes_equal_the_whole_series(self, family, samples):
+    def test_bytes_equal_the_whole_series(self, family, samples, budget, monkeypatch):
+        if budget == "below":
+            _patch_budget(monkeypatch, samples)
         series, _ = _streamed_equals_whole({**family, "samples": samples})
         if family.get("k") == 4.0:
             assert series.t.size == samples - 1
@@ -778,24 +803,76 @@ class TestStreamedOutput:
         assert not out_path.exists() and not svg_path.exists()
 
     @pytest.mark.parametrize(
-        ("overrides", "bound"),
+        ("overrides", "budget", "passes"),
         [
-            (dict(k=4.0, beta=1.0, format="csv", svg="svg"), 1e6),
-            # JSON keeps Z from the first pass: 8 B per sample.
-            (dict(k=1.0, beta=1.0, format="json"), 10.0 * 180_000),
+            (dict(k=1.0, beta=1.0), "default", 1),
+            (dict(k=4.0, beta=1.0, svg="svg"), "default", 1),
+            (dict(k=4.0, beta=1.0, format="json", svg="svg"), "default", 1),
+            (dict(solution="peakon", t_start=-10.0), "default", 1),
+            # Above the budget CSV and SVG evaluate the path again in one
+            # shared pass; JSON keeps Z whatever the budget.
+            (dict(k=4.0, beta=1.0, svg="svg"), "below", 2),
+            (dict(k=4.0, beta=1.0, format="json", svg="svg"), "below", 1),
         ],
-        ids=["csv-svg", "json"],
+        ids=[
+            "case1-csv", "case2-csv-svg", "case2-json-svg", "peakon-csv",
+            "case2-csv-svg-above-budget", "case2-json-svg-above-budget",
+        ],
+    )
+    def test_kernel_evaluations_per_grid_time(
+        self, tmp_path, monkeypatch, overrides, budget, passes
+    ):
+        from deepwave.sampled_path import SampledPath
+
+        samples = 3 * B + 7
+        if budget == "below":
+            _patch_budget(monkeypatch, samples)
+        windows, evaluated = [], []
+        init = SampledPath.__init__
+
+        def counting_init(self, window, k, kernel, *args, **kwargs):
+            def counted(t):
+                evaluated.append(t.copy())
+                return kernel(t)
+
+            windows.append(window)
+            init(self, window, k, counted, *args, **kwargs)
+
+        monkeypatch.setattr(SampledPath, "__init__", counting_init)
+        sc = build_scenario(None, {**overrides, "samples": samples})
+        sc = dataclasses.replace(
+            sc, out=str(tmp_path / "data"), svg=sc.svg and str(tmp_path / "path.svg")
+        )
+        rows, _ = trajectory_output(sc)
+        emit_rows((sc.out, sc.svg) if sc.svg else (sc.out,), rows)
+        (window,) = windows
+        times = np.sort(np.concatenate(evaluated))
+        assert times.tolist() == np.repeat(np.linspace(*window), passes).tolist()
+
+    @pytest.mark.parametrize(
+        ("overrides", "budget", "bound"),
+        [
+            # Above the budget CSV and SVG hold one block at a time.
+            (dict(k=4.0, beta=1.0, format="csv", svg="svg"), "below", 1e6),
+            # Within it, and for JSON, the first pass keeps Z: 8 B per sample.
+            (dict(k=4.0, beta=1.0, format="csv", svg="svg"), "default", 10.0 * 180_000),
+            (dict(k=1.0, beta=1.0, format="json"), "default", 10.0 * 180_000),
+        ],
+        ids=["csv-svg", "csv-svg-kept", "json"],
     )
     def test_memory_does_not_grow_with_the_sample_count(
-        self, tmp_path, monkeypatch, overrides, bound
+        self, tmp_path, monkeypatch, overrides, budget, bound
     ):
         """The traced peak of the command functions at 2e5 samples against
-        2e4: under 1 MB more for CSV and SVG, at most 10 B per added
-        sample for JSON.  The heap primer, 4 MiB never written, would be
-        the traced peak at both counts and hide the growth."""
+        2e4: under 1 MB more for CSV and SVG above the Z budget, at most
+        10 B per added sample where Z is kept.  The heap primer, 4 MiB
+        never written, would be the traced peak at both counts and hide
+        the growth."""
         import deepwave.sampled_path
 
         monkeypatch.setattr(deepwave.sampled_path, "HEAP_PRIMER", 0)
+        if budget == "below":
+            _patch_budget(monkeypatch, 20_000)
 
         def peak(samples: int) -> int:
             sc = build_scenario(None, {**overrides, "samples": samples})
@@ -804,10 +881,8 @@ class TestStreamedOutput:
             )
             tracemalloc.start()
             try:
-                data, _, svg = trajectory_output(sc)
-                emit_text(sc.out, data)
-                if svg is not None:
-                    emit_text(sc.svg, svg)
+                rows, _ = trajectory_output(sc)
+                emit_rows((sc.out, sc.svg) if sc.svg else (sc.out,), rows)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -857,9 +932,30 @@ class TestOutputTargets:
         code, out, err = run_cli(args, capsys)
         assert code == 0
         sc = build_scenario(None, dict(samples=3, out=str(data), svg="-"))
-        rows, summary, svg = trajectory_output(sc)
-        assert out == "".join(svg) and err == summary
-        assert data.read_text() == "".join(rows)
+        rows, summary = trajectory_output(sc)
+        assert [data.read_text(), out] == _texts(rows) and err == summary
+
+    @pytest.mark.parametrize("budget", ["default", "below"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("on_stdout", ["data", "svg"])
+    def test_one_target_on_stdout_gets_the_whole_series_bytes(
+        self, on_stdout, fmt, budget, tmp_path, monkeypatch, capsys
+    ):
+        samples = 3 * B + 7
+        if budget == "below":
+            _patch_budget(monkeypatch, samples)
+        overrides = dict(k=4.0, beta=1.0, t_start=1.416601938, samples=samples)
+        path = tmp_path / ("path.svg" if on_stdout == "data" else "data")
+        targets = ["-", str(path)] if on_stdout == "data" else [str(path), "-"]
+        args = ["trajectory", "--k", "4", "--beta", "1", "--t-start", "1.416601938",
+                "--samples", str(samples), "--format", fmt,
+                "--out", targets[0], "--svg", targets[1]]
+        code, out, err = run_cli(args, capsys)
+        assert code == 0
+        data, svg, summary = _whole_texts(build_scenario(None, {**overrides, "format": fmt}))
+        written = [out, path.read_text()] if on_stdout == "data" else [path.read_text(), out]
+        assert written == [data, svg]
+        assert err == summary
 
 
 class TestOutOfRangeInput:

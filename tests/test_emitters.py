@@ -31,13 +31,13 @@ from deepwave.emitters import (
     _padded_range,
     _repr_planes,
     _ticks,
-    csv_pieces,
-    emit_text,
-    json_pieces,
+    emit_rows,
+    one_pass,
     survey,
-    svg_pieces,
+    svg_layout,
     trajectory_csv,
     trajectory_json,
+    trajectory_rows,
     trajectory_svg,
 )
 from deepwave.errors import ContractViolationError, DeepwaveError
@@ -283,11 +283,25 @@ def test_svg_rejects_unplottable_range(x, z, tmp_path):
     # Streamed to a file, the rejection comes before the file is opened.
     target = tmp_path / "path.svg"
     with pytest.raises(ContractViolationError):
-        emit_text(str(target), svg_pieces(survey((series,))))
+        emit_rows((str(target),), one_pass((series,), svg_layout(survey((series,)))))
     assert not target.exists()
     # The data formats carry such a series unchanged.
     assert_same_text(trajectory_csv(series), reference_csv(series))
     assert_same_text(trajectory_json(series), reference_json(series))
+
+
+def test_emit_rows_opens_no_file_before_the_first_row(tmp_path):
+    def rows():
+        raise ContractViolationError("no first row")
+        yield ("head", "head")
+
+    targets = [tmp_path / "data", tmp_path / "path.svg"]
+    with pytest.raises(ContractViolationError, match="no first row"):
+        emit_rows([str(p) for p in targets], rows())
+    assert not any(p.exists() for p in targets)
+    # Piece j of each row goes to target j.
+    emit_rows([str(p) for p in targets], iter([("a", "b"), ("c", ""), ("", "d")]))
+    assert [p.read_text() for p in targets] == ["ac", "bd"]
 
 
 @pytest.fixture(scope="module")
@@ -296,27 +310,26 @@ def k4_long():
 
 
 @pytest.mark.parametrize(
-    "pieces",
-    [
-        lambda s, _: csv_pieces(s),
-        lambda s, _: json_pieces(s),
-        lambda s, marks: svg_pieces(s, marks, title="case2 path"),
-    ],
-    ids=["csv", "json", "svg"],
+    ("fmt", "with_svg"),
+    [("csv", False), ("json", False), ("csv", True), ("json", True)],
+    ids=["csv", "json", "csv-svg", "json-svg"],
 )
-def test_emission_memory_is_bounded(k4_long, tmp_path, pieces):
+def test_emission_memory_is_bounded(k4_long, tmp_path, fmt, with_svg):
     """Writing a 10^5-sample series holds about one piece (one writer
-    block) at a time, never the whole document (30-37 MB for CSV and
-    JSON)."""
+    block) per target at a time, never the whole document (30-37 MB for
+    CSV and JSON)."""
     series, marks = k4_long
-    target = tmp_path / "out"
+    s = survey((series,))
+    targets = [str(tmp_path / "out"), str(tmp_path / "path.svg")]
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        emit_text(str(target), pieces(survey((series,)), marks))
+        svg = svg_layout(s, marks, title="case2 path") if with_svg else None
+        emit_rows(targets[: 1 + with_svg], trajectory_rows(s, fmt, svg))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    target = tmp_path / "out"
     assert target.stat().st_size > 10 * series.t.size
     assert peak <= 4e6, f"peak {peak / 1e6:.1f} MB"
 
