@@ -162,9 +162,9 @@ def trajectory_series(
     sc: ScenarioConfig,
 ) -> tuple[TrajectorySeries, tuple[float, ...]]:
     """The series `deepwave trajectory` emits, built whole, and the x of
-    its asymptote lines (see _asymptote_x)."""
-    (series,), offset = _trajectory_blocks(sc, whole=True)
-    return series, _asymptote_x(sc, series.asymptote_times, offset)
+    its asymptote lines in the window."""
+    (series,), marks = _trajectory_blocks(sc, whole=True)
+    return series, marks
 
 
 def trajectory_output(
@@ -180,24 +180,22 @@ def trajectory_output(
     SVG's ranges are checked, so a run that fails does so before anything
     is written.  It keeps Z (8 B per sample) for JSON, and for CSV when
     the grid fits sampled_path.Z_BUDGET, so the kernel runs once; reading
-    the rows rebuilds each block from Z, assembling x and X once for the
-    CSV and the SVG, which share one pass.  A larger CSV grid is evaluated
-    again in that shared pass.  JSON is written column by column, and its
-    SVG in a pass of its own.  The oracle is one whole block.  Data and
-    SVG both bound for stdout, or for one file, raise ParameterDomainError
-    before the path is evaluated."""
+    the rows rebuilds each block from Z as plain columns, with one
+    columns call for the CSV and the SVG, which share one pass.  A larger
+    CSV grid is evaluated, and checked, again in that shared pass.  JSON
+    is written column by column, and its SVG in a pass of its own.  The
+    oracle is one whole block.  The SVG's asymptote lines are the path
+    family's.  Data and SVG both bound for stdout, or for one file, raise
+    ParameterDomainError before the path is evaluated."""
     from .emitters import summary_text, survey, svg_layout, trajectory_rows
 
     out = "-" if sc.out is None else sc.out
     if sc.svg and _one_target(out, sc.svg):
         where = "stdout" if out == "-" else repr(out)
         raise ParameterDomainError(f"the sample data and the SVG would both go to {where}")
-    blocks, offset = _trajectory_blocks(sc, whole=False)
+    blocks, marks = _trajectory_blocks(sc, whole=False)
     s = survey(blocks)
-    svg = None
-    if sc.svg:
-        marks = _asymptote_x(sc, s.asymptote_times, offset)
-        svg = svg_layout(s, marks, title=f"{s.case_tag} path")
+    svg = svg_layout(s, marks, title=f"{s.case_tag} path") if sc.svg else None
     return trajectory_rows(s, sc.format, svg), summary_text(s)
 
 
@@ -212,34 +210,24 @@ def _one_target(out: str, svg: str) -> bool:
 
 
 def _trajectory_blocks(sc: ScenarioConfig, whole: bool):
-    """(blocks, offset): the series `deepwave trajectory` emits, as a
+    """(blocks, marks): the series `deepwave trajectory` emits, as a
     re-iterable of blocks (one whole series if whole, or for the oracle),
-    and the x offset of its asymptote lines."""
+    and the x of its asymptote lines in the window (none for case 1 and
+    the oracle)."""
     from .cubic_analysis import Case1Reduction, build_cubic, classify_roots
     from .trajectories import PeakonParams, sampled_case1, sampled_case2, sampled_peakon
 
     params, window = sc.params(), (sc.t_start, sc.t_end, sc.samples)
     if sc.solution == "peakon":
         path = sampled_peakon(params, PeakonParams(sc.const1, sc.const2), *window)
-        offset = sc.const1
     else:
         red = classify_roots(build_cubic(params, sc.beta))
         if sc.solution == "oracle":
-            return (_oracle_series(sc, params, red),), 0.0
+            return (_oracle_series(sc, params, red),), ()
         sample = sampled_case1 if isinstance(red, Case1Reduction) else sampled_case2
         path = sample(params, red, sc.beta, *window, t0=sc.t0)
-        offset = math.copysign(math.pi / (2.0 * params.k), params.A)
-    if whole:
-        return (path.series(),), offset
-    return path.passes(by_column=sc.format == "json"), offset
-
-
-def _asymptote_x(sc: ScenarioConfig, times, offset: float) -> tuple[float, ...]:
-    """x = c t_a + offset at each asymptote time t_a in the window, the
-    offset being const1 on the peakon and sign(A) pi/(2k) in case 2,
-    where X tends to sign(A) pi/2 on the rising side of each asymptote."""
-    c = sc.params().c
-    return tuple(c * ta + offset for ta in times or () if sc.t_start <= ta <= sc.t_end)
+    blocks = (path.series(),) if whole else path.passes(by_column=sc.format == "json")
+    return blocks, path.asymptote_x
 
 
 def stagnation_report(sc: ScenarioConfig) -> str:

@@ -70,12 +70,13 @@ class Survey:
     """A series given as blocks, and what the emitters need to know of it
     before its first byte, taken in one pass over the blocks (survey).
 
-    blocks is a re-iterable of TrajectorySeries which, joined, make the
-    series: (series,) for a whole one, or a SampledPath's passes(), which
+    blocks is a re-iterable of blocks which, joined, make the series:
+    (series,) for a whole one, or a SampledPath's passes(), which
     evaluates its grid again on each pass or rebuilds it from the Z the
-    survey kept.  The outputs read the blocks once more.  The metadata is
-    that of the first block; z_plot_range is the z range the SVG frame
-    draws.
+    survey kept.  The survey reads TrajectorySeries blocks; the outputs
+    read the blocks once more, and only their t, x, z, X and Z columns.
+    The metadata is that of the first block; z_plot_range is the z range
+    the SVG frame draws.
     """
 
     blocks: Iterable[TrajectorySeries]

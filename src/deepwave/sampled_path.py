@@ -4,21 +4,21 @@ Every closed form of trajectories is pointwise in t, so its series over
 np.linspace(t_start, t_end, n) can be evaluated STREAM_BLOCK times at a
 time and give the same rows, bit for bit: linspace_block repeats
 np.linspace's arithmetic for any run of points.  A SampledPath does so
-from two steps the series builders supply: the kernel gives Z at the
-times the asymptote rule keeps, and the assembly builds the series (x,
-z, X and the checks) from those times and Z alone, so a pass that keeps
-Z can build the rows again without the kernel.
+from what the family declares once: the kernel gives Z at the times the
+asymptote rule keeps, the columns step x and X from those times and Z
+alone, and the metadata is that of every block.
 
 An output that reads the path in passes (SampledPath.passes) keeps Z
 from its first pass, 8 B per grid time, when it reads the path column
 by column or the grid fits Z_BUDGET: the kernel then runs once per
-command.  A larger grid read row by row is evaluated again on each
-pass, in memory that stays flat whatever the sample count.
+command, and later passes rebuild each block as plain columns from the
+bits the first pass checked.  A larger grid read row by row is
+evaluated, and checked, again on each pass, in memory that stays flat
+whatever the sample count.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
@@ -28,6 +28,7 @@ from .special_functions import _BLOCK
 
 if TYPE_CHECKING:
     from .trajectories import TrajectorySeries
+    from .wave_field import WaveParams
 
 # Grid times per block when a SampledPath is iterated: one block of the
 # Jacobi kernel, so each block's arrays stay at 32 kB whatever the sample
@@ -51,36 +52,42 @@ Z_BUDGET = 1 << 20
 
 
 class SampledPath:
-    """A closed-form path of wavenumber k on the grid np.linspace(*window)
+    """A closed-form path of the wave params on the grid np.linspace(*window)
     of a window whose checks have passed.
 
     kernel(t) evaluates the closed form at grid times t as (keep, Z, dZdt,
     ...): keep marks the times the asymptote rule keeps (None: all of
     them), Z and dZdt hold the values at those times, and the path reads
-    no further value.  assemble(t, Z, dZdt) builds the series of the kept
-    times t from Z alone; dZdt is attached and may be None.  A path whose
-    rule keeps no time raises AsymptoteProximityError with nearest_time
-    attached.
+    no further value.  columns(t, Z) gives (x, X) at the kept times t from
+    Z alone.  meta holds the series' case_tag, period, drift_per_period
+    and asymptote_times, and asymptote_x the x of each asymptote line
+    inside the window.  A path whose rule keeps no time raises
+    AsymptoteProximityError with nearest_time attached.
 
     series() evaluates the whole grid as one series.  Iterating the path
     evaluates it STREAM_BLOCK times at a time and yields each block that
-    keeps a time; joined, the blocks are the rows of series(), bit for
-    bit, and every check of series() raises during the iteration.
+    keeps a time as a TrajectorySeries; joined, the blocks are the rows of
+    series(), bit for bit, and every check of series() raises during the
+    iteration.
     """
 
     def __init__(
         self,
         window: tuple[float, float, int],
-        k: float,
+        params: WaveParams,
         kernel: Callable[[np.ndarray], tuple],
-        assemble: Callable[..., TrajectorySeries],
+        columns: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+        meta: dict,
         nearest_time: float | None = None,
+        asymptote_x: tuple[float, ...] = (),
     ):
         self.window = window
-        self.k = k
+        self.params = params
         self._kernel = kernel
-        self._assemble = assemble
+        self._columns = columns
+        self._meta = meta
         self._nearest_time = nearest_time
+        self.asymptote_x = asymptote_x
         self._primed = False
 
     def series(self) -> TrajectorySeries:
@@ -90,25 +97,20 @@ class SampledPath:
     def __iter__(self) -> Iterator[TrajectorySeries]:
         return self._stream()
 
-    def retaining_Z(self) -> Iterable[TrajectorySeries]:
-        """The path's blocks, re-iterable, with the kernel run on the first
-        pass only: that pass keeps each block's Z (and keep mask, where a
-        time was dropped), about 8 B per sample, and later passes rebuild
-        the blocks from them (_StoredRows).  passes decides when to keep."""
-        return _RetainedZ(self)
-
-    def passes(self, by_column: bool) -> Iterable[TrajectorySeries]:
-        """The path's blocks for an output that reads them in passes: kept
-        (retaining_Z) when the output reads them column by column, as JSON
-        does, or the grid fits Z_BUDGET; otherwise the path itself, which
-        runs the kernel again on each pass and holds one block at a time."""
+    def passes(self, by_column: bool) -> Iterable[TrajectorySeries | _StoredRows]:
+        """The path's blocks for an output that reads them in passes: when
+        it reads them column by column, as JSON does, or the grid fits
+        Z_BUDGET, the first pass keeps each block's Z (and keep mask), 8 B
+        per sample, and later passes rebuild the blocks from it
+        (_StoredRows); otherwise the path itself, which runs the kernel
+        again on each pass and holds one block at a time."""
         if by_column or self.window[2] <= Z_BUDGET:
-            return self.retaining_Z()
+            return _RetainedZ(self)
         return self
 
     def _stream(
         self, stored: list | None = None, record: list | None = None
-    ) -> Iterator[TrajectorySeries]:
+    ) -> Iterator[TrajectorySeries | _StoredRows]:
         """One streamed pass: _blocks of STREAM_BLOCK times, the first
         after the HEAP_PRIMER allocation."""
         if not self._primed:
@@ -118,12 +120,14 @@ class SampledPath:
 
     def _blocks(
         self, size: int, stored: list | None = None, record: list | None = None
-    ) -> Iterator[TrajectorySeries]:
-        """The non-empty blocks of size grid times, from the kernel or from
-        the (keep, Z) pairs stored by an earlier pass (as _StoredRows);
-        record, when given, collects those pairs."""
+    ) -> Iterator[TrajectorySeries | _StoredRows]:
+        """The non-empty blocks of size grid times: series from the kernel,
+        or columns from the (keep, Z) pairs stored by an earlier pass
+        (_StoredRows); record, when given, collects those pairs."""
+        from .trajectories import TrajectorySeries
+
         t_start, t_end, n = self.window
-        last = None
+        k, last = self.params.k, None
         for i, first in enumerate(range(0, n, size)):
             t = linspace_block(t_start, t_end, n, first, min(first + size, n))
             keep, Z, dZdt = self._kernel(t)[:3] if stored is None else (*stored[i], None)
@@ -143,7 +147,11 @@ class SampledPath:
                 )
             last = t[-1]
             if stored is None:
-                yield self._assemble(t, Z, dZdt)
+                x, X = self._columns(t, Z)
+                yield TrajectorySeries(
+                    k=k, c=self.params.c, t=t, x=x, z=Z / k, X=X, Z=Z, dZdt=dZdt,
+                    **self._meta,
+                )
             else:
                 yield _StoredRows(t, Z, self)
         if last is None:
@@ -154,14 +162,14 @@ class SampledPath:
 
 
 class _RetainedZ:
-    """SampledPath.retaining_Z: the first complete pass stores (keep, Z)
-    per block, later passes rebuild the blocks from them."""
+    """SampledPath.passes when Z is kept: the first complete pass stores
+    (keep, Z) per block, later passes rebuild the blocks from them."""
 
     def __init__(self, path: SampledPath):
         self._path = path
         self._stored: list | None = None
 
-    def __iter__(self) -> Iterator[TrajectorySeries]:
+    def __iter__(self) -> Iterator[TrajectorySeries | _StoredRows]:
         if self._stored is not None:
             yield from self._path._stream(self._stored)
             return
@@ -171,24 +179,23 @@ class _RetainedZ:
 
 
 class _StoredRows:
-    """A block of path rebuilt from its kept times and stored Z: t, Z and
-    z = Z/k without the assembly, every other field from one assembly on
-    first use, so a pass that reads only t, z or Z (a JSON column)
-    assembles nothing, and the CSV and the SVG of one pass share one."""
+    """A block of path rebuilt from its kept times and stored Z, whose
+    checks passed in the first pass: the sample columns only.  t and Z are
+    as kept; z = Z/k and x and X (one columns call) are computed on first
+    use, so a pass that reads only t, z or Z (a JSON column) calls no
+    columns step, and the CSV and the SVG of one pass share one call."""
 
     def __init__(self, t: np.ndarray, Z: np.ndarray, path: SampledPath):
         self.t, self.Z, self._path = t, Z, path
 
-    @functools.cached_property
-    def z(self) -> np.ndarray:
-        return self.Z / self._path.k
-
-    @functools.cached_property
-    def _series(self) -> TrajectorySeries:
-        return self._path._assemble(self.t, self.Z, None)
-
-    def __getattr__(self, name: str):
-        return getattr(self._series, name)
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name == "z":
+            self.z = self.Z / self._path.params.k
+        elif name in ("x", "X"):
+            self.x, self.X = self._path._columns(self.t, self.Z)
+        else:
+            raise AttributeError(f"a rebuilt block has no {name!r}")
+        return self.__dict__[name]
 
 
 def linspace_block(

@@ -38,11 +38,11 @@ Every closed form is pointwise in t: case 1 reads its sheet off
 floor(u/K), case 2 off the phase modulo 4K, and the peakon has none.  So
 each series builder is series() of a sampled_path.SampledPath, made by
 sampled_case1, sampled_case2 or sampled_peakon, which check the window
-and compute its metadata (period, drift, asymptote marks) once.  The
-path evaluates its grid at once (series()) or STREAM_BLOCK times at a
-time (iteration), with the same rows bit for bit.  Its kernel step is
-the record's kernel; its assembly step builds x, z and X from Z and the
-times alone.
+and declare the family's metadata (case tag, period, drift, asymptote
+times and the x of each asymptote line) once.  The path evaluates its
+grid at once (series()) or STREAM_BLOCK times at a time (iteration),
+with the same rows bit for bit.  Its kernel step is the record's kernel;
+its columns step gives x and X from Z and the times alone.
 """
 
 from __future__ import annotations
@@ -246,15 +246,15 @@ def sampled_peakon(
         ("t*", lambda t: pk.blowup_time(params), math.inf),
     )
     t_star = form.nearest(t_start)
+    # The asymptote line sits at x = c t* + const1, drawn while t* lies in
+    # the window.
+    lines = (params.c * t_star + pk.const1,) if t_start <= t_star <= t_end else ()
 
-    def assemble(t, Z, dZdt):
-        return TrajectorySeries(
-            k=params.k, c=params.c, t=t, x=params.c * t + pk.const1,
-            z=Z / params.k, X=np.full_like(t, params.k * pk.const1), Z=Z,
-            case_tag="peakon", asymptote_times=(t_star,), dZdt=dZdt,
-        )
+    def columns(t, Z):
+        return params.c * t + pk.const1, np.full_like(t, params.k * pk.const1)
 
-    return SampledPath(window, params.k, form.kernel, assemble, t_star)
+    meta = dict(case_tag="peakon", asymptote_times=(t_star,))
+    return SampledPath(window, params, form.kernel, columns, meta, t_star, lines)
 
 
 def case1_Z(red: Case1Reduction, t: Times, t0: float = 0.0) -> Times:
@@ -423,9 +423,10 @@ def assemble_xz(
     if period is not None:
         net = _laps(params, cos_X[np.argmin(Z)] < 0.0, cos_X[np.argmax(Z)] < 0.0)
         drift = params.c * period + 2.0 * math.pi * net / params.k
-    return _assemble(
-        params, zs.t, Z, dZdt, cos_X, sheet, case_tag=case_tag, period=period,
-        drift_per_period=drift,
+    x, X = _columns(params, zs.t, cos_X, sheet)
+    return TrajectorySeries(
+        k=params.k, c=params.c, t=zs.t, x=x, z=Z / params.k, X=X, Z=Z, dZdt=dZdt,
+        case_tag=case_tag, period=period, drift_per_period=drift,
     )
 
 
@@ -463,17 +464,15 @@ def sampled_case1(
     period = 2.0 * form.quarter / red.C1
     drift = params.c * period + 2.0 * math.pi * _laps(params, *below) / params.k
 
-    def assemble(t, Z, dZdt):
+    def columns(t, Z):
         u = red.C1 * (t - t0)
         half = np.floor(np.divide(u, form.quarter, out=u), out=u).astype(np.int64)
         del u
-        return _assemble(
-            params, t, Z, dZdt, _cos_phase(params, beta, Z),
-            _sheets(params, half, *below), case_tag="case1", period=period,
-            drift_per_period=drift,
-        )
+        cos_X = _cos_phase(params, beta, Z)
+        return _columns(params, t, cos_X, _sheets(params, half, *below))
 
-    return SampledPath(window, params.k, form.kernel, assemble)
+    meta = dict(case_tag="case1", period=period, drift_per_period=drift)
+    return SampledPath(window, params, form.kernel, columns, meta)
 
 
 def case2_series(
@@ -522,21 +521,25 @@ def sampled_case2(
         if t_start <= ta <= t_end
     )
     below = _cos_negative(params, beta, red.Z0)
+    # X tends to sign(A) pi/2 on the rising side of each asymptote, so its
+    # line sits at x = c t_a + sign(A) pi/(2k).
+    offset = math.copysign(math.pi / (2.0 * params.k), params.A)
+    lines = tuple(params.c * ta + offset for ta in marks)
 
-    def assemble(t, Z, dZdt):
+    def columns(t, Z):
         # Half periods 0 (rising: u in [0, 2K) mod 4K, where Z climbs from
         # Z0) and -1 (falling) of an oscillation whose top is the
         # asymptote, where cos X tends to 0.
         u = red.C2 * (t - t0)
         rising = np.remainder(u - 2.0 * quarter, 4.0 * quarter) >= 2.0 * quarter
         del u
-        return _assemble(
-            params, t, Z, dZdt, _cos_phase(params, beta, Z),
-            _sheets(params, rising.astype(np.int64) - 1, below, False),
-            case_tag="case2", asymptote_times=marks,
-        )
+        cos_X = _cos_phase(params, beta, Z)
+        sheet = _sheets(params, rising.astype(np.int64) - 1, below, False)
+        return _columns(params, t, cos_X, sheet)
 
-    return SampledPath(window, params.k, form.kernel, assemble, form.nearest(t_start))
+    meta = dict(case_tag="case2", asymptote_times=marks)
+    nearest = form.nearest(t_start)
+    return SampledPath(window, params, form.kernel, columns, meta, nearest, lines)
 
 
 class _Form(NamedTuple):
@@ -705,16 +708,11 @@ def _sheets(
     return half
 
 
-def _assemble(
-    params: WaveParams,
-    t: np.ndarray,
-    Z: np.ndarray,
-    dZdt: np.ndarray | None,
-    cos_X: np.ndarray,
-    sheet: np.ndarray,
-    **meta,
-) -> TrajectorySeries:
-    """The series with X on the given sheets; cos_X and sheet are consumed."""
+def _columns(
+    params: WaveParams, t: np.ndarray, cos_X: np.ndarray, sheet: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """x and X at the times t, with X on the given sheets; cos_X and sheet
+    are consumed."""
     # X = h pi + arccos on even sheets h, (h + 1) pi - arccos on odd ones.
     X = np.arccos(np.clip(cos_X, -1.0, 1.0, out=cos_X), out=cos_X)
     odd = np.bitwise_and(sheet, 1, out=np.empty(sheet.shape, bool), casting="unsafe")
@@ -723,9 +721,7 @@ def _assemble(
     X += sheet * math.pi
     x = X / params.k
     x += params.c * t
-    return TrajectorySeries(
-        k=params.k, c=params.c, t=t, x=x, z=Z / params.k, X=X, Z=Z, dZdt=dZdt, **meta
-    )
+    return x, X
 
 
 def _store_samples(series, names: tuple[str, ...]) -> np.ndarray:

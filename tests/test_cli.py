@@ -52,7 +52,7 @@ from deepwave.scenario import (
 )
 from deepwave.stagnation import solve_stagnation
 from deepwave.sampled_path import STREAM_BLOCK
-from deepwave.trajectories import asymptote_times, case1_series
+from deepwave.trajectories import TrajectorySeries, asymptote_times, case1_series
 from deepwave.wave_field import WaveParams, evaluate_field
 
 SVG_NS = {"s": "http://www.w3.org/2000/svg"}
@@ -830,13 +830,13 @@ class TestStreamedOutput:
         windows, evaluated = [], []
         init = SampledPath.__init__
 
-        def counting_init(self, window, k, kernel, *args, **kwargs):
+        def counting_init(self, window, params, kernel, *args, **kwargs):
             def counted(t):
                 evaluated.append(t.copy())
                 return kernel(t)
 
             windows.append(window)
-            init(self, window, k, counted, *args, **kwargs)
+            init(self, window, params, counted, *args, **kwargs)
 
         monkeypatch.setattr(SampledPath, "__init__", counting_init)
         sc = build_scenario(None, {**overrides, "samples": samples})
@@ -848,6 +848,44 @@ class TestStreamedOutput:
         (window,) = windows
         times = np.sort(np.concatenate(evaluated))
         assert times.tolist() == np.repeat(np.linspace(*window), passes).tolist()
+
+    @pytest.mark.parametrize("budget", ["default", "below"])
+    @pytest.mark.parametrize(
+        ("overrides", "passes_below"),
+        [
+            (dict(k=1.0, beta=1.0), 2),
+            (dict(k=4.0, beta=1.0, svg="svg"), 2),
+            (dict(k=1.0, beta=1.0, format="json"), 1),
+            (dict(k=4.0, beta=1.0, format="json", svg="svg"), 1),
+            (dict(solution="peakon", t_start=-10.0), 2),
+        ],
+        ids=["csv", "csv-svg", "json", "json-svg", "peakon-csv"],
+    )
+    def test_one_checked_series_per_kernel_pass(
+        self, tmp_path, monkeypatch, overrides, passes_below, budget
+    ):
+        """Each block the kernel evaluates is built, and checked, as one
+        TrajectorySeries; a block rebuilt from the kept Z is not."""
+        samples = 3 * B + 7  # four blocks, each keeping a time
+        passes = 1
+        if budget == "below":
+            _patch_budget(monkeypatch, samples)
+            passes = passes_below
+        built = []
+        post_init = TrajectorySeries.__post_init__
+
+        def counting_post_init(series):
+            built.append(series)
+            post_init(series)
+
+        monkeypatch.setattr(TrajectorySeries, "__post_init__", counting_post_init)
+        sc = build_scenario(None, {**overrides, "samples": samples})
+        sc = dataclasses.replace(
+            sc, out=str(tmp_path / "data"), svg=sc.svg and str(tmp_path / "path.svg")
+        )
+        rows, _ = trajectory_output(sc)
+        emit_rows((sc.out, sc.svg) if sc.svg else (sc.out,), rows)
+        assert len(built) == 4 * passes
 
     @pytest.mark.parametrize(
         ("overrides", "budget", "bound"),

@@ -1053,14 +1053,17 @@ def test_sampled_path_blocks_join_into_the_series(
         assert bits(joined).tolist() == bits(getattr(series, name)).tolist(), name
     for name in ("case_tag", "period", "drift_per_period", "asymptote_times"):
         assert all(getattr(b, name) == getattr(series, name) for b in blocks)
-    # A pass that keeps Z assembles the same rows again without the kernel.
-    retained = path.retaining_Z()
+    # A pass that keeps Z rebuilds the same columns without the kernel, and
+    # nothing else, so no emitter can read metadata off a rebuilt block.
+    retained = path.passes(by_column=True)
     first = list(retained)
     for again in (list(retained), list(retained)):
         for a, b in zip(first, again, strict=True):
             for name in ("t", "x", "z", "X", "Z"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-            assert b.dZdt is None
+            for name in ("dZdt", "case_tag", "period", "asymptote_times", "k"):
+                with pytest.raises(AttributeError):
+                    getattr(b, name)
 
 
 @pytest.mark.parametrize("size", [1, 2, 7])
