@@ -38,8 +38,6 @@ _EXPORTS = {
     "trajectories": (
         "BetaCandidates",
         "PeakonParams",
-        "TrajectorySeries",
-        "ZSeries",
         "assemble_xz",
         "asymptote_times",
         "beta_from_initial",
@@ -57,6 +55,7 @@ _EXPORTS = {
         "sampled_case2",
         "sampled_peakon",
     ),
+    "series": ("TrajectorySeries", "ZSeries"),
     "sampled_path": ("SampledPath",),
     "ode_oracle": (
         "IntegratorConfig",

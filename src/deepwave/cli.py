@@ -39,7 +39,7 @@ from .scenario import ScenarioConfig, build_scenario
 from .wave_field import WaveParams, evaluate_field
 
 if TYPE_CHECKING:
-    from .trajectories import TrajectorySeries
+    from .series import TrajectorySeries
 
 
 @click.group(name="deepwave")

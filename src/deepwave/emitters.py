@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ContractViolationError
-from .trajectories import TrajectorySeries
+from .series import TrajectorySeries
 
 SVG_WIDTH = 640.0
 SVG_HEIGHT = 480.0

@@ -38,7 +38,8 @@ import numpy as np
 
 from .cubic_analysis import CubicCoeffs
 from .errors import ContractViolationError, ParameterDomainError, StiffnessError
-from .trajectories import TrajectorySeries, ZSeries, check_window
+from .series import TrajectorySeries, ZSeries
+from .trajectories import check_window
 from .wave_field import TAU, WaveParams
 
 # rhs(t, a, b) -> (a', b') for the state (a, b).

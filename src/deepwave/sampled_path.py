@@ -24,10 +24,10 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import AsymptoteProximityError, ContractViolationError
+from .series import TrajectorySeries
 from .special_functions import _BLOCK
 
 if TYPE_CHECKING:
-    from .trajectories import TrajectorySeries
     from .wave_field import WaveParams
 
 # Grid times per block when a SampledPath is iterated: one block of the
@@ -56,12 +56,12 @@ class SampledPath:
     of a window whose checks have passed.
 
     kernel(t) evaluates the closed form at grid times t as (keep, Z, dZdt,
-    ...): keep marks the times the asymptote rule keeps (None: all of
-    them), Z and dZdt hold the values at those times, and the path reads
-    no further value.  columns(t, Z) gives (x, X) at the kept times t from
-    Z alone.  meta holds the series' case_tag, period, drift_per_period
-    and asymptote_times, and asymptote_x the x of each asymptote line
-    inside the window.  A path whose rule keeps no time raises
+    ...): keep marks the times the asymptote rule keeps (None when it
+    keeps all of them), Z and dZdt hold the values at those times, and the
+    path reads no further value.  columns(t, Z) gives (x, X) at the kept
+    times t from Z alone.  meta holds the series' case_tag, period,
+    drift_per_period and asymptote_times, and asymptote_x the x of each
+    asymptote line inside the window.  A path whose rule keeps no time raises
     AsymptoteProximityError with nearest_time attached.
 
     series() evaluates the whole grid as one series.  Iterating the path
@@ -124,18 +124,13 @@ class SampledPath:
         """The non-empty blocks of size grid times: series from the kernel,
         or columns from the (keep, Z) pairs stored by an earlier pass
         (_StoredRows); record, when given, collects those pairs."""
-        from .trajectories import TrajectorySeries
-
         t_start, t_end, n = self.window
         k, last = self.params.k, None
         for i, first in enumerate(range(0, n, size)):
             t = linspace_block(t_start, t_end, n, first, min(first + size, n))
             keep, Z, dZdt = self._kernel(t)[:3] if stored is None else (*stored[i], None)
             if keep is not None:
-                if keep.all():
-                    keep = None
-                else:
-                    t = t[keep]
+                t = t[keep]
             if record is not None:
                 record.append((keep, Z))
             if t.size == 0:

@@ -10,9 +10,11 @@ boundary avoids the usual m-versus-k confusion.
 
 Evaluation route
 ----------------
-Each call builds the Landen scale chain of m once (DLMF 19.8(i)); its
-last arithmetic mean a_n is the AGM of 1 and sqrt(1-m), so
-K(m) = pi / (2 a_n).  The Jacobi triple is computed through the
+Each public call builds the Landen scale chain of m once (DLMF 19.8(i));
+its last arithmetic mean a_n is the AGM of 1 and sqrt(1-m), so
+K(m) = pi / (2 a_n).  A closed-form series builds the chain once too
+(_chain_and_quarter), for its K and for every block of its kernel
+(_sn_cn_dn).  The Jacobi triple is computed through the
 descending Landen phase recursion for the amplitude function
 (DLMF 22.20(ii)) over that chain, then sn = sin(am), cn = cos(am), and
 dn from the identity that is better conditioned at the current point.
@@ -79,8 +81,7 @@ def complete_K(m: float) -> float:
         evaluated as pi / (2 a_n) from the Landen chain's last
         arithmetic mean.  Strictly increasing in m; K(0) = pi/2 exactly.
     """
-    _check_m(m)
-    return math.pi / (2.0 * _landen_chain(m)[-1][0])
+    return _chain_and_quarter(m)[1]
 
 
 def jacobi_sn_cn_dn(
@@ -117,9 +118,24 @@ def jacobi_sn_cn_dn(
         When m lies outside [0, 1) or any element of u is not finite;
         for an array u the message names the first such element.
     """
+    chain, quarter = _chain_and_quarter(m)
+    return _sn_cn_dn(u, m, chain, 4.0 * quarter)
+
+
+def _chain_and_quarter(m: float) -> tuple[list[tuple[float, float]], float]:
+    """The Landen chain of m, checked to satisfy 0 <= m < 1, and its
+    quarter period K(m) = pi / (2 a_n).  A caller that evaluates one m
+    many times builds the chain once here and passes it to _sn_cn_dn."""
     _check_m(m)
     chain = _landen_chain(m)
-    period = 4.0 * (math.pi / (2.0 * chain[-1][0]))  # 4K(m)
+    return chain, math.pi / (2.0 * chain[-1][0])
+
+
+def _sn_cn_dn(
+    u: float | np.ndarray, m: float, chain: list[tuple[float, float]], period: float
+) -> tuple[float, float, float] | tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """jacobi_sn_cn_dn(u, m) over the chain and the period 4K(m) that
+    _chain_and_quarter(m) gave, bit for bit."""
     u = np.asarray(u, dtype=float)
     flat = u.ravel()
     # Three output buffers filled a block at a time: the temporaries
@@ -127,50 +143,78 @@ def jacobi_sn_cn_dn(
     # for the emitters that follow.
     sn, cn, dn = np.empty(flat.size), np.empty(flat.size), np.empty(flat.size)
     for lo in range(0, flat.size, _BLOCK):
-        block = flat[lo : lo + _BLOCK]
-        finite = np.isfinite(block)
-        if not finite.all():
-            i = lo + int(np.argmin(finite))
-            where = ", ".join(str(int(j)) for j in np.unravel_index(i, u.shape))
-            at = f" at u[{where}]" if u.ndim else ""
-            raise ParameterDomainError(f"argument u must be finite, got {flat[i]}{at}")
-        hi = lo + block.size
-        sn[lo:hi], cn[lo:hi], dn[lo:hi] = _sn_cn_dn_block(block, m, chain, period)
+        hi = lo + _BLOCK
+        block = flat[lo:hi]
+        magnitude = np.abs(block)
+        # The largest |u| is NaN or infinite exactly when some argument is.
+        top = magnitude.max()
+        if not top <= period:
+            if not math.isfinite(top):
+                i = lo + int(np.argmin(np.isfinite(block)))
+                where = ", ".join(str(int(j)) for j in np.unravel_index(i, u.shape))
+                at = f" at u[{where}]" if u.ndim else ""
+                raise ParameterDomainError(
+                    f"argument u must be finite, got {flat[i]}{at}"
+                )
+            block = _reduce(block, magnitude > period, period)
+        _sn_cn_dn_block(block, m, chain, sn[lo:hi], cn[lo:hi], dn[lo:hi])
     if u.ndim == 0:
         return float(sn[0]), float(cn[0]), float(dn[0])
     return sn.reshape(u.shape), cn.reshape(u.shape), dn.reshape(u.shape)
 
 
-def _sn_cn_dn_block(
-    u: np.ndarray, m: float, chain: list[tuple[float, float]], period: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Landen phase recursion over a 1-d block of finite arguments,
-    one level at a time, for a built chain and period 4K(m).
-
-    The period reduction is fmod, which is exact, then
+def _reduce(u: np.ndarray, big: np.ndarray, period: float) -> np.ndarray:
+    """A copy of the finite block u with its arguments beyond one period
+    (marked big) reduced modulo period = 4K: fmod, which is exact, then
     r - copysign(4K, r) where |r| > 2K, exact by Sterbenz's lemma.  At a
-    tie |r| = 2K it leaves r = 2K with the sign of u, so sn stays odd.
+    tie |r| = 2K it leaves r = 2K with the sign of u, so sn stays odd."""
+    r = np.fmod(u[big], period)
+    far = np.abs(r) > 0.5 * period
+    r[far] -= np.copysign(period, r[far])
+    u = u.copy()  # not the caller's array, of which u is a view
+    u[big] = r
+    return u
+
+
+def _sn_cn_dn_block(
+    u: np.ndarray,
+    m: float,
+    chain: list[tuple[float, float]],
+    sn: np.ndarray,
+    cn: np.ndarray,
+    dn: np.ndarray,
+) -> None:
+    """The Landen phase recursion over a 1-d block of finite arguments
+    within one period, one level at a time, for a built chain, written to
+    sn, cn and dn.
+
+    Each level updates phi in place, with sn as its scratch array, by the
+    operations of phi <- 0.5 (phi + arcsin((c/a) sin phi)) in their order.
     No clamp is needed before arcsin: past the first level c/a <= 1 - 2e-8
     (b_0 = sqrt(1-m) >= 2^-26.5), and a rounded product with |sin| <= 1
     cannot exceed c/a.
     """
-    big = np.abs(u) > period
-    if big.any():
-        r = np.fmod(u[big], period)
-        far = np.abs(r) > 0.5 * period
-        r[far] -= np.copysign(period, r[far])
-        u = u.copy()  # not the caller's array, of which u is a view
-        u[big] = r
-
-    phi = np.ldexp(chain[-1][0] * u, len(chain) - 1)  # 2^n a_n u
+    phi = chain[-1][0] * u
+    np.ldexp(phi, len(chain) - 1, out=phi)  # 2^n a_n u
     for a, c in reversed(chain[1:]):
-        phi = 0.5 * (phi + np.arcsin(c / a * np.sin(phi)))
+        np.sin(phi, out=sn)
+        sn *= c / a
+        np.arcsin(sn, out=sn)
+        phi += sn
+        phi *= 0.5
 
-    sn = np.sin(phi)
-    cn = np.cos(phi)
-    sn2 = sn * sn
-    dn = np.sqrt(np.where(sn2 <= 0.5, 1.0 - m * sn2, (1.0 - m) + m * cn * cn))
-    return sn, cn, dn
+    np.sin(phi, out=sn)
+    np.cos(phi, out=cn)
+    # dn = sqrt(1 - m sn^2) where sn^2 <= 1/2, else sqrt((1 - m) + m cn^2),
+    # the better conditioned of the two; phi holds sn^2, then 1 - m sn^2.
+    sn2 = np.multiply(sn, sn, out=phi)
+    low = sn2 <= 0.5
+    sn2 *= m
+    np.subtract(1.0, sn2, out=sn2)
+    np.multiply(m, cn, out=dn)
+    dn *= cn
+    dn += 1.0 - m
+    np.sqrt(np.where(low, sn2, dn), out=dn)
 
 
 def _landen_chain(m: float) -> list[tuple[float, float]]:

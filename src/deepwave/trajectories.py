@@ -61,7 +61,8 @@ from .errors import (
 )
 from .cubic_analysis import Case1Reduction, Case2Reduction
 from .sampled_path import SampledPath
-from .special_functions import complete_K, jacobi_sn_cn_dn
+from .series import TrajectorySeries, ZSeries
+from .special_functions import _chain_and_quarter, _sn_cn_dn, complete_K
 from .wave_field import WaveParams, evaluate_field
 
 # Peakon samples whose asymptote argument |kA t + const2| falls below this
@@ -84,9 +85,6 @@ Times = float | np.ndarray
 # Most asymptotes a case-2 window may span: each is a metadata mark.
 MAX_ASYMPTOTES = 100_000
 
-CASE_TAGS = ("peakon", "case1", "case2", "oracle-full")
-
-
 @dataclass(frozen=True)
 class PeakonParams:
     """Constants of the peakon-like path, fixed by initial conditions.
@@ -100,62 +98,6 @@ class PeakonParams:
 
     def blowup_time(self, params: WaveParams) -> float:
         return -self.const2 / (params.k * params.A)
-
-
-@dataclass(frozen=True)
-class ZSeries:
-    """Sampled vertical moving-frame coordinate Z(t).
-
-    dZdt is optional; closed forms fill it analytically, integrators fill
-    it from the right-hand side.  blowup_time is set by the truncated
-    integrator when the sample window was cut short by an escape event.
-    Arrays are treated as immutable once stored.
-    """
-
-    t: np.ndarray
-    Z: np.ndarray
-    dZdt: np.ndarray | None = None
-    blowup_time: float | None = None
-
-    def __post_init__(self):
-        _store_samples(self, ("t", "Z"))
-
-
-@dataclass(frozen=True)
-class TrajectorySeries:
-    """Sampled particle path with both physical and moving-frame samples.
-
-    Invariants checked on construction: those of _store_samples, and the
-    frame maps X = k(x - ct), Z = k z hold at every sample.
-    """
-
-    k: float
-    c: float
-    t: np.ndarray
-    x: np.ndarray
-    z: np.ndarray
-    X: np.ndarray
-    Z: np.ndarray
-    case_tag: str
-    period: float | None = None
-    drift_per_period: float | None = None
-    asymptote_times: tuple[float, ...] | None = None
-    dZdt: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.case_tag not in CASE_TAGS:
-            raise ContractViolationError(f"unknown case tag {self.case_tag!r}")
-        t = _store_samples(self, ("t", "x", "z", "X", "Z"))
-        # Frame consistency, with the tolerance scaled by the phases k c t
-        # and X, whose rounding floors grow on long runs.
-        scale = np.maximum(1.0, np.abs(self.k * self.c * t))
-        np.maximum(scale, np.abs(self.X), out=scale)
-        if np.any(np.abs(self.X - self.k * (self.x - self.c * t)) > 1e-12 * scale):
-            raise ContractViolationError("X samples violate X = k(x - ct)")
-        if np.any(
-            np.abs(self.Z - self.k * self.z) > 1e-12 * np.maximum(1.0, np.abs(self.Z))
-        ):
-            raise ContractViolationError("Z samples violate Z = k z")
 
 
 class BetaCandidates(NamedTuple):
@@ -531,11 +473,13 @@ def sampled_case2(
         # Z0) and -1 (falling) of an oscillation whose top is the
         # asymptote, where cos X tends to 0.
         u = red.C2 * (t - t0)
-        rising = np.remainder(u - 2.0 * quarter, 4.0 * quarter) >= 2.0 * quarter
+        u -= 2.0 * quarter
+        rising = np.remainder(u, 4.0 * quarter, out=u) >= 2.0 * quarter
         del u
         cos_X = _cos_phase(params, beta, Z)
-        sheet = _sheets(params, rising.astype(np.int64) - 1, below, False)
-        return _columns(params, t, cos_X, sheet)
+        half = rising.astype(np.int64)
+        half -= 1
+        return _columns(params, t, cos_X, _sheets(params, half, below, False))
 
     meta = dict(case_tag="case2", asymptote_times=marks)
     nearest = form.nearest(t_start)
@@ -547,9 +491,12 @@ class _Form(NamedTuple):
     (_at) and its SampledPath alike: the (name, line, bound) triples that
     must hold at the earliest and the latest time; kernel(t), which gives
     (keep, Z, dZdt, ...) at the times t (keep marks the times the guard
-    keeps, None all of them; the values are those at the kept times); the
-    quarter period K of the elliptic phase; and for a guarded family the
-    asymptote time nearest(t) and a point call's error text for t."""
+    keeps, None when it keeps all of them; the values are those at the
+    kept times); the quarter period K of the elliptic phase; and for a
+    guarded family the asymptote time nearest(t) and a point call's error
+    text for t.  An elliptic family builds the Landen chain of its m once,
+    here: K and every kernel call, each block of a streamed path
+    included, read that one chain."""
 
     lines: tuple
     kernel: Callable[[np.ndarray], tuple]
@@ -567,8 +514,7 @@ def _peakon_form(params: WaveParams, pk: PeakonParams, guard: float) -> _Form:
 
     def kernel(t):
         w = kA * t + pk.const2
-        keep = np.abs(w) >= guard
-        t, w = t[keep], w[keep]
+        keep, t, w = _kept(np.abs(w) >= guard, t, w)
         # A point call's guard lets kA/w pass the float range next to t*.
         with np.errstate(over="ignore"):
             dZdt = -kA / w
@@ -587,12 +533,23 @@ def _peakon_form(params: WaveParams, pk: PeakonParams, guard: float) -> _Form:
 def _case1_form(red: Case1Reduction, t0: float) -> _Form:
     """Case 1: the phase line and Z2 sn^2 + Z1 cn^2 with its derivative at
     every time; nothing is guarded."""
-    quarter = complete_K(red.k1sq)
+    m = red.k1sq
+    chain, quarter = _chain_and_quarter(m)
+    period = 4.0 * quarter
+    rate = 2.0 * red.C1 * (red.Z2 - red.Z1)
 
     def kernel(t):
-        sn, cn, dn = jacobi_sn_cn_dn(red.C1 * (t - t0), red.k1sq)
-        Z = red.Z2 * sn * sn + red.Z1 * cn * cn
-        return None, Z, 2.0 * red.C1 * (red.Z2 - red.Z1) * sn * cn * dn
+        sn, cn, dn = _sn_cn_dn(red.C1 * (t - t0), m, chain, period)
+        # Z2 sn^2 + Z1 cn^2 and rate sn cn dn, operation for operation.
+        Z = red.Z2 * sn
+        Z *= sn
+        cn2 = red.Z1 * cn
+        cn2 *= cn
+        Z += cn2
+        sn *= rate
+        sn *= cn
+        sn *= dn
+        return None, Z, sn
 
     return _Form((_phase(red.C1, t0, quarter),), kernel, quarter)
 
@@ -602,16 +559,26 @@ def _case2_form(red: Case2Reduction, t0: float) -> _Form:
     at the times whose 1 + cn is at least CN_DENOM_GUARD, and the nearest
     asymptote t0 + (2 + 4n) K/C2, for a guarded time the one whose guard
     band holds it."""
-    quarter = complete_K(red.k2sq)
+    m = red.k2sq
+    chain, quarter = _chain_and_quarter(m)
+    period = 4.0 * quarter
 
     def kernel(t):
-        sn, cn, dn = jacobi_sn_cn_dn(red.C2 * (t - t0), red.k2sq)
+        sn, cn, dn = _sn_cn_dn(red.C2 * (t - t0), m, chain, period)
         denom = 1.0 + cn
-        keep = ~(denom < CN_DENOM_GUARD)
-        sn, cn, dn, denom = sn[keep], cn[keep], dn[keep], denom[keep]
+        keep, sn, cn, dn, denom = _kept(~(denom < CN_DENOM_GUARD), sn, cn, dn, denom)
         R = math.sqrt(red.Z0 * red.Z0 + red.p * red.Z0 + red.q)
-        Z = red.Z0 + R * (1.0 - cn) / denom
-        return keep, Z, 2.0 * red.C2 * R * sn * dn / (denom * denom)
+        # Z0 + R (1 - cn)/denom and 2 C2 R sn dn/denom^2, operation for
+        # operation.
+        Z = np.subtract(1.0, cn, out=cn)
+        Z *= R
+        Z /= denom
+        Z += red.Z0
+        sn *= 2.0 * red.C2 * R
+        sn *= dn
+        denom *= denom
+        sn /= denom
+        return keep, Z, sn
 
     def nearest(t):
         n = round((red.C2 * (t - t0) / quarter - 2.0) / 4.0)
@@ -621,6 +588,14 @@ def _case2_form(red: Case2Reduction, t0: float) -> _Form:
         (_phase(red.C2, t0, quarter),), kernel, quarter, nearest,
         "case-2 evaluation at t={} is inside the asymptote guard band",
     )
+
+
+def _kept(keep: np.ndarray, *arrays: np.ndarray) -> tuple:
+    """(keep, *arrays) at the kept times, or (None, *arrays) unchanged when
+    keep holds every time, which costs no copy."""
+    if keep.all():
+        return None, *arrays
+    return keep, *(a[keep] for a in arrays)
 
 
 def _at(t: Times, form: _Form) -> tuple:
@@ -633,7 +608,7 @@ def _at(t: Times, form: _Form) -> tuple:
     if ts.size:
         _check_lines((float(ts.min()), float(ts.max())), *form.lines)
     keep, *values = form.kernel(ts)
-    if keep is not None and not np.all(keep):
+    if keep is not None:
         first = float(ts.flat[np.argmin(keep)])
         raise AsymptoteProximityError(
             form.guarded.format(first), nearest_time=form.nearest(first)
@@ -662,12 +637,18 @@ def _cos_phase(params: WaveParams, beta: float, Z: np.ndarray) -> np.ndarray:
     k = params.k
     with np.errstate(over="raise"):
         try:
-            r = (k * params.c * Z - beta) * np.exp(-Z) / (k * params.A)
+            # (k c Z - beta) e^-Z / (k A), operation for operation.
+            r = k * params.c * Z
+            r -= beta
+            e = np.negative(Z)
+            np.exp(e, out=e)
+            r *= e
+            r /= k * params.A
         except FloatingPointError as exc:
             raise ContractViolationError(
                 "cos X overflowed; Z samples are far outside the admissible band"
             ) from exc
-    worst = float(np.max(np.abs(r)))
+    worst = float(np.abs(r, out=e).max())
     if 1.0 - worst * worst < -SQRT_ARG_TOL:
         raise ContractViolationError(
             f"cos^2 X exceeds 1 by {worst * worst - 1.0:.3e}; "
@@ -714,7 +695,10 @@ def _columns(
     """x and X at the times t, with X on the given sheets; cos_X and sheet
     are consumed."""
     # X = h pi + arccos on even sheets h, (h + 1) pi - arccos on odd ones.
-    X = np.arccos(np.clip(cos_X, -1.0, 1.0, out=cos_X), out=cos_X)
+    # np.clip(cos_X, -1, 1), NaN kept, in two ufunc calls.
+    np.maximum(cos_X, -1.0, out=cos_X)
+    np.minimum(cos_X, 1.0, out=cos_X)
+    X = np.arccos(cos_X, out=cos_X)
     odd = np.bitwise_and(sheet, 1, out=np.empty(sheet.shape, bool), casting="unsafe")
     np.negative(X, out=X, where=odd)
     sheet += odd
@@ -722,24 +706,6 @@ def _columns(
     x = X / params.k
     x += params.c * t
     return x, X
-
-
-def _store_samples(series, names: tuple[str, ...]) -> np.ndarray:
-    """Store the named sample fields of series, and dZdt when set, as float
-    arrays of one non-empty 1-d shape with t finite and strictly
-    increasing; returns t."""
-    if series.dZdt is not None:
-        names += ("dZdt",)
-    arrays = [np.asarray(getattr(series, name), dtype=float) for name in names]
-    t = arrays[0]
-    if t.ndim != 1 or t.size == 0 or any(a.shape != t.shape for a in arrays):
-        raise ContractViolationError("series arrays must share one non-empty 1-d shape")
-    # Finite ends and strict increase make every time finite, NaN excluded.
-    if not (math.isfinite(t[0]) and math.isfinite(t[-1]) and np.all(np.diff(t) > 0.0)):
-        raise ContractViolationError("series times must be finite and increase strictly")
-    for name, values in zip(names, arrays):
-        object.__setattr__(series, name, values)
-    return t
 
 
 def check_window(t_start: float, t_end: float) -> None:

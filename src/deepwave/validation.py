@@ -25,11 +25,10 @@ from .ode_oracle import (
     residual_full_Z_ode,
 )
 from .special_functions import complete_K, jacobi_sn_cn_dn
+from .series import TrajectorySeries, ZSeries
 from .stagnation import solve_stagnation
 from .trajectories import (
     PeakonParams,
-    TrajectorySeries,
-    ZSeries,
     assemble_xz,
     asymptote_times,
     beta_from_initial,

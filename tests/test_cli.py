@@ -1075,7 +1075,7 @@ class TestOutOfRangeInput:
         def kernel(*args, **kwargs):
             raise MemoryError("Unable to allocate 745. GiB for an array")
 
-        monkeypatch.setattr(deepwave.trajectories, "jacobi_sn_cn_dn", kernel)
+        monkeypatch.setattr(deepwave.trajectories, "_sn_cn_dn", kernel)
         out_path = tmp_path / "samples.csv"
         code, out, err = run_cli(["trajectory", "--out", str(out_path)], capsys)
         assert code == 3

@@ -11,8 +11,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from deepwave import ParameterDomainError, complete_K, jacobi_sn_cn_dn
+from deepwave import (
+    ParameterDomainError,
+    WaveParams,
+    build_cubic,
+    case1_series,
+    case2_series,
+    classify_roots,
+    complete_K,
+    jacobi_sn_cn_dn,
+    sampled_case2,
+)
 from deepwave import special_functions
+from deepwave.sampled_path import STREAM_BLOCK
 from deepwave.special_functions import _landen_chain
 
 modulus_sq = st.floats(min_value=1e-10, max_value=1.0 - 1e-10)
@@ -444,6 +455,21 @@ def test_jacobi_list_or_tuple_equals_the_array(u):
         assert _bits(values) == _bits(ref)
 
 
+def _series_args(k: float) -> tuple:
+    """(params, reduction, beta) of the reference scenario at k, beta = 1
+    (case 1 at k = 1, case 2 at k = 4); reducing the cubic builds no
+    chain."""
+    params = WaveParams(k=k, a=0.1, g=9.8)
+    return params, classify_roots(build_cubic(params, 1.0)), 1.0
+
+
+def _one_streamed_pass() -> None:
+    """Every block of a case-2 path of three kernel blocks, the last one
+    partial."""
+    path = sampled_case2(*_series_args(4.0), 0.0, 10.0, 2 * STREAM_BLOCK + 7)
+    assert sum(1 for _ in path) == 3
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -451,6 +477,10 @@ def test_jacobi_list_or_tuple_equals_the_array(u):
         lambda: jacobi_sn_cn_dn(31.0, 0.9525930951624224),
         lambda: jacobi_sn_cn_dn(np.linspace(-1e3, 1e3, 500), 1.0 - 5e-13),
         lambda: jacobi_sn_cn_dn(np.array([]), 0.25),
+        # A series path builds one chain for its K and all its kernel calls.
+        lambda: case1_series(*_series_args(1.0), 0.0, 10.0, 512),
+        lambda: case2_series(*_series_args(4.0), 0.0, 10.0, 512),
+        _one_streamed_pass,
     ],
 )
 def test_one_landen_chain_per_call(call, monkeypatch):

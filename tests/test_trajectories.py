@@ -46,8 +46,10 @@ from deepwave.trajectories import (
     ASYMPTOTE_GUARD,
     CN_DENOM_GUARD,
     MAX_ASYMPTOTES,
+    SQRT_ARG_TOL,
     TrajectorySeries,
     ZSeries,
+    _columns,
     _sample_window,
     sampled_case1,
     sampled_case2,
@@ -306,12 +308,12 @@ def test_plain_zseries_sheets_match_closed_form(scenario_k1, red_k1):
     assert plain.drift_per_period == series.drift_per_period
 
 
-def test_series_build_one_landen_chain_besides_the_kernel(
+def test_series_build_one_landen_chain(
     monkeypatch, scenario_k1, red_k1, scenario_k4, red_k4
 ):
     """K(m) is computed once per series and reused for the period, the
-    phase sheets, the case-2 guard and the asymptote marks: with the
-    kernel's own chain that is at most two chains per series."""
+    phase sheets, the case-2 guard and the asymptote marks, and the kernel
+    reads the same chain: one chain per series."""
     import deepwave.special_functions as sf
 
     builds = []
@@ -323,7 +325,7 @@ def test_series_build_one_landen_chain_besides_the_kernel(
     ):
         builds.clear()
         build(params, red, beta, 0.0, 10.0, 101)
-        assert len(builds) <= 2
+        assert len(builds) == 1
 
 
 # ---------------------------------------------------------------- case 2
@@ -1017,7 +1019,7 @@ def test_case2_asymptote_cap_comes_before_any_kernel_call(
     import deepwave.trajectories as tr
 
     calls = []
-    monkeypatch.setattr(tr, "jacobi_sn_cn_dn", lambda *args: calls.append(args))
+    monkeypatch.setattr(tr, "_sn_cn_dn", lambda *args: calls.append(args))
     params, beta = scenario_k4
     with pytest.raises(
         ParameterDomainError, match=f"spans more than {MAX_ASYMPTOTES} asymptotes"
@@ -1112,10 +1114,35 @@ def test_trajectory_series_rejects_frame_mismatch():
     TrajectorySeries(
         k=params.k, c=params.c, t=t, x=x, z=z, X=X + 0.0, Z=Z, case_tag="case1"
     )
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match=r"X = k\(x - ct\)"):
         TrajectorySeries(
             k=params.k, c=params.c, t=t, x=x, z=z, X=X + 1e-6, Z=Z, case_tag="case1"
         )
+    with pytest.raises(ContractViolationError, match="Z = k z"):
+        TrajectorySeries(
+            k=params.k, c=params.c, t=t, x=x, z=z, X=X, Z=Z + 1e-6, case_tag="case1"
+        )
+
+
+def test_columns_clamp_cos_x_as_clip_does():
+    """cos X a few ulps outside [-1, 1], which the band check lets pass
+    (SQRT_ARG_TOL), and a NaN give the X and x bits of arccos(clip(cos X))
+    on even and odd sheets."""
+    params = WaveParams(k=2.0, a=0.1, g=9.8)
+    over = [np.nextafter(1.0, 2.0), 1.0 + 4.0 * np.finfo(float).eps]
+    cos_X = np.array([*over, *(-v for v in over), 1.0, -1.0, 0.3, -0.0, math.nan])
+    assert np.nanmax(cos_X**2) - 1.0 < SQRT_ARG_TOL
+    n = cos_X.size
+    t = np.linspace(0.0, 3.0, n)
+    sheet = np.resize(np.array([0, 1, -1, 2, -2]), n)
+    x, X = _columns(params, t, cos_X.copy(), sheet.copy())
+    angle = np.arccos(np.clip(cos_X, -1.0, 1.0))
+    odd = sheet % 2 == 1
+    want_X = np.where(odd, -angle, angle) + (sheet + odd) * math.pi
+    want_x = want_X / params.k + params.c * t
+    assert X.tobytes() == want_X.tobytes()
+    assert x.tobytes() == want_x.tobytes()
+    assert np.isnan(X[-1]) and np.isnan(x[-1])
 
 
 def test_trajectory_series_rejects_unknown_tag():
@@ -1144,12 +1171,20 @@ def test_zseries_requires_increasing_time():
 
 @pytest.mark.parametrize(
     "t",
-    [[math.nan], [0.0, math.nan], [math.nan, 1.0], [0.0, math.inf], [-math.inf, 0.0]],
+    [
+        [math.nan],
+        [0.0, math.nan],
+        [math.nan, 1.0],
+        [0.0, math.nan, 1.0],
+        [0.0, math.inf],
+        [-math.inf, 0.0],
+    ],
 )
 def test_series_reject_nan_time(t):
     """One sample has no step to fail, so a lone NaN time needs a test
     of its own; an infinite end passes the strict-increase test, so the
-    ends are checked to be finite."""
+    ends are checked to be finite; an interior NaN fails the comparison
+    with both neighbours."""
     Z = np.zeros(len(t))
     with pytest.raises(ContractViolationError, match="must be finite"):
         ZSeries(t=t, Z=Z)
